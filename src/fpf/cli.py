@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import DomainError, FpfError, NumericalCheckFailure, ValidationError
@@ -87,7 +88,10 @@ def _file_tolerances(text: bytes) -> dict[str, float]:
     return {}
 
 
-def _run_file(path: Path, fmt: str, cli_overrides: dict[str, float], *, require_kind=None) -> int:
+@contextmanager
+def _loaded(path: Path, cli_overrides: dict[str, float]):
+    """Parse a scenario file under its own tolerances plus the command
+    line's, which win; the scenario is used inside the same context."""
     text = _read(path)
     merged = {**_file_tolerances(text), **cli_overrides}
     try:
@@ -95,7 +99,11 @@ def _run_file(path: Path, fmt: str, cli_overrides: dict[str, float], *, require_
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
     with context:
-        scenario = parse_scenario(text)
+        yield parse_scenario(text)
+
+
+def _run_file(path: Path, fmt: str, cli_overrides: dict[str, float], *, require_kind=None) -> int:
+    with _loaded(path, cli_overrides) as scenario:
         if require_kind is not None and scenario.query.kind != require_kind:
             raise ValidationError(
                 f"{path} holds a {scenario.query.kind!r} query, expected {require_kind!r}"
@@ -113,7 +121,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "network":
             return _run_file(args.file, args.format, {}, require_kind="network")
         if args.command == "validate":
-            parse_scenario(_read(args.file))
+            with _loaded(args.file, {}):
+                pass
             print(f"VALID: {args.file}")
             return 0
         if args.command == "random":

@@ -4,13 +4,20 @@ The weight of a history is the product, over consecutive fixed-point
 pairs, of the forward amplitude and the matching backward amplitude. With
 a branch-independent schedule the two are conjugate, so every weight is a
 nonnegative real number; dividing by the sum over the open outcome slots
-yields the measure. Two fixed points reproduce the Born rule, three the
-pre/post-selection (ABL) rule, and longer chains generalize both.
+yields the measure.
+
+One kernel computes every weight: a chain of time-ordered slots, each
+holding one or more candidate states, from a source to an optional sink.
+The Born rule is the chain with one outcome slot and no sink, the
+pre/post-selection (ABL) rule the chain with one outcome slot and a sink,
+and longer chains generalize both. Chains are enumerated in full, so the
+number of joint outcomes is capped at MAX_JOINTS.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,22 +27,26 @@ from .contour import Branch
 from .dynamics import HamiltonianSchedule, apply, propagate
 from .errors import (
     DegenerateNormalizer,
+    DimensionMismatch,
     ImpossiblePostSelection,
+    InstanceTooLarge,
     NumericalCheckFailure,
     RealnessViolation,
     ValidationError,
 )
 from .histories import FixedPoint
-from .statespace import Basis, inner
+from .statespace import Basis, StateVector, inner
 from .tolerances import Tolerances, active_tolerances
+
+MAX_JOINTS = 1 << 16  # joint outcomes one chain may enumerate
 
 
 @dataclass(frozen=True, eq=False)
 class MeasureResult:
     """Unnormalized weights and normalized measures over an outcome set.
 
-    labels identifies each outcome (basis indices, or index tuples for
-    joint chain outcomes); selected marks the queried outcome when the
+    labels identifies each joint outcome by its tuple of basis indices,
+    one per outcome slot; selected marks the queried outcome when the
     caller asked about a single one.
     """
 
@@ -81,29 +92,51 @@ def branch_amplitude(
     return inner(dst.state, apply(u, src.state))
 
 
+def _joint_weights(
+    sched: HamiltonianSchedule, slots: Sequence[tuple[float, Sequence[StateVector]]]
+) -> np.ndarray:
+    """Raw complex weights of every joint assignment of the slots' states.
+
+    Entry [i_0, ..., i_n] is the product over consecutive slots of the
+    forward amplitude <a_k|U_F|a_{k-1}> and the backward amplitude
+    <a_{k-1}|U_B|a_k>. Each segment costs one propagator per branch.
+    """
+    if len(slots) < 2:
+        raise ValidationError("a history weight needs at least two fixed points")
+    joints = math.prod(len(states) for _, states in slots)
+    if joints > MAX_JOINTS:
+        raise InstanceTooLarge(f"{joints} joint outcomes exceed the limit of {MAX_JOINTS}")
+    rows = [np.array([s.amps for s in states]) for _, states in slots]
+    if any(r.shape[1] != sched.dim for r in rows):
+        raise DimensionMismatch(f"slot states must have the schedule's dim {sched.dim}")
+    weights = np.ones(len(rows[0]), dtype=np.complex128)
+    for (t_a, _), (t_b, _), a, b in zip(slots, slots[1:], rows, rows[1:]):
+        forward = b.conj() @ (propagate(sched, Branch.FORWARD, t_a, t_b).mat @ a.T)
+        backward = a.conj() @ (propagate(sched, Branch.BACKWARD, t_b, t_a).mat @ b.T)
+        weights = weights[..., None] * (forward.T * backward)
+    return weights
+
+
 def chain_delta_psi(sched: HamiltonianSchedule, points: Sequence[FixedPoint]) -> complex:
     """Raw, possibly complex history weight: the product over consecutive
     pairs of forward and backward amplitudes. Diagnostic entry point; no
     realness filtering, no normalization."""
-    if len(points) < 2:
-        raise ValidationError("a history weight needs at least two fixed points")
-    value = complex(1.0)
-    for a, b in zip(points, points[1:]):
-        forward = branch_amplitude(sched, Branch.FORWARD, a, b)
-        backward = branch_amplitude(sched, Branch.BACKWARD, b, a)
-        value *= forward * backward
-    return value
+    return complex(_joint_weights(sched, [(p.t, (p.state,)) for p in points]).item())
 
 
-def _real_weight(value: complex, tols: Tolerances) -> float:
-    if abs(value.imag) > tols.realness_abort:
-        raise RealnessViolation(
-            f"history weight has imaginary part {value.imag:.3e}; "
-            "schedule is branch-inconsistent or numerically broken"
-        )
-    if value.real < -tols.negativity:
+def _real_weight(values: np.ndarray, tols: Tolerances) -> np.ndarray:
+    """Real parts of the weights, flattened; the first complex or negative
+    weight in joint order aborts."""
+    bad = (np.abs(values.imag) > tols.realness_abort) | (values.real < -tols.negativity)
+    if bad.any():
+        value = values.flat[int(np.argmax(bad))]
+        if abs(value.imag) > tols.realness_abort:
+            raise RealnessViolation(
+                f"history weight has imaginary part {value.imag:.3e}; "
+                "schedule is branch-inconsistent or numerically broken"
+            )
         raise RealnessViolation(f"history weight is negative: {value.real:.3e}")
-    return value.real
+    return values.real.ravel()
 
 
 def delta_psi_pair(
@@ -117,7 +150,8 @@ def delta_psi_pair(
     if not src.t < snk.t:
         raise ValidationError("source must precede sink in time")
     tols = tols if tols is not None else active_tolerances()
-    return _real_weight(chain_delta_psi(sched, (src, snk)), tols)
+    slots = [(src.t, (src.state,)), (snk.t, (snk.state,))]
+    return float(_real_weight(_joint_weights(sched, slots), tols)[0])
 
 
 def born_measure(
@@ -128,23 +162,7 @@ def born_measure(
     tols: Tolerances | None = None,
 ) -> MeasureResult:
     """Measure over a complete outcome basis at t2 given one preparation."""
-    if not prep.t < t2:
-        raise ValidationError("measurement time must follow the preparation")
-    tols = tols if tols is not None else active_tolerances()
-    delta = np.array(
-        [delta_psi_pair(sched, prep, FixedPoint(t2, phi), tols) for phi in outcomes]
-    )
-    normalizer = float(np.sum(delta))
-    if normalizer <= tols.degenerate_normalizer:
-        raise DegenerateNormalizer(
-            "outcome weights sum to zero; the outcome set cannot be complete"
-        )
-    return MeasureResult(
-        delta_psi=delta,
-        normalizer=normalizer,
-        measures=delta / normalizer,
-        labels=tuple(range(len(outcomes))),
-    )
+    return chain_measure(sched, (prep, None), [(t2, outcomes)], None, tols)
 
 
 def abl_measure(
@@ -157,74 +175,53 @@ def abl_measure(
 ) -> MeasureResult:
     """Measure over intermediate outcomes between a pre- and a
     post-selection; reproduces the ABL conditional probabilities."""
-    if not pre_sel.t < t < post_sel.t:
-        raise ValidationError("intermediate time must lie strictly between selections")
-    tols = tols if tols is not None else active_tolerances()
-    delta = np.array(
-        [
-            _real_weight(
-                chain_delta_psi(sched, (pre_sel, FixedPoint(t, a), post_sel)), tols
-            )
-            for a in outcomes
-        ]
-    )
-    normalizer = float(np.sum(delta))
-    if normalizer <= tols.degenerate_normalizer:
-        raise ImpossiblePostSelection(
-            "post-selection is unreachable from the preparation through any outcome"
-        )
-    return MeasureResult(
-        delta_psi=delta,
-        normalizer=normalizer,
-        measures=delta / normalizer,
-        labels=tuple(range(len(outcomes))),
-    )
+    return chain_measure(sched, (pre_sel, post_sel), [(t, outcomes)], None, tols)
 
 
 def chain_measure(
     sched: HamiltonianSchedule,
-    endpoints: tuple[FixedPoint, FixedPoint],
+    endpoints: tuple[FixedPoint, FixedPoint | None],
     interior: Sequence[tuple[float, Basis]],
-    selection: Sequence[int],
+    selection: Sequence[int] | None,
     tols: Tolerances | None = None,
 ) -> MeasureResult:
-    """General chain: endpoints held fixed, every joint assignment of the
-    interior outcome slots enumerated. The result covers all joint
-    outcomes, with the requested selection marked; zero interior slots
-    reduce to the pair weight and one slot to the ABL measure."""
+    """General chain: a source, outcome slots, and an optional sink
+    (None leaves the chain open after its last slot). Every joint
+    assignment of the slots is enumerated, with the requested selection
+    marked when one is given. No sink with one slot is the Born measure,
+    a sink with one slot the ABL measure, a sink with none the pair
+    weight."""
     src, snk = endpoints
-    if not src.t < snk.t:
-        raise ValidationError("chain endpoints must be time ordered")
-    times = [src.t] + [float(t) for t, _ in interior] + [snk.t]
-    if any(a >= b for a, b in zip(times, times[1:])):
-        raise ValidationError("interior times must be strictly increasing inside the endpoints")
-    if len(selection) != len(interior):
-        raise ValidationError(
-            f"selection has {len(selection)} entries for {len(interior)} interior slots"
-        )
-    for k, (idx, (_, basis)) in enumerate(zip(selection, interior)):
-        if not 0 <= idx < len(basis):
-            raise ValidationError(f"selection[{k}]={idx} out of range for its basis")
+    slots = [(src.t, (src.state,)), *((float(t), basis) for t, basis in interior)]
+    if snk is not None:
+        slots.append((snk.t, (snk.state,)))
+    if any(a >= b for (a, _), (b, _) in zip(slots, slots[1:])):
+        raise ValidationError("slot times must increase strictly from source to sink")
+    if selection is not None:
+        if len(selection) != len(interior):
+            raise ValidationError(
+                f"selection has {len(selection)} entries for {len(interior)} interior slots"
+            )
+        for k, (idx, (_, basis)) in enumerate(zip(selection, interior)):
+            if not 0 <= idx < len(basis):
+                raise ValidationError(f"selection[{k}]={idx} out of range for its basis")
     tols = tols if tols is not None else active_tolerances()
 
-    joints = list(itertools.product(*(range(len(basis)) for _, basis in interior)))
-    delta = np.empty(len(joints))
-    for j, joint in enumerate(joints):
-        pts = (
-            src,
-            *(FixedPoint(t, basis[k]) for (t, basis), k in zip(interior, joint)),
-            snk,
-        )
-        delta[j] = _real_weight(chain_delta_psi(sched, pts), tols)
+    delta = _real_weight(_joint_weights(sched, slots), tols)
     normalizer = float(np.sum(delta))
     if normalizer <= tols.degenerate_normalizer:
+        if snk is None:
+            raise DegenerateNormalizer(
+                "outcome weights sum to zero; the outcome set cannot be complete"
+            )
         raise ImpossiblePostSelection(
-            "no joint interior outcome connects the chain endpoints"
+            "post-selection is unreachable from the preparation through any outcome"
         )
+    joints = list(itertools.product(*(range(len(basis)) for _, basis in interior)))
     return MeasureResult(
         delta_psi=delta,
         normalizer=normalizer,
         measures=delta / normalizer,
         labels=tuple(joints),
-        selected=joints.index(tuple(selection)),
+        selected=None if selection is None else joints.index(tuple(selection)),
     )

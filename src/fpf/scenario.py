@@ -25,7 +25,6 @@ from .errors import (
     ValidationError,
 )
 from .histories import FixedPoint, build_network, make_history
-from .measure import MeasureResult
 from .statespace import Basis, HermitianOperator, StateVector, standard_basis
 from .tolerances import Tolerances, active_tolerances
 
@@ -245,8 +244,11 @@ def parse_scenario(text: bytes | str) -> Scenario:
     except ValidationError as exc:
         raise ValidationError(f"hamiltonian: {exc}") from exc
 
+    bases_raw = raw.get("bases") or {}
+    if not isinstance(bases_raw, dict):
+        raise SchemaError("scenario.bases: expected an object")
     bases: dict[str, Basis] = {}
-    for name, value in (raw.get("bases") or {}).items():
+    for name, value in bases_raw.items():
         bpath = f"bases.{name}"
         if builtin_basis(name, dim) is not None or name in ("z", "x"):
             raise SchemaError(f"{bpath}: name shadows a built-in basis")
@@ -577,69 +579,54 @@ class ResultReport:
         return "\n".join(lines)
 
 
-def _measure_report(query_echo: dict, result: MeasureResult) -> ResultReport:
-    return ResultReport(
-        query=query_echo,
-        delta_psi=[float(d) for d in result.delta_psi],
-        normalizer=float(result.normalizer),
-        measures=[float(m) for m in result.measures],
-    )
-
-
 def run(scenario: Scenario) -> ResultReport:
     """Execute a scenario's query and attach the oracle comparison."""
     q = scenario.query
     echo = _dump_query(q)
     sched = scenario.schedule
-    if q.kind == "born":
-        prep = scenario.fixed_points[0]
-        outcomes = scenario.resolve_basis(q.outcomes)
-        result = measure.born_measure(sched, prep, q.time, outcomes)
-        u = oracle.propagator(sched, Branch.FORWARD, prep.t, q.time)
-        ref = [oracle.standard_born(u, prep.state, phi) for phi in outcomes]
-        report = _measure_report(echo, result)
-        report.oracle = ref
-        report.max_deviation = max(
-            abs(m - r) for m, r in zip(report.measures, ref)
+    if q.kind in ("born", "abl", "chain"):
+        # born: source and one slot; abl: source, one slot, sink; chain:
+        # source, any slots, sink
+        src, snk = (*scenario.fixed_points, None)[:2]
+        if q.kind == "chain":
+            interior = [(t, scenario.resolve_basis(name)) for t, name in q.interior]
+            selection = q.selection
+        else:
+            interior = [(q.time, scenario.resolve_basis(q.outcomes))]
+            selection = None
+        result = measure.chain_measure(sched, (src, snk), interior, selection)
+        report = ResultReport(
+            query=echo,
+            delta_psi=[float(d) for d in result.delta_psi],
+            normalizer=float(result.normalizer),
+            measures=[float(m) for m in result.measures],
         )
-        return report
-    if q.kind == "abl":
-        pre, post = scenario.fixed_points
-        outcomes = scenario.resolve_basis(q.outcomes)
-        result = measure.abl_measure(sched, pre, q.time, outcomes, post)
-        u1 = oracle.propagator(sched, Branch.FORWARD, pre.t, q.time)
-        u2 = oracle.propagator(sched, Branch.FORWARD, q.time, post.t)
-        ref = oracle.abl_rule(u1, u2, pre.state, outcomes, post.state)
-        report = _measure_report(echo, result)
-        report.oracle = ref
-        report.max_deviation = max(
-            abs(m - r) for m, r in zip(report.measures, ref)
-        )
-        return report
-    if q.kind == "chain":
-        src, snk = scenario.fixed_points
-        interior = [(t, scenario.resolve_basis(name)) for t, name in q.interior]
-        result = measure.chain_measure(sched, (src, snk), interior, q.selection)
-        selected_points = (
-            src,
-            *(
-                FixedPoint(t, basis[k])
-                for (t, basis), k in zip(interior, q.selection)
-            ),
-            snk,
-        )
-        value, estimate = oracle.contour_line_integral(
-            sched, make_history(selected_points), ORACLE_STEPS
-        )
-        report = _measure_report(echo, result)
-        report.oracle = [value]
-        report.max_deviation = abs(report.delta_psi[result.selected] - value)
-        report.extra = {
-            "labels": [list(lbl) for lbl in result.labels],
-            "selected_index": result.selected,
-            "selected_measure": float(result.measures[result.selected]),
-            "oracle_error_estimate": estimate,
-        }
+        if q.kind == "chain":
+            points = (
+                src,
+                *(FixedPoint(t, basis[k]) for (t, basis), k in zip(interior, q.selection)),
+                snk,
+            )
+            value, estimate = oracle.contour_line_integral(
+                sched, make_history(points), ORACLE_STEPS
+            )
+            report.oracle = [value]
+            report.max_deviation = abs(report.delta_psi[result.selected] - value)
+            report.extra = {
+                "labels": [list(lbl) for lbl in result.labels],
+                "selected_index": result.selected,
+                "selected_measure": float(result.measures[result.selected]),
+                "oracle_error_estimate": estimate,
+            }
+            return report
+        t, outcomes = interior[0]
+        u1 = oracle.propagator(sched, Branch.FORWARD, src.t, t)
+        if snk is None:
+            report.oracle = [oracle.standard_born(u1, src.state, phi) for phi in outcomes]
+        else:
+            u2 = oracle.propagator(sched, Branch.FORWARD, t, snk.t)
+            report.oracle = oracle.abl_rule(u1, u2, src.state, outcomes, snk.state)
+        report.max_deviation = max(abs(m - r) for m, r in zip(report.measures, report.oracle))
         return report
     if q.kind == "network":
         layer_bases = [resolve_basis(n, scenario.dim, scenario.bases) for n in q.layer_bases]

@@ -66,8 +66,11 @@ class HermitianOperator:
         if arr.shape[0] != arr.shape[1]:
             raise ValidationError("Hermitian operator must be square")
         tols = active_tolerances()
-        scale = max(1.0, float(np.linalg.norm(arr)))
-        defect = float(np.linalg.norm(arr - arr.conj().T))
+        with np.errstate(over="ignore"):
+            scale = max(1.0, float(np.linalg.norm(arr)))
+            defect = float(np.linalg.norm(arr - arr.conj().T))
+        if not np.isfinite(scale):
+            raise ValidationError("Hermitian operator has a non-finite norm")
         if defect > tols.hermitian * scale:
             raise ValidationError(
                 f"operator is not Hermitian: defect {defect:.3e} exceeds "

@@ -196,3 +196,112 @@ class TestRandom:
         code, out, _ = run_cli(capsys, "run", str(path))
         assert code == 0
         assert json.loads(out)["max_deviation"] <= 1e-10
+
+
+def _born_doc(**changes):
+    doc = {
+        "schema": 1,
+        "dim": 2,
+        "hamiltonian": {
+            "pieces": [
+                {
+                    "t_start": 0.0,
+                    "t_end": 1.0,
+                    "matrix": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
+                }
+            ]
+        },
+        "fixed_points": [{"time": 0.0, "state": "z:0"}],
+        "query": {"kind": "born", "time": 1.0, "outcomes": "z"},
+    }
+    doc.update(changes)
+    return doc
+
+
+def _write(tmp_path, doc, name="doc.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _one_error_line(err, code):
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith(f"{code}:"), err
+
+
+class TestInputRobustness:
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_file_tolerances_govern_both_commands(self, capsys, tmp_path, command):
+        doc = _born_doc(
+            fixed_points=[{"time": 0.0, "state": [[1.0005, 0.0], [0.0, 0.0]]}],
+            tolerances={"state_norm": 1e-3},
+        )
+        code, _, err = run_cli(capsys, command, _write(tmp_path, doc))
+        assert code == 0 and err == ""
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("bases", [[1], 1, "x", True])
+    def test_non_object_bases_is_a_schema_error(self, capsys, tmp_path, command, bases):
+        code, out, err = run_cli(capsys, command, _write(tmp_path, _born_doc(bases=bases)))
+        assert code == 2 and out == ""
+        _one_error_line(err, "SCHEMA_ERROR")
+        assert "scenario.bases" in err
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_overflowing_generator_is_rejected(self, capsys, tmp_path, command):
+        doc = _born_doc()
+        doc["hamiltonian"]["pieces"][0]["matrix"] = [
+            [[0.0, 0.0], [0.0, 0.0]],
+            [[1e308, 0.0], [0.0, 0.0]],
+        ]
+        code, out, err = run_cli(capsys, command, _write(tmp_path, doc))
+        assert code == 2 and out == ""
+        _one_error_line(err, "VALIDATION_ERROR")
+        assert "hamiltonian.pieces[0]" in err
+
+    def test_joint_count_guard(self, capsys, tmp_path):
+        # 2**17 joint outcomes: twice the enumeration limit
+        doc = _born_doc(
+            fixed_points=[{"time": 0.0, "state": "z:0"}, {"time": 1.0, "state": "z:0"}],
+            query={
+                "kind": "chain",
+                "interior": [{"time": 0.05 * k, "outcomes": "z"} for k in range(1, 18)],
+                "selection": [0] * 17,
+            },
+        )
+        code, out, err = run_cli(capsys, "run", _write(tmp_path, doc))
+        assert code == 2 and out == ""
+        _one_error_line(err, "INSTANCE_TOO_LARGE")
+
+
+def _field_paths(node, path=()):
+    """Paths to every object member and list element below the root."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _field_paths(child, path + (key,))
+
+
+class TestParserFuzz:
+    REPLACEMENTS = ([1], 1, "x", None, {}, True, [])
+
+    @pytest.mark.parametrize("name", ["network_2x3.json", "chain_sx_interior.json"])
+    def test_every_field_mutation_ends_in_one_error_line(self, capsys, tmp_path, name):
+        base = json.loads((SCENARIOS / name).read_text())
+        path = tmp_path / name
+        for fpath in _field_paths(base):
+            for value in self.REPLACEMENTS:
+                doc = json.loads(json.dumps(base))
+                parent = doc
+                for key in fpath[:-1]:
+                    parent = parent[key]
+                parent[fpath[-1]] = value
+                path.write_text(json.dumps(doc))
+                code, out, err = run_cli(capsys, "validate", str(path))
+                where = (fpath, value, err)
+                assert code in (0, 2, 3, 4), where
+                if code == 0:
+                    assert err == "", where
+                else:
+                    assert out == "" and len(err.splitlines()) == 1, where

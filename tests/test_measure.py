@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from fpf.measure import (
     chain_measure,
     delta_psi_pair,
 )
-from fpf.scenario import random_basis, random_schedule, random_state
+from fpf.scenario import random_basis, random_hermitian, random_schedule, random_state
 from fpf.statespace import (
     Basis,
     HermitianOperator,
@@ -318,3 +320,68 @@ class TestLineIntegralAgreement:
         closed = chain_delta_psi(sched, pts).real
         value, estimate = oracle.contour_line_integral(sched, make_history(pts), 256)
         assert abs(value - closed) <= estimate
+
+
+class TestWholeTensor:
+    """Every joint weight against segment amplitudes from the independent
+    series-exponential propagator."""
+
+    @staticmethod
+    def oracle_weights(sched, src, interior, snk):
+        slots = [(src.t, [src.state]), *interior, (snk.t, [snk.state])]
+        segments = []
+        for (ta, _), (tb, _) in zip(slots, slots[1:]):
+            fwd = oracle.propagator(sched, F, ta, tb).mat
+            back = oracle.propagator(sched, B, tb, ta).mat
+            segments.append((fwd, back))
+        weights = {}
+        for joint in itertools.product(*(range(len(basis)) for _, basis in interior)):
+            states = [src.state, *(basis[k] for (_, basis), k in zip(interior, joint)), snk.state]
+            value = 1 + 0j
+            for (fwd, back), a, b in zip(segments, states, states[1:]):
+                value *= np.vdot(b.amps, fwd @ a.amps) * np.vdot(a.amps, back @ b.amps)
+            weights[joint] = value
+        return weights
+
+    @staticmethod
+    def random_chain(rng, dim, n_slots, sched):
+        t0, t1 = sched.t_start, sched.t_end
+        cuts = np.linspace(t0, t1, n_slots + 2)[1:-1]
+        interior = [(float(t), random_basis(rng, dim)) for t in cuts]
+        src = FixedPoint(t0, random_state(rng, dim))
+        snk = FixedPoint(t1, random_state(rng, dim))
+        return src, interior, snk
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_every_joint_matches_oracle(self, seed):
+        rng = np.random.default_rng(seed + 3000)
+        dim = int(rng.integers(2, 5))
+        sched = random_schedule(rng, dim, int(rng.integers(1, 5)))
+        src, interior, snk = self.random_chain(rng, dim, seed % 4, sched)
+        selection = [int(rng.integers(0, dim)) for _ in interior]
+        res = chain_measure(sched, (src, snk), interior, selection)
+        ref = self.oracle_weights(sched, src, interior, snk)
+        assert list(res.labels) == list(itertools.product(range(dim), repeat=len(interior)))
+        assert res.labels[res.selected] == tuple(selection)
+        for label, weight in zip(res.labels, res.delta_psi):
+            assert abs(weight - ref[label]) <= 1e-12
+
+    def test_branch_override_chain_matches_raw_weights(self):
+        rng = np.random.default_rng(3100)
+        dim = 3
+        fwd = random_schedule(rng, dim, 2)
+        sched = HamiltonianSchedule(
+            fwd.pieces,
+            branch_override=tuple(
+                SchedulePiece(p.t_start, p.t_end, random_hermitian(rng, dim))
+                for p in fwd.pieces
+            ),
+        )
+        src, interior, snk = self.random_chain(rng, dim, 2, sched)
+        ref = self.oracle_weights(sched, src, interior, snk)
+        assert max(abs(w.imag) for w in ref.values()) > 1e-3
+        for joint, weight in ref.items():
+            pts = [src, *(FixedPoint(t, b[k]) for (t, b), k in zip(interior, joint)), snk]
+            assert abs(chain_delta_psi(sched, pts) - weight) <= 1e-12
+        with pytest.raises(RealnessViolation):
+            chain_measure(sched, (src, snk), interior, [0, 0])
