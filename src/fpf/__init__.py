@@ -7,7 +7,7 @@ pre/post-selection (ABL) probability rules, verified against independent
 textbook oracles.
 """
 
-from .contour import Branch, ContourPath, ContourTime, Ordering, PathSegment, build_path, contour_compare
+from .contour import Branch, ContourPath, PathSegment, build_path
 from .dynamics import HamiltonianSchedule, SchedulePiece, apply, compose_check, propagate
 from .errors import (
     CoverageError,
@@ -33,11 +33,8 @@ from .histories import (
     NetworkEdge,
     NetworkLayer,
     QuantumHistory,
-    StackPart,
-    UniversalStack,
     build_network,
     make_history,
-    stack_state,
 )
 from .measure import (
     MeasureResult,
@@ -67,8 +64,7 @@ from .statespace import (
     expm_hermitian,
     inner,
     standard_basis,
-    tensor,
 )
-from .tolerances import Tolerances, active_tolerances, set_tolerances, tolerance_overrides
+from .tolerances import Tolerances, active_tolerances, tolerance_overrides
 
 __all__ = [name for name in dir() if not name.startswith("_")]

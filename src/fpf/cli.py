@@ -24,8 +24,16 @@ from .scenario import (
 from .tolerances import tolerance_overrides
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end like every other failure: one CODE: message line
+    on stderr and exit 2. Subparsers are built from the same class."""
+
+    def error(self, message: str):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fpf",
         description="Evaluate contour-time history measures from scenario files.",
     )
@@ -55,6 +63,10 @@ def _build_parser() -> argparse.ArgumentParser:
     net_p.add_argument("file", type=Path)
     net_p.add_argument("--format", choices=("json", "table"), default="json")
     return parser
+
+
+# argparse keeps no per-call state on the parser, so one serves every call
+_PARSER = _build_parser()
 
 
 def _parse_overrides(pairs: list[str]) -> dict[str, float]:
@@ -114,8 +126,8 @@ def _run_file(path: Path, fmt: str, cli_overrides: dict[str, float], *, require_
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _PARSER.parse_args(argv)
         if args.command == "run":
             return _run_file(args.file, args.format, _parse_overrides(args.tol_override))
         if args.command == "network":

@@ -1,15 +1,14 @@
-"""Two-branch contour times, their causal ordering, and integration paths.
+"""Two-branch contour integration paths.
 
-A contour point is a real time tagged with a branch: the forward branch is
-traversed in increasing real time, the backward branch after it in
-decreasing real time. Points on different branches at the same real time
-are distinct.
+The contour runs along the forward branch in increasing real time, then
+along the backward branch in decreasing real time. A path over a set of
+times covers every interval between consecutive times once per branch,
+which realizes contour order for the engine and the oracles.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,39 +18,6 @@ from .errors import NonMonotoneTimes, TooFewPoints, ValidationError
 class Branch(enum.Enum):
     FORWARD = "f"
     BACKWARD = "b"
-
-
-class Ordering(enum.IntEnum):
-    BEFORE = -1
-    EQUAL = 0
-    AFTER = 1
-
-
-@dataclass(frozen=True)
-class ContourTime:
-    t: float
-    branch: Branch
-
-    def __post_init__(self):
-        if not math.isfinite(self.t):
-            raise ValidationError("contour time must be finite")
-
-
-def contour_key(ct: ContourTime) -> tuple[int, float]:
-    """Sort key realizing contour order: forward ascending, then backward
-    descending."""
-    if ct.branch is Branch.FORWARD:
-        return (0, ct.t)
-    return (1, -ct.t)
-
-
-def contour_compare(a: ContourTime, b: ContourTime) -> Ordering:
-    ka, kb = contour_key(a), contour_key(b)
-    if ka < kb:
-        return Ordering.BEFORE
-    if ka > kb:
-        return Ordering.AFTER
-    return Ordering.EQUAL
 
 
 @dataclass(frozen=True)
@@ -102,16 +68,11 @@ class ContourPath:
         return iter(self.segments)
 
 
-def build_path(times: Sequence[float], n_points: int | None = None) -> ContourPath:
+def build_path(times: Sequence[float]) -> ContourPath:
     """Contour path covering every interval between consecutive times once
     per branch: all forward segments in time order, then all backward
-    segments in reverse order.
-
-    n_points is redundant with len(times); when given, it is cross-checked.
-    """
+    segments in reverse order."""
     ts = [float(t) for t in times]
-    if n_points is not None and n_points != len(ts):
-        raise ValidationError(f"n_points={n_points} but {len(ts)} times were given")
     if len(ts) < 2:
         raise TooFewPoints("a path needs at least two times")
     if any(a >= b for a, b in zip(ts, ts[1:])):

@@ -90,10 +90,6 @@ class HamiltonianSchedule:
     def t_end(self) -> float:
         return self.pieces[-1].t_end
 
-    @property
-    def branch_independent(self) -> bool:
-        return self.branch_override is None
-
     def pieces_for(self, branch: Branch) -> tuple[SchedulePiece, ...]:
         if branch is Branch.BACKWARD and self.branch_override is not None:
             return self.branch_override

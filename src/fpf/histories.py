@@ -1,4 +1,4 @@
-"""Fixed points, quantum histories, stack states, and fixed-point networks.
+"""Fixed points, quantum histories, and fixed-point networks.
 
 A fixed point pins equal forward and backward temporal parts to one state
 at one time; a history is a strictly increasing sequence of at least two
@@ -20,7 +20,7 @@ from .errors import (
     TooFewPoints,
     ValidationError,
 )
-from .statespace import Basis, StateVector, tensor
+from .statespace import Basis, StateVector
 
 
 @dataclass(frozen=True)
@@ -65,57 +65,6 @@ def make_history(points: Sequence[FixedPoint]) -> QuantumHistory:
 
 
 @dataclass(frozen=True)
-class StackPart:
-    branch: Branch
-    t: float
-    state: StateVector
-
-
-@dataclass(frozen=True)
-class UniversalStack:
-    """Tagged temporal parts, latest time outermost, backward before forward
-    at each time. Kept as a part list; the full tensor is available on
-    demand because it grows as dim**(2 n)."""
-
-    parts: tuple[StackPart, ...]
-
-    def __post_init__(self):
-        parts = tuple(self.parts)
-        if not parts or len(parts) % 2 != 0:
-            raise ValidationError("stack needs an even, positive number of parts")
-        pairs = [(parts[i], parts[i + 1]) for i in range(0, len(parts), 2)]
-        for back, fwd in pairs:
-            if back.branch is not Branch.BACKWARD or fwd.branch is not Branch.FORWARD:
-                raise ValidationError("each time must carry a (backward, forward) pair")
-            if back.t != fwd.t:
-                raise ValidationError("paired parts must share one time")
-        times = [back.t for back, _ in pairs]
-        if any(a <= b for a, b in zip(times, times[1:])):
-            raise NonMonotoneTimes("stack times must strictly decrease outward-in")
-        for part in parts:
-            if not part.state.is_normalized():
-                raise NotNormalized(f"stack part at t={part.t} is not unit norm")
-        object.__setattr__(self, "parts", parts)
-
-    def as_tensor(self) -> StateVector:
-        return tensor([p.state for p in self.parts])
-
-    def forward_parts(self) -> tuple[StackPart, ...]:
-        """Forward-tagged parts in increasing time order."""
-        return tuple(p for p in reversed(self.parts) if p.branch is Branch.FORWARD)
-
-
-def stack_state(history: QuantumHistory) -> UniversalStack:
-    """Expand a history into its 2 n_points tagged temporal parts; both parts
-    at each time equal that fixed point's state."""
-    parts: list[StackPart] = []
-    for point in reversed(history.points):
-        parts.append(StackPart(Branch.BACKWARD, point.t, point.state))
-        parts.append(StackPart(Branch.FORWARD, point.t, point.state))
-    return UniversalStack(tuple(parts))
-
-
-@dataclass(frozen=True)
 class NetworkLayer:
     t: float
     nodes: Basis
@@ -151,12 +100,6 @@ class FixedPointNetwork:
             a, b = sorted((e.source, e.target))
             seen[(a[1], b[1])] = None
         return tuple(seen)
-
-    def out_degree(self, layer: int, node: int) -> int:
-        return sum(1 for e in self.edges if e.source == (layer, node))
-
-    def in_degree(self, layer: int, node: int) -> int:
-        return sum(1 for e in self.edges if e.target == (layer, node))
 
 
 def build_network(times: Sequence[float], bases: Sequence[Basis]) -> FixedPointNetwork:

@@ -77,12 +77,6 @@ class MeasureResult:
                 f"measures sum to {float(np.sum(measures))!r}, not 1"
             )
 
-    @property
-    def selected_measure(self) -> float:
-        if self.selected is None:
-            raise ValidationError("no outcome was selected for this result")
-        return float(self.measures[self.selected])
-
 
 def branch_amplitude(
     sched: HamiltonianSchedule, branch: Branch, src: FixedPoint, dst: FixedPoint
@@ -139,30 +133,20 @@ def _real_weight(values: np.ndarray, tols: Tolerances) -> np.ndarray:
     return values.real.ravel()
 
 
-def delta_psi_pair(
-    sched: HamiltonianSchedule,
-    src: FixedPoint,
-    snk: FixedPoint,
-    tols: Tolerances | None = None,
-) -> float:
+def delta_psi_pair(sched: HamiltonianSchedule, src: FixedPoint, snk: FixedPoint) -> float:
     """Two-point history weight; equals |forward amplitude|^2 for
     branch-independent schedules."""
     if not src.t < snk.t:
         raise ValidationError("source must precede sink in time")
-    tols = tols if tols is not None else active_tolerances()
     slots = [(src.t, (src.state,)), (snk.t, (snk.state,))]
-    return float(_real_weight(_joint_weights(sched, slots), tols)[0])
+    return float(_real_weight(_joint_weights(sched, slots), active_tolerances())[0])
 
 
 def born_measure(
-    sched: HamiltonianSchedule,
-    prep: FixedPoint,
-    t2: float,
-    outcomes: Basis,
-    tols: Tolerances | None = None,
+    sched: HamiltonianSchedule, prep: FixedPoint, t2: float, outcomes: Basis
 ) -> MeasureResult:
     """Measure over a complete outcome basis at t2 given one preparation."""
-    return chain_measure(sched, (prep, None), [(t2, outcomes)], None, tols)
+    return chain_measure(sched, (prep, None), [(t2, outcomes)], None)
 
 
 def abl_measure(
@@ -171,11 +155,10 @@ def abl_measure(
     t: float,
     outcomes: Basis,
     post_sel: FixedPoint,
-    tols: Tolerances | None = None,
 ) -> MeasureResult:
     """Measure over intermediate outcomes between a pre- and a
     post-selection; reproduces the ABL conditional probabilities."""
-    return chain_measure(sched, (pre_sel, post_sel), [(t, outcomes)], None, tols)
+    return chain_measure(sched, (pre_sel, post_sel), [(t, outcomes)], None)
 
 
 def chain_measure(
@@ -183,7 +166,6 @@ def chain_measure(
     endpoints: tuple[FixedPoint, FixedPoint | None],
     interior: Sequence[tuple[float, Basis]],
     selection: Sequence[int] | None,
-    tols: Tolerances | None = None,
 ) -> MeasureResult:
     """General chain: a source, outcome slots, and an optional sink
     (None leaves the chain open after its last slot). Every joint
@@ -205,8 +187,7 @@ def chain_measure(
         for k, (idx, (_, basis)) in enumerate(zip(selection, interior)):
             if not 0 <= idx < len(basis):
                 raise ValidationError(f"selection[{k}]={idx} out of range for its basis")
-    tols = tols if tols is not None else active_tolerances()
-
+    tols = active_tolerances()
     delta = _real_weight(_joint_weights(sched, slots), tols)
     normalizer = float(np.sum(delta))
     if normalizer <= tols.degenerate_normalizer:

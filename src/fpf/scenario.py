@@ -10,7 +10,7 @@ oracle comparison attached to its report.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 import numpy as np
@@ -26,7 +26,8 @@ from .errors import (
 )
 from .histories import FixedPoint, build_network, make_history
 from .statespace import Basis, HermitianOperator, StateVector, standard_basis
-from .tolerances import Tolerances, active_tolerances
+from .tolerances import _FIELD_NAMES as _TOLERANCE_FIELDS
+from .tolerances import active_tolerances, tolerance_value
 
 SCHEMA_VERSION = 1
 QUERY_KINDS = ("born", "abl", "chain", "network", "validate")
@@ -208,10 +209,6 @@ def _parse_query(raw: Any, path: str) -> Query:
     return Query(kind="validate")
 
 
-def _tolerance_field_names() -> frozenset[str]:
-    return frozenset(f.name for f in fields(Tolerances))
-
-
 def parse_scenario(text: bytes | str) -> Scenario:
     """Parse and validate a scenario document under the active tolerances."""
     if isinstance(text, bytes):
@@ -226,7 +223,7 @@ def parse_scenario(text: bytes | str) -> Scenario:
     if not isinstance(raw, dict):
         raise SchemaError("scenario root must be an object")
     schema = _want(raw, "schema", "scenario")
-    if schema != SCHEMA_VERSION:
+    if isinstance(schema, bool) or schema != SCHEMA_VERSION:
         raise SchemaError(f"scenario.schema: version {schema!r} unsupported, want {SCHEMA_VERSION}")
     dim = _want(raw, "dim", "scenario")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
@@ -285,12 +282,14 @@ def parse_scenario(text: bytes | str) -> Scenario:
     overrides_raw = raw.get("tolerances") or {}
     if not isinstance(overrides_raw, dict):
         raise SchemaError("scenario.tolerances: expected an object")
-    known = _tolerance_field_names()
     overrides = {}
     for key, value in overrides_raw.items():
-        if key not in known:
+        if key not in _TOLERANCE_FIELDS:
             raise SchemaError(f"tolerances.{key}: unknown tolerance field")
-        overrides[key] = _number(value, f"tolerances.{key}")
+        try:
+            overrides[key] = tolerance_value(key, value)
+        except ValueError as exc:
+            raise SchemaError(str(exc)) from None
 
     scenario = Scenario(
         dim=dim,

@@ -9,8 +9,7 @@ eigendecomposition, which keeps the result unitary to rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -46,10 +45,8 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def is_normalized(self, tol: float | None = None) -> bool:
-        if tol is None:
-            tol = active_tolerances().state_norm
-        return abs(self.norm - 1.0) <= tol
+    def is_normalized(self) -> bool:
+        return abs(self.norm - 1.0) <= active_tolerances().state_norm
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StateVector):
@@ -108,9 +105,6 @@ class UnitaryMatrix:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def dagger(self) -> "UnitaryMatrix":
-        return UnitaryMatrix(self.mat.conj().T)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, UnitaryMatrix):
             return NotImplemented
@@ -164,21 +158,13 @@ def inner(a: StateVector, b: StateVector) -> complex:
     return complex(np.vdot(a.amps, b.amps))
 
 
-def tensor(parts: Sequence[StateVector]) -> StateVector:
-    """Tensor product; row-major composite indexing, leftmost factor slowest."""
-    if not parts:
-        raise ValidationError("tensor product of an empty factor list")
-    return StateVector(reduce(np.kron, (p.amps for p in parts)))
-
-
-def check_basis(elements: Iterable[StateVector], tol: float | None = None) -> bool:
-    """True iff the elements form a complete orthonormal basis within tol.
+def check_basis(elements: Iterable[StateVector]) -> bool:
+    """True iff the elements form a complete orthonormal basis within the
+    active basis_orthonormal tolerance.
 
     Returns False on any failure (wrong count, non-orthonormal); validating
     wrappers such as Basis raise instead.
     """
-    if tol is None:
-        tol = active_tolerances().basis_orthonormal
     elems = list(elements)
     if not elems:
         return False
@@ -187,7 +173,7 @@ def check_basis(elements: Iterable[StateVector], tol: float | None = None) -> bo
         return False
     rows = np.vstack([e.amps for e in elems])
     gram = rows.conj() @ rows.T
-    return float(np.max(np.abs(gram - np.eye(dim)))) <= tol
+    return float(np.max(np.abs(gram - np.eye(dim)))) <= active_tolerances().basis_orthonormal
 
 
 def expm_hermitian(h: HermitianOperator, s: float) -> UnitaryMatrix:

@@ -2,11 +2,14 @@
 
 Every threshold used by constructors, checks, and the measure evaluation
 lives in one frozen record so tests can tighten or loosen all of them
-uniformly. Values are absolute unless noted.
+uniformly. Values are absolute unless noted, and every value must be a
+finite number >= 0: a NaN threshold would silently switch off each check
+written as `residual > tol`.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 
@@ -37,20 +40,24 @@ def active_tolerances() -> Tolerances:
     return _active
 
 
-def set_tolerances(tols: Tolerances) -> None:
-    global _active
-    _active = tols
+def tolerance_value(name: str, value) -> float:
+    """value as a threshold for the named field; anything but a finite
+    number >= 0 (bools included) raises ValueError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < math.inf:
+        raise ValueError(f"tolerances.{name}: expected a finite number >= 0, got {value!r}")
+    return float(value)
 
 
 def tolerance_overrides(**overrides: float):
     """Context manager temporarily replacing selected tolerance fields.
 
-    Unknown field names raise ValueError eagerly, before entry.
+    Unknown field names and out-of-range values raise ValueError eagerly,
+    before entry.
     """
     unknown = set(overrides) - _FIELD_NAMES
     if unknown:
         raise ValueError(f"unknown tolerance fields: {sorted(unknown)}")
-    return _override_context(overrides)
+    return _override_context({name: tolerance_value(name, v) for name, v in overrides.items()})
 
 
 @contextmanager

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from fpf.cli import main
+from fpf.tolerances import tolerance_overrides
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -150,6 +151,17 @@ class TestToleranceOverrides:
     def test_bad_override_syntax(self, capsys, slightly_crooked):
         code, _, err = run_cli(capsys, "run", str(slightly_crooked), "--tol-override", "x")
         assert code == 2
+
+    def test_override_does_not_outlive_its_call(self, capsys, slightly_crooked):
+        # the parser is built once per process; a flag given to one call
+        # must not leak into the next
+        code, _, _ = run_cli(
+            capsys, "run", str(slightly_crooked), "--tol-override", "hermitian=1e-9"
+        )
+        assert code == 0
+        code, out, err = run_cli(capsys, "run", str(slightly_crooked))
+        assert code == 2 and out == ""
+        _one_error_line(err, "VALIDATION_ERROR")
 
 
 class TestValidate:
@@ -305,3 +317,68 @@ class TestParserFuzz:
                     assert err == "", where
                 else:
                     assert out == "" and len(err.splitlines()) == 1, where
+
+
+BAD_TOLERANCES = [float("nan"), float("inf"), float("-inf"), -1.0, True]
+
+
+class TestOutOfSchemaValues:
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_boolean_schema_version(self, capsys, tmp_path, command):
+        code, out, err = run_cli(capsys, command, _write(tmp_path, _born_doc(schema=True)))
+        assert code == 2 and out == ""
+        _one_error_line(err, "SCHEMA_ERROR")
+        assert "scenario.schema" in err
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("field", ["unitary", "hermitian"])
+    @pytest.mark.parametrize("value", BAD_TOLERANCES)
+    def test_bad_tolerance_in_file(self, capsys, tmp_path, command, field, value):
+        doc = _born_doc(tolerances={field: value})
+        code, out, err = run_cli(capsys, command, _write(tmp_path, doc))
+        assert code == 2 and out == ""
+        _one_error_line(err, "VALIDATION_ERROR")
+        assert f"tolerances.{field}" in err
+        assert "not Hermitian" not in err
+
+    @pytest.mark.parametrize("field", ["unitary", "hermitian"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1.0", "true"])
+    def test_bad_tolerance_flag(self, capsys, field, value):
+        born = str(SCENARIOS / "born_sx_quarter.json")
+        code, out, err = run_cli(capsys, "run", born, "--tol-override", f"{field}={value}")
+        assert code == 2 and out == ""
+        _one_error_line(err, "VALIDATION_ERROR")
+        assert field in err
+
+    def test_zero_tolerance_is_allowed(self, capsys):
+        born = str(SCENARIOS / "born_sx_quarter.json")
+        code, _, err = run_cli(capsys, "run", born, "--tol-override", "degenerate_normalizer=0")
+        assert code == 0 and err == ""
+
+    @pytest.mark.parametrize("value", BAD_TOLERANCES)
+    def test_bad_tolerance_in_code(self, value):
+        with pytest.raises(ValueError, match="tolerances.unitary"):
+            tolerance_overrides(unitary=value)
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["bogus"],
+            ["run"],
+            ["run", "f", "--format", "xml"],
+            ["random", "--seed", "x"],
+        ],
+    )
+    def test_one_error_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        _one_error_line(err, "VALIDATION_ERROR")
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: fpf" in capsys.readouterr().out

@@ -1,58 +1,11 @@
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpf.contour import (
-    Branch,
-    ContourTime,
-    Ordering,
-    PathSegment,
-    build_path,
-    contour_compare,
-)
-from fpf.errors import NonMonotoneTimes, TooFewPoints, ValidationError
+from fpf.contour import Branch, PathSegment, build_path
+from fpf.errors import NonMonotoneTimes, TooFewPoints
 
 times = st.floats(min_value=-100, max_value=100, allow_nan=False)
-branches = st.sampled_from([Branch.FORWARD, Branch.BACKWARD])
-contour_times = st.builds(ContourTime, times, branches)
-
-
-class TestCompare:
-    def test_forward_ascending(self):
-        assert contour_compare(ContourTime(1, Branch.FORWARD), ContourTime(2, Branch.FORWARD)) is Ordering.BEFORE
-
-    def test_backward_descending(self):
-        assert contour_compare(ContourTime(2, Branch.BACKWARD), ContourTime(1, Branch.BACKWARD)) is Ordering.BEFORE
-
-    def test_forward_precedes_backward(self):
-        assert contour_compare(ContourTime(5, Branch.FORWARD), ContourTime(0, Branch.BACKWARD)) is Ordering.BEFORE
-
-    def test_equal_needs_same_branch(self):
-        assert contour_compare(ContourTime(1, Branch.FORWARD), ContourTime(1, Branch.FORWARD)) is Ordering.EQUAL
-        assert contour_compare(ContourTime(1, Branch.FORWARD), ContourTime(1, Branch.BACKWARD)) is Ordering.BEFORE
-
-    @given(contour_times, contour_times)
-    def test_antisymmetric(self, a, b):
-        assert contour_compare(a, b) == -contour_compare(b, a)
-
-    @given(contour_times, contour_times, contour_times)
-    @settings(max_examples=200)
-    def test_transitive_total(self, a, b, c):
-        for x, y, z in itertools.permutations((a, b, c)):
-            if contour_compare(x, y) is not Ordering.AFTER and contour_compare(y, z) is not Ordering.AFTER:
-                assert contour_compare(x, z) is not Ordering.AFTER
-        # totality: every pair is comparable
-        assert contour_compare(a, b) in (Ordering.BEFORE, Ordering.EQUAL, Ordering.AFTER)
-
-    def test_equal_iff_identical(self):
-        a = ContourTime(3.5, Branch.BACKWARD)
-        assert contour_compare(a, ContourTime(3.5, Branch.BACKWARD)) is Ordering.EQUAL
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValidationError):
-            ContourTime(float("inf"), Branch.FORWARD)
 
 
 class TestBuildPath:
@@ -64,7 +17,7 @@ class TestBuildPath:
         )
 
     def test_triple(self):
-        path = build_path([0.0, 0.4, 1.0], n_points=3)
+        path = build_path([0.0, 0.4, 1.0])
         assert tuple(path) == (
             PathSegment(Branch.FORWARD, 0.0, 0.4),
             PathSegment(Branch.FORWARD, 0.4, 1.0),
@@ -85,10 +38,6 @@ class TestBuildPath:
     def test_non_monotone(self):
         with pytest.raises(NonMonotoneTimes):
             build_path([0.0, 2.0, 1.0])
-
-    def test_n_points_cross_check(self):
-        with pytest.raises(ValidationError):
-            build_path([0.0, 1.0], n_points=3)
 
     @given(st.lists(times, min_size=2, max_size=8, unique=True))
     @settings(max_examples=100)

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpf.contour import Branch
 from fpf.errors import (
     DimensionMismatch,
     NonMonotoneTimes,
@@ -11,13 +10,7 @@ from fpf.errors import (
     TooFewPoints,
     ValidationError,
 )
-from fpf.histories import (
-    FixedPoint,
-    build_network,
-    make_history,
-    stack_state,
-)
-from fpf.scenario import random_state
+from fpf.histories import FixedPoint, build_network, make_history
 from fpf.statespace import StateVector, basis_state, standard_basis
 
 E0, E1 = basis_state(2, 0), basis_state(2, 1)
@@ -47,55 +40,12 @@ class TestMakeHistory:
             make_history([FixedPoint(0.0, E0), FixedPoint(1.0, crooked)])
 
 
-class TestStackState:
-    def test_pair_tags_and_order(self):
-        h = make_history([FixedPoint(0.0, E0), FixedPoint(1.0, E1)])
-        stack = stack_state(h)
-        tags = [(p.branch, p.t) for p in stack.parts]
-        assert tags == [
-            (Branch.BACKWARD, 1.0),
-            (Branch.FORWARD, 1.0),
-            (Branch.BACKWARD, 0.0),
-            (Branch.FORWARD, 0.0),
-        ]
-
-    def test_parts_equal_history_states(self):
-        rng = np.random.default_rng(3)
-        pts = [FixedPoint(float(t), random_state(rng, 3)) for t in (0, 1, 2)]
-        stack = stack_state(make_history(pts))
-        by_time = {p.t: p.state for p in pts}
-        assert all(part.state == by_time[part.t] for part in stack.parts)
-
-    def test_composite_tensor_is_unit_norm(self):
-        rng = np.random.default_rng(4)
-        pts = [FixedPoint(float(t), random_state(rng, 2)) for t in (0, 1, 2)]
-        assert stack_state(make_history(pts)).as_tensor().norm == pytest.approx(1.0, abs=1e-12)
-
-    def test_round_trip_forward_parts(self):
-        rng = np.random.default_rng(5)
-        pts = [FixedPoint(float(t), random_state(rng, 4)) for t in (0.0, 0.3, 1.7)]
-        h = make_history(pts)
-        recovered = stack_state(h).forward_parts()
-        assert [p.t for p in recovered] == list(h.times)
-        assert all(a.state == b.state for a, b in zip(recovered, h.points))
-
-
 class TestNetwork:
     def test_two_by_three(self):
         net = build_network([0.0, 1.0], [standard_basis(2), standard_basis(3)])
         assert len(net.edges) == 12
         assert len(net.edges_between(0)) == 12
         assert len(net.channels_between(0)) == 6
-
-    def test_interior_node_degrees(self):
-        net = build_network(
-            [0.0, 1.0, 2.0],
-            [standard_basis(2), standard_basis(4), standard_basis(3)],
-        )
-        # interior node: source and sink of N_prev + N_next lines
-        for node in range(4):
-            assert net.out_degree(1, node) == 2 + 3
-            assert net.in_degree(1, node) == 2 + 3
 
     def test_single_channel(self):
         net = build_network([0.0, 1.0], [standard_basis(1), standard_basis(1)])

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -207,3 +210,24 @@ class TestSeriesPropagator:
             propagate(sched, F, ta, tb).mat,
             atol=1e-12,
         )
+
+
+class TestIndependence:
+    ENGINE_NAMES = {"propagate", "apply", "compose_check", "expm_hermitian"}
+
+    def test_oracle_shares_no_propagator_code(self):
+        import fpf.oracle
+
+        tree = ast.parse(Path(fpf.oracle.__file__).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                module = (node.module or "").removeprefix("fpf.")
+                names = {alias.name for alias in node.names}
+                assert module != "measure" and not (module in ("", "fpf") and "measure" in names)
+                assert not names & self.ENGINE_NAMES, names & self.ENGINE_NAMES
+            elif isinstance(node, ast.Import):
+                assert all(alias.name != "fpf.measure" for alias in node.names)
+            elif isinstance(node, ast.Name):
+                assert node.id not in self.ENGINE_NAMES, node.id
+            elif isinstance(node, ast.Attribute):
+                assert node.attr not in self.ENGINE_NAMES, node.attr

@@ -14,7 +14,6 @@ from fpf.statespace import (
     expm_hermitian,
     inner,
     standard_basis,
-    tensor,
 )
 
 SQRT2 = np.sqrt(2.0)
@@ -60,36 +59,6 @@ class TestInner:
         rng = np.random.default_rng(seed)
         a, b = random_unit(rng, dim), random_unit(rng, dim)
         assert inner(a, b) == np.conj(inner(b, a))
-
-
-class TestTensor:
-    def test_single_factor(self):
-        e0 = basis_state(2, 0)
-        assert tensor([e0]) == e0
-
-    def test_basis_bookkeeping(self):
-        # composite index 0*2 + 1
-        out = tensor([basis_state(2, 0), basis_state(2, 1)])
-        assert out == basis_state(4, 1)
-
-    def test_norm_multiplicative(self):
-        rng = np.random.default_rng(11)
-        a, b = random_unit(rng, 2), random_unit(rng, 3)
-        assert tensor([a, b]).norm == pytest.approx(1.0, abs=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            tensor([])
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_associativity_up_to_flattening(self, seed):
-        rng = np.random.default_rng(seed)
-        a, b, c = (random_unit(rng, d) for d in (2, 3, 2))
-        nested = tensor([a, tensor([b, c])])
-        flat = tensor([a, b, c])
-        # products are reassociated, so equality holds to rounding only
-        np.testing.assert_allclose(nested.amps, flat.amps, atol=1e-15, rtol=0)
 
 
 class TestCheckBasis:
