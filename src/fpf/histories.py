@@ -37,7 +37,7 @@ class QuantumHistory:
         pts = tuple(self.points)
         if len(pts) < 2:
             raise TooFewPoints("a history needs at least two fixed points")
-        if any(a.t >= b.t for a, b in zip(pts, pts[1:])):
+        if any(not a.t < b.t for a, b in zip(pts, pts[1:])):
             raise NonMonotoneTimes("history times must be strictly increasing")
         dim = pts[0].state.dim
         if any(p.state.dim != dim for p in pts):
@@ -111,7 +111,7 @@ def build_network(times: Sequence[float], bases: Sequence[Basis]) -> FixedPointN
         raise ValidationError(f"{len(ts)} times but {len(bases)} layer bases")
     if len(ts) < 2:
         raise TooFewPoints("a network needs at least two layers")
-    if any(a >= b for a, b in zip(ts, ts[1:])):
+    if any(not a < b for a, b in zip(ts, ts[1:])):
         raise NonMonotoneTimes("layer times must be strictly increasing")
     layers = tuple(NetworkLayer(t, basis) for t, basis in zip(ts, bases))
     edges: list[NetworkEdge] = []

@@ -93,7 +93,8 @@ def _joint_weights(
 
     Entry [i_0, ..., i_n] is the product over consecutive slots of the
     forward amplitude <a_k|U_F|a_{k-1}> and the backward amplitude
-    <a_{k-1}|U_B|a_k>. Each segment costs one propagator per branch.
+    <a_{k-1}|U_B|a_k>. Each segment costs one propagator, and a second
+    only when a branch override gives the backward branch its own pieces.
     """
     if len(slots) < 2:
         raise ValidationError("a history weight needs at least two fixed points")
@@ -105,8 +106,13 @@ def _joint_weights(
         raise DimensionMismatch(f"slot states must have the schedule's dim {sched.dim}")
     weights = np.ones(len(rows[0]), dtype=np.complex128)
     for (t_a, _), (t_b, _), a, b in zip(slots, slots[1:], rows, rows[1:]):
-        forward = b.conj() @ (propagate(sched, Branch.FORWARD, t_a, t_b).mat @ a.T)
-        backward = a.conj() @ (propagate(sched, Branch.BACKWARD, t_b, t_a).mat @ b.T)
+        u_f = propagate(sched, Branch.FORWARD, t_a, t_b).mat
+        if sched.branch_override is None:
+            u_b = u_f.conj().T  # what propagate builds for the shared pieces
+        else:
+            u_b = propagate(sched, Branch.BACKWARD, t_b, t_a).mat
+        forward = b.conj() @ (u_f @ a.T)
+        backward = a.conj() @ (u_b @ b.T)
         weights = weights[..., None] * (forward.T * backward)
     return weights
 

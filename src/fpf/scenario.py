@@ -10,6 +10,7 @@ oracle comparison attached to its report.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -223,7 +224,7 @@ def parse_scenario(text: bytes | str) -> Scenario:
     if not isinstance(raw, dict):
         raise SchemaError("scenario root must be an object")
     schema = _want(raw, "schema", "scenario")
-    if isinstance(schema, bool) or schema != SCHEMA_VERSION:
+    if type(schema) is not int or schema != SCHEMA_VERSION:
         raise SchemaError(f"scenario.schema: version {schema!r} unsupported, want {SCHEMA_VERSION}")
     dim = _want(raw, "dim", "scenario")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
@@ -323,7 +324,7 @@ def _check_query(s: Scenario) -> None:
         if len(s.fixed_points) != 2:
             raise ValidationError("chain queries need exactly two fixed points (the endpoints)")
         times = [s.fixed_points[0].t, *(t for t, _ in q.interior), s.fixed_points[1].t]
-        if any(a >= b for a, b in zip(times, times[1:])):
+        if any(not a < b for a, b in zip(times, times[1:])):
             raise ValidationError("interior times must increase strictly between the endpoints")
         for i, (t, name) in enumerate(q.interior):
             _check_covered(s, t, f"query.interior[{i}].time")
@@ -336,7 +337,9 @@ def _check_query(s: Scenario) -> None:
     elif q.kind == "network":
         if len(q.times) < 2 or len(q.times) != len(q.layer_bases):
             raise ValidationError("network queries need matching times and bases, two or more")
-        if any(a >= b for a, b in zip(q.times, q.times[1:])):
+        if not all(math.isfinite(t) for t in q.times):
+            raise ValidationError("query.times: network layer times must be finite")
+        if any(not a < b for a, b in zip(q.times, q.times[1:])):
             raise ValidationError("network layer times must be strictly increasing")
         for name in q.layer_bases:
             if resolve_basis(name, s.dim, s.bases) is None:

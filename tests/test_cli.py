@@ -191,6 +191,18 @@ class TestNetwork:
         code, _, err = run_cli(capsys, "network", str(SCENARIOS / "born_sx_quarter.json"))
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["run", "validate", "network"])
+    @pytest.mark.parametrize(
+        "times", [[float("nan"), 1.0], [0.0, float("nan")], [0.0, float("inf")], [float("-inf"), 1.0]]
+    )
+    def test_non_finite_layer_times_are_rejected(self, capsys, tmp_path, command, times):
+        doc = json.loads((SCENARIOS / "network_2x3.json").read_text())
+        doc["query"]["times"] = times
+        code, out, err = run_cli(capsys, command, _write(tmp_path, doc))
+        assert code == 2 and out == ""
+        _one_error_line(err, "VALIDATION_ERROR")
+        assert "query.times" in err
+
 
 class TestRandom:
     def test_deterministic_output(self, capsys):
@@ -326,6 +338,13 @@ class TestOutOfSchemaValues:
     @pytest.mark.parametrize("command", ["run", "validate"])
     def test_boolean_schema_version(self, capsys, tmp_path, command):
         code, out, err = run_cli(capsys, command, _write(tmp_path, _born_doc(schema=True)))
+        assert code == 2 and out == ""
+        _one_error_line(err, "SCHEMA_ERROR")
+        assert "scenario.schema" in err
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_float_schema_version(self, capsys, tmp_path, command):
+        code, out, err = run_cli(capsys, command, _write(tmp_path, _born_doc(schema=1.0)))
         assert code == 2 and out == ""
         _one_error_line(err, "SCHEMA_ERROR")
         assert "scenario.schema" in err

@@ -30,6 +30,10 @@ class TestMakeHistory:
         with pytest.raises(NonMonotoneTimes):
             make_history([FixedPoint(1.0, E0), FixedPoint(0.0, E1)])
 
+    def test_nan_time_rejected(self):
+        with pytest.raises(NonMonotoneTimes):
+            make_history([FixedPoint(float("nan"), E0), FixedPoint(1.0, E1)])
+
     def test_dim_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             make_history([FixedPoint(0.0, E0), FixedPoint(1.0, basis_state(3, 0))])
@@ -61,6 +65,11 @@ class TestNetwork:
     def test_non_monotone_layers(self):
         with pytest.raises(NonMonotoneTimes):
             build_network([1.0, 0.0], [standard_basis(2), standard_basis(2)])
+
+    @pytest.mark.parametrize("times", [[float("nan"), 1.0], [0.0, float("nan")]])
+    def test_nan_layer_time(self, times):
+        with pytest.raises(NonMonotoneTimes):
+            build_network(times, [standard_basis(2), standard_basis(2)])
 
     @given(st.lists(st.integers(1, 5), min_size=2, max_size=5))
     @settings(max_examples=40, deadline=None)

@@ -11,6 +11,7 @@ from fpf.histories import FixedPoint, make_history
 from fpf.measure import chain_delta_psi, delta_psi_pair
 from fpf.oracle import (
     DensityMatrix,
+    _rk4_segment,
     abl_rule,
     contour_line_integral,
     expectation,
@@ -158,6 +159,37 @@ class TestLineIntegral:
         assert estimate <= 1e-6
 
 
+def _rk4_stepping(h, psi, t_from, t_to, steps):
+    """Classical four-stage RK4 for d psi / dt = -i h psi, one step at a time."""
+    dt = (t_to - t_from) / steps
+    for _ in range(steps):
+        k1 = -1j * (h @ psi)
+        k2 = -1j * (h @ (psi + 0.5 * dt * k1))
+        k3 = -1j * (h @ (psi + 0.5 * dt * k2))
+        k4 = -1j * (h @ (psi + dt * k3))
+        psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return psi
+
+
+class TestRK4Map:
+    """The one-step-map power is the same RK4 as stepping, to rounding."""
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 5, 8, 256, 512])
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_matches_stepping_loop(self, steps, backward):
+        rng = np.random.default_rng(1000 * steps + backward)
+        for dim in range(2, 9):
+            m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            h = 0.5 * (m + m.conj().T)
+            psi = random_state(rng, dim).amps
+            t_a, t_b = sorted(rng.uniform(-1.0, 1.0, 2))
+            if backward:
+                t_a, t_b = t_b, t_a
+            got = _rk4_segment(h, psi, t_a, t_b, steps)
+            want = _rk4_stepping(h, psi, t_a, t_b, steps)
+            assert np.max(np.abs(got - want)) <= 1e-13, (dim, np.max(np.abs(got - want)))
+
+
 class TestTensorSink:
     def test_free_equal_states_weight_one(self):
         h = make_history([FixedPoint(0.0, E0), FixedPoint(1.0, E0)])
@@ -213,7 +245,9 @@ class TestSeriesPropagator:
 
 
 class TestIndependence:
-    ENGINE_NAMES = {"propagate", "apply", "compose_check", "expm_hermitian"}
+    # eigh and expm would turn the RK4 line integral into an exact exponential
+    # and leave its Richardson estimate measuring nothing
+    ENGINE_NAMES = {"propagate", "apply", "compose_check", "expm_hermitian", "eigh", "expm"}
 
     def test_oracle_shares_no_propagator_code(self):
         import fpf.oracle
@@ -231,3 +265,13 @@ class TestIndependence:
                 assert node.id not in self.ENGINE_NAMES, node.id
             elif isinstance(node, ast.Attribute):
                 assert node.attr not in self.ENGINE_NAMES, node.attr
+
+    def test_oracle_imports_no_scipy(self):
+        import fpf.oracle
+
+        tree = ast.parse(Path(fpf.oracle.__file__).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                assert (node.module or "").split(".")[0] != "scipy", node.module
+            elif isinstance(node, ast.Import):
+                assert all(alias.name.split(".")[0] != "scipy" for alias in node.names)
