@@ -8,7 +8,6 @@ numerical check failure. Every error prints one machine-readable line
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -16,12 +15,14 @@ from pathlib import Path
 from .errors import DomainError, FpfError, NumericalCheckFailure, ValidationError
 from .scenario import (
     QUERY_KINDS,
+    decode_scenario,
     parse_scenario,
     random_scenario,
     run,
+    scenario_tolerances,
     serialize_scenario,
 )
-from .tolerances import tolerance_overrides
+from .tolerances import checked_overrides, tolerance_overrides
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,6 +71,7 @@ _PARSER = _build_parser()
 
 
 def _parse_overrides(pairs: list[str]) -> dict[str, float]:
+    """--tol-override values, checked before any file is read."""
     overrides = {}
     for pair in pairs:
         name, sep, value = pair.partition("=")
@@ -79,7 +81,10 @@ def _parse_overrides(pairs: list[str]) -> dict[str, float]:
             overrides[name] = float(value)
         except ValueError:
             raise ValidationError(f"tolerance override {pair!r} has a non-numeric value") from None
-    return overrides
+    try:
+        return checked_overrides(overrides)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
 
 
 def _read(path: Path) -> bytes:
@@ -89,29 +94,14 @@ def _read(path: Path) -> bytes:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
-def _file_tolerances(text: bytes) -> dict[str, float]:
-    # cheap pre-pass so file-level overrides already govern validation
-    try:
-        raw = json.loads(text)
-    except (json.JSONDecodeError, UnicodeDecodeError):
-        return {}
-    if isinstance(raw, dict) and isinstance(raw.get("tolerances"), dict):
-        return {k: v for k, v in raw["tolerances"].items() if isinstance(v, (int, float))}
-    return {}
-
-
 @contextmanager
 def _loaded(path: Path, cli_overrides: dict[str, float]):
-    """Parse a scenario file under its own tolerances plus the command
-    line's, which win; the scenario is used inside the same context."""
-    text = _read(path)
-    merged = {**_file_tolerances(text), **cli_overrides}
-    try:
-        context = tolerance_overrides(**merged)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
-    with context:
-        yield parse_scenario(text)
+    """Decode a scenario file once and parse it under its own tolerances
+    plus the command line's, which win; the scenario is used inside the
+    same context."""
+    raw = decode_scenario(_read(path))
+    with tolerance_overrides(**{**scenario_tolerances(raw), **cli_overrides}):
+        yield parse_scenario(raw)
 
 
 def _run_file(path: Path, fmt: str, cli_overrides: dict[str, float], *, require_kind=None) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Sequence
 
 import numpy as np
@@ -93,7 +94,37 @@ def _want(obj: dict, key: str, path: str) -> Any:
 def _number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{path}: expected a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError(f"{path}: integer beyond float range") from None
+
+
+_LEAF_TYPES = {int, float}
+
+
+def _complex_array(value: Any, shape: tuple[int, ...]) -> np.ndarray | None:
+    """value as a complex128 array of `shape` when it is exactly that
+    nesting of lists ending in [re, im] pairs of int or float leaves
+    (bools excluded), else None. The leaves go through one numpy
+    conversion, and the float64 pairs are viewed as complex128, so every
+    value, signed zeros included, is the one `_complex_pair` would give."""
+    level = [value]
+    for size in (*shape, 2):
+        if set(map(type, level)) != {list} or set(map(len, level)) != {size}:
+            return None
+        level = list(chain.from_iterable(level))
+    if not set(map(type, level)) <= _LEAF_TYPES:
+        return None
+    try:
+        pairs = np.array(level, dtype=np.float64)
+    except OverflowError:  # an integer beyond float range
+        return None
+    return pairs.view(np.complex128).reshape(shape)
+
+
+# The per-entry path below runs only when _complex_array refuses its input;
+# its job is the message naming the faulty entry.
 
 
 def _complex_pair(value: Any, path: str) -> complex:
@@ -102,16 +133,24 @@ def _complex_pair(value: Any, path: str) -> complex:
     return complex(_number(value[0], path + "[0]"), _number(value[1], path + "[1]"))
 
 
-def _vector(value: Any, dim: int, path: str) -> np.ndarray:
+def _vector_entries(value: Any, dim: int, path: str) -> np.ndarray:
     if not (isinstance(value, list) and len(value) == dim):
         raise SchemaError(f"{path}: expected a length-{dim} vector")
     return np.array([_complex_pair(v, f"{path}[{i}]") for i, v in enumerate(value)])
 
 
+def _vector(value: Any, dim: int, path: str) -> np.ndarray:
+    whole = _complex_array(value, (dim,))
+    return _vector_entries(value, dim, path) if whole is None else whole
+
+
 def _matrix(value: Any, dim: int, path: str) -> np.ndarray:
+    whole = _complex_array(value, (dim, dim))
+    if whole is not None:
+        return whole
     if not (isinstance(value, list) and len(value) == dim):
         raise SchemaError(f"{path}: expected a {dim}x{dim} matrix")
-    return np.array([_vector(row, dim, f"{path}[{i}]") for i, row in enumerate(value)])
+    return np.array([_vector_entries(row, dim, f"{path}[{i}]") for i, row in enumerate(value)])
 
 
 def _parse_pieces(value: Any, dim: int, path: str) -> tuple[SchedulePiece, ...]:
@@ -210,19 +249,54 @@ def _parse_query(raw: Any, path: str) -> Query:
     return Query(kind="validate")
 
 
-def parse_scenario(text: bytes | str) -> Scenario:
-    """Parse and validate a scenario document under the active tolerances."""
+def decode_scenario(text: bytes | str) -> Any:
+    """The JSON document in scenario text. Bytes that are not UTF-8 and
+    text that is not JSON raise ScenarioSyntaxError."""
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ScenarioSyntaxError(f"scenario is not UTF-8: {exc}") from exc
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioSyntaxError(f"scenario is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer literal past Python's digit limit, or nesting past the
+        # recursion limit
+        raise ScenarioSyntaxError(f"scenario cannot be decoded: {exc}") from None
+
+
+def scenario_tolerances(raw: Any) -> dict[str, float]:
+    """The checked `tolerances` block of a decoded scenario document; {}
+    when it is absent or the root is not an object. A block that is not an
+    object, an unknown field or a value that is not a JSON number is a
+    SchemaError; a number or boolean that is not finite and >= 0 is a
+    ValidationError."""
+    block = (raw.get("tolerances") if isinstance(raw, dict) else None) or {}
+    if not isinstance(block, dict):
+        raise SchemaError("scenario.tolerances: expected an object")
+    overrides = {}
+    for key, value in block.items():
+        if key not in _TOLERANCE_FIELDS:
+            raise SchemaError(f"tolerances.{key}: unknown tolerance field")
+        try:
+            overrides[key] = tolerance_value(key, value)
+        except ValueError as exc:
+            # bools are ints in Python: they are out of range, not mistyped
+            error = ValidationError if isinstance(value, (int, float)) else SchemaError
+            raise error(str(exc)) from None
+    return overrides
+
+
+def parse_scenario(source: Any) -> Scenario:
+    """Parse and validate a scenario under the active tolerances. source is
+    scenario text (bytes or str) or the document `decode_scenario` made of
+    it, so a caller that has decoded the text need not decode it again."""
+    raw = decode_scenario(source) if isinstance(source, (bytes, str)) else source
     if not isinstance(raw, dict):
         raise SchemaError("scenario root must be an object")
+    overrides = scenario_tolerances(raw)
     schema = _want(raw, "schema", "scenario")
     if type(schema) is not int or schema != SCHEMA_VERSION:
         raise SchemaError(f"scenario.schema: version {schema!r} unsupported, want {SCHEMA_VERSION}")
@@ -253,9 +327,10 @@ def parse_scenario(text: bytes | str) -> Scenario:
         if not (isinstance(value, list) and value):
             raise SchemaError(f"{bpath}: expected a nonempty list of vectors")
         size = len(value)
-        vectors = [
-            StateVector(_vector(v, size, f"{bpath}[{i}]")) for i, v in enumerate(value)
-        ]
+        rows = _complex_array(value, (size, size))
+        if rows is None:
+            rows = (_vector_entries(v, size, f"{bpath}[{i}]") for i, v in enumerate(value))
+        vectors = [StateVector(row) for row in rows]
         try:
             bases[name] = Basis(tuple(vectors))
         except ValidationError as exc:
@@ -279,18 +354,6 @@ def parse_scenario(text: bytes | str) -> Scenario:
         fixed_points.append(FixedPoint(t, state))
 
     query = _parse_query(_want(raw, "query", "scenario"), "query")
-
-    overrides_raw = raw.get("tolerances") or {}
-    if not isinstance(overrides_raw, dict):
-        raise SchemaError("scenario.tolerances: expected an object")
-    overrides = {}
-    for key, value in overrides_raw.items():
-        if key not in _TOLERANCE_FIELDS:
-            raise SchemaError(f"tolerances.{key}: unknown tolerance field")
-        try:
-            overrides[key] = tolerance_value(key, value)
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from None
 
     scenario = Scenario(
         dim=dim,

@@ -43,9 +43,26 @@ def active_tolerances() -> Tolerances:
 def tolerance_value(name: str, value) -> float:
     """value as a threshold for the named field; anything but a finite
     number >= 0 (bools included) raises ValueError naming the field."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < math.inf:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"tolerances.{name}: expected a finite number >= 0, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError(
+            f"tolerances.{name}: expected a finite number >= 0, got an integer beyond float range"
+        ) from None
+    if not 0 <= number < math.inf:
+        raise ValueError(f"tolerances.{name}: expected a finite number >= 0, got {value!r}")
+    return number
+
+
+def checked_overrides(overrides: dict) -> dict[str, float]:
+    """overrides with every value a threshold; an unknown field name or an
+    out-of-range value raises ValueError."""
+    unknown = set(overrides) - _FIELD_NAMES
+    if unknown:
+        raise ValueError(f"unknown tolerance fields: {sorted(unknown)}")
+    return {name: tolerance_value(name, v) for name, v in overrides.items()}
 
 
 def tolerance_overrides(**overrides: float):
@@ -54,10 +71,7 @@ def tolerance_overrides(**overrides: float):
     Unknown field names and out-of-range values raise ValueError eagerly,
     before entry.
     """
-    unknown = set(overrides) - _FIELD_NAMES
-    if unknown:
-        raise ValueError(f"unknown tolerance fields: {sorted(unknown)}")
-    return _override_context({name: tolerance_value(name, v) for name, v in overrides.items()})
+    return _override_context(checked_overrides(overrides))
 
 
 @contextmanager

@@ -3,7 +3,10 @@ from pathlib import Path
 
 import pytest
 
+import fpf.cli
 from fpf.cli import main
+from fpf.errors import FpfError
+from fpf.scenario import parse_scenario, random_scenario, serialize_scenario
 from fpf.tolerances import tolerance_overrides
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -401,3 +404,188 @@ class TestUsageErrors:
             main(["--help"])
         assert exc.value.code == 0
         assert "usage: fpf" in capsys.readouterr().out
+
+
+class TestDecodeOnce:
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_file_is_decoded_once(self, capsys, monkeypatch, command):
+        loads, parse = json.loads, fpf.cli.parse_scenario
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(json, "loads", counted(loads))
+        monkeypatch.setattr(fpf.cli, "parse_scenario", counted(parse))
+        code, _, err = run_cli(capsys, command, str(SCENARIOS / "chain_sx_interior.json"))
+        assert code == 0 and err == ""
+        assert calls.count(loads) == 1 and calls.count(parse) == 1
+
+    @pytest.mark.parametrize("flag", ["nope=1", "unitary=nan", "hermitian=-1"])
+    def test_bad_flag_on_malformed_file_is_reported_first(self, capsys, tmp_path, flag):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{")
+        code, out, err = run_cli(capsys, "run", str(bad), "--tol-override", flag)
+        assert code == 2 and out == ""
+        _one_error_line(err, "VALIDATION_ERROR")
+
+
+HUGE = 10**400  # an integer literal beyond float range
+
+
+def _huge_matrix(doc):
+    doc["hamiltonian"]["pieces"][0]["matrix"][1][0] = [HUGE, 0.0]
+
+
+def _huge_t_end(doc):
+    doc["hamiltonian"]["pieces"][0]["t_end"] = HUGE
+
+
+def _huge_query_time(doc):
+    doc["query"]["time"] = HUGE
+
+
+def _huge_state(doc):
+    doc["fixed_points"][0]["state"] = [[HUGE, 0.0], [0.0, 0.0]]
+
+
+def _huge_tolerance(doc):
+    doc["tolerances"] = {"unitary": HUGE}
+
+
+class TestHugeIntegers:
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize(
+        "mutate, code_name, where",
+        [
+            (_huge_matrix, "SCHEMA_ERROR", "hamiltonian.pieces[0].matrix[1][0][0]:"),
+            (_huge_t_end, "SCHEMA_ERROR", "hamiltonian.pieces[0].t_end:"),
+            (_huge_query_time, "SCHEMA_ERROR", "query.time:"),
+            (_huge_state, "SCHEMA_ERROR", "fixed_points[0].state[0][0]:"),
+            (_huge_tolerance, "VALIDATION_ERROR", "tolerances.unitary:"),
+        ],
+    )
+    def test_one_line_naming_the_field(self, capsys, tmp_path, command, mutate, code_name, where):
+        doc = _born_doc()
+        mutate(doc)
+        code, out, err = run_cli(capsys, command, _write(tmp_path, doc))
+        assert code == 2 and out == ""
+        _one_error_line(err, code_name)
+        assert where in err
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # an integer literal past Python's int-to-string digit limit
+            '{"schema": 1, "dim": 1' + "0" * 5000 + "}",
+            # nesting past the recursion limit
+            "[" * 100_000 + "]" * 100_000,
+        ],
+        ids=["digit-limit", "deep-nesting"],
+    )
+    def test_undecodable_documents_are_syntax_errors(self, capsys, tmp_path, command, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 2 and out == ""
+        _one_error_line(err, "SYNTAX_ERROR")
+
+
+TOLERANCE_FAULTS = [
+    ({"bogus": 1e-3}, "SCHEMA_ERROR"),
+    ({"unitary": "1e-3"}, "SCHEMA_ERROR"),
+    ({"unitary": None}, "SCHEMA_ERROR"),
+    ({"unitary": [1e-3]}, "SCHEMA_ERROR"),
+    ({"unitary": {}}, "SCHEMA_ERROR"),
+    ([1e-3], "SCHEMA_ERROR"),
+    ("strict", "SCHEMA_ERROR"),
+    (1e-3, "SCHEMA_ERROR"),
+    ({"unitary": float("nan")}, "VALIDATION_ERROR"),
+    ({"unitary": float("inf")}, "VALIDATION_ERROR"),
+    ({"unitary": float("-inf")}, "VALIDATION_ERROR"),
+    ({"unitary": -1.0}, "VALIDATION_ERROR"),
+    ({"unitary": -1}, "VALIDATION_ERROR"),
+    ({"unitary": True}, "VALIDATION_ERROR"),
+    ({"unitary": False}, "VALIDATION_ERROR"),
+    ({"unitary": HUGE}, "VALIDATION_ERROR"),
+]
+
+
+class TestToleranceBlockRule:
+    """A file's tolerances block gets the same code from every path: a
+    block, field or value of the wrong kind is a schema error, a number
+    or boolean out of range a validation error."""
+
+    @pytest.mark.parametrize("path", ["run", "validate", "parse_scenario"])
+    @pytest.mark.parametrize("block, expected", TOLERANCE_FAULTS)
+    def test_same_code_on_every_path(self, capsys, tmp_path, path, block, expected):
+        doc = _born_doc(tolerances=block)
+        if path == "parse_scenario":
+            with pytest.raises(FpfError) as exc:
+                parse_scenario(json.dumps(doc))
+            assert exc.value.code == expected
+            return
+        code, out, err = run_cli(capsys, path, _write(tmp_path, doc))
+        assert code == 2 and out == ""
+        _one_error_line(err, expected)
+
+
+def _pairs(doc):
+    """(path, parent list, index) of every [re, im] pair in the document's
+    matrices, explicit states and custom bases, paths as the parser names
+    them."""
+    ham = doc["hamiltonian"]
+    for part in ("pieces", "branch_override"):
+        for i, piece in enumerate(ham.get(part) or ()):
+            for r, row in enumerate(piece["matrix"]):
+                for c in range(len(row)):
+                    yield f"hamiltonian.{part}[{i}].matrix[{r}][{c}]", row, c
+    for i, point in enumerate(doc["fixed_points"]):
+        if isinstance(point["state"], list):
+            for j in range(len(point["state"])):
+                yield f"fixed_points[{i}].state[{j}]", point["state"], j
+    for name, vectors in doc.get("bases", {}).items():
+        for v, vector in enumerate(vectors):
+            for j in range(len(vector)):
+                yield f"bases.{name}[{v}][{j}]", vector, j
+
+
+LEAF_FAULTS = (True, "0.5", None, [0.5], {})
+
+
+def _pair_mutations(pair):
+    """(mutated pair, the message's tail) for each leaf and length fault."""
+    for k in (0, 1):
+        for leaf in LEAF_FAULTS:
+            bad = list(pair)
+            bad[k] = leaf
+            yield bad, f"[{k}]: expected a number, got {type(leaf).__name__}"
+    for bad in (pair[:1], pair + [0.0]):
+        yield bad, ": complex values are [re, im] pairs"
+
+
+class TestLeafFuzz:
+    """Every pair of the arrays the parser converts whole, mutated one
+    fault at a time: the whole-array path refuses each, and the per-entry
+    path names the faulty leaf or pair."""
+
+    @pytest.mark.parametrize("name", ["network_2x3", "random_abl"])
+    def test_each_mutation_names_its_entry(self, capsys, tmp_path, name):
+        if name == "random_abl":
+            doc = json.loads(serialize_scenario(random_scenario(0, 2, 2, "abl")))
+        else:
+            doc = json.loads((SCENARIOS / "network_2x3.json").read_text())
+        path = tmp_path / "doc.json"
+        for where, parent, index in list(_pairs(doc)):
+            pair = parent[index]
+            for bad, tail in _pair_mutations(pair):
+                parent[index] = bad
+                path.write_text(json.dumps(doc))
+                code, out, err = run_cli(capsys, "validate", str(path))
+                assert (code, out, err) == (2, "", f"SCHEMA_ERROR: {where}{tail}\n")
+            parent[index] = pair

@@ -1,8 +1,12 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fpf import scenario as scenario_module
 from fpf.errors import SchemaError, ScenarioSyntaxError, ValidationError
 from fpf.scenario import (
     QUERY_KINDS,
@@ -190,3 +194,70 @@ class TestRunReports:
         assert abs(report.delta_psi[sel] - report.oracle[0]) <= report.extra[
             "oracle_error_estimate"
         ]
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+S = 1 / math.sqrt(2)
+
+
+class TestWholeArrayConversion:
+    @pytest.fixture
+    def no_per_entry_path(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("valid input reached the per-entry path")
+
+        monkeypatch.setattr(scenario_module, "_vector_entries", refuse)
+        monkeypatch.setattr(scenario_module, "_complex_pair", refuse)
+
+    @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.name)
+    def test_golden_files_skip_the_per_entry_path(self, no_per_entry_path, path):
+        parse_scenario(path.read_bytes())
+
+    @pytest.mark.parametrize("kind", QUERY_KINDS)
+    def test_random_scenarios_skip_the_per_entry_path(self, no_per_entry_path, kind):
+        s = random_scenario(0, 3, 2, kind)
+        assert parse_scenario(serialize_scenario(s)) == s
+
+    def test_decoded_document_parses_like_its_text(self):
+        text = serialize_scenario(random_scenario(2, 4, 3, "chain"))
+        assert parse_scenario(json.loads(text)) == parse_scenario(text)
+
+    def test_signed_zeros_and_basis_orientation_round_trip(self):
+        # -0.0 in real and imaginary parts of a matrix, a state and a basis
+        # whose rows differ from its columns: a whole-array path that loses
+        # a sign or transposes would change these bytes
+        doc = {
+            "schema": 1,
+            "dim": 2,
+            "hamiltonian": {
+                "pieces": [
+                    {
+                        "t_start": 0.0,
+                        "t_end": 1.0,
+                        "matrix": [[[-0.0, -0.0], [1.0, -0.0]], [[1.0, 0.0], [0.0, -0.0]]],
+                    }
+                ],
+                "branch_override": None,
+            },
+            "fixed_points": [{"time": 0.0, "state": [[-0.0, -0.0], [1.0, -0.0]]}],
+            "bases": {"m": [[[S, -0.0], [0.0, S]], [[S, 0.0], [-0.0, -S]]]},
+            "query": {"kind": "born", "time": 1.0, "outcomes": "m"},
+            "tolerances": {},
+        }
+        text = json.dumps(doc, indent=2, sort_keys=True)
+        assert serialize_scenario(parse_scenario(text)) == text
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(2, 8),
+    pieces=st.integers(1, 4),
+    kind=st.sampled_from(QUERY_KINDS),
+)
+@settings(max_examples=60, deadline=None)
+def test_round_trip_property(seed, dim, pieces, kind):
+    s = random_scenario(seed, dim, pieces, kind)
+    text = serialize_scenario(s)
+    again = parse_scenario(text)
+    assert again == s
+    assert serialize_scenario(again) == text

@@ -1,5 +1,7 @@
 """Smoke tests: the scripts under scripts/ run and say what they should."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -39,3 +41,101 @@ def test_convergence_study_is_fourth_order():
 def test_oracle_sweep_runs_chains():
     out = run_script("oracle_sweep.py", "--seeds", "20", "--kinds", "chain")
     assert "chain: worst deviation" in out, out
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _runs(pairs):
+    runs = []
+    for index, (parent, change) in enumerate(pairs):
+        for side, qps in (("parent", parent), ("change", change)):
+            metrics = {"queries_per_s": qps, "query_ms_p50": 1000 / qps}
+            runs.append({"workload": "w", "pair": index, "side": side, "exit": 0,
+                         "correct": True, "failed": 0, "metrics": metrics})
+    return runs
+
+
+def test_bench_pairs_counts_wins_in_each_metric_direction():
+    better = {"queries_per_s": "higher", "query_ms_p50": "lower"}
+    runs = _runs([(100, 110), (102, 111), (98, 98)])
+    runs.append({"workload": "w", "pair": 3, "side": "parent", "exit": 1, "error": "x"})
+    rows = _bench_pairs().summarize(runs, better)["w"]
+    qps = rows["queries_per_s"]
+    assert (qps["pairs"], qps["complete_pairs"], qps["change_wins"], qps["ties"]) == (4, 3, 2, 1)
+    assert (qps["parent"]["median"], qps["change"]["median"]) == (100, 110)
+    assert not qps["gain_rule_met"]  # 2 wins of 4 pairs is under nine tenths
+    assert rows["query_ms_p50"]["change_wins"] == 2
+
+
+def test_bench_pairs_gain_rule_needs_a_gap_wider_than_the_parent_spread():
+    better = {"queries_per_s": "higher"}
+    clear = _bench_pairs().summarize(_runs([(100 + k, 120 + k) for k in range(10)]), better)
+    assert clear["w"]["queries_per_s"]["gain_rule_met"]
+    # every pair won, but by less than the parent's quartile gap
+    narrow = _bench_pairs().summarize(_runs([(100 + 4 * k, 101 + 4 * k) for k in range(10)]), better)
+    assert narrow["w"]["queries_per_s"]["change_wins"] == 10
+    assert not narrow["w"]["queries_per_s"]["gain_rule_met"]
+
+
+def test_bench_pairs_gain_rule_counts_every_pair_run():
+    better = {"queries_per_s": "higher"}
+    runs = _runs([(100 + k, 120 + k) for k in range(9)])
+    for index in (9, 10):  # two pairs whose change run crashed
+        runs += [{"workload": "w", "pair": index, "side": "parent", "exit": 0, "correct": True,
+                  "failed": 0, "metrics": {"queries_per_s": 100}},
+                 {"workload": "w", "pair": index, "side": "change", "exit": 1, "error": "x"}]
+    qps = _bench_pairs().summarize(runs, better)["w"]["queries_per_s"]
+    assert (qps["pairs"], qps["complete_pairs"], qps["change_wins"]) == (11, 9, 9)
+    assert not qps["gain_rule_met"]  # 9 wins of 11 pairs run
+
+
+def test_bench_pairs_gain_rule_fails_on_a_wrong_or_failing_change_run():
+    better = {"queries_per_s": "higher"}
+    bench_pairs = _bench_pairs()
+    wrong = _runs([(100 + k, 120 + k) for k in range(10)])
+    wrong[-1]["correct"] = False
+    assert not bench_pairs.summarize(wrong, better)["w"]["queries_per_s"]["gain_rule_met"]
+    failing = _runs([(100 + k, 120 + k) for k in range(10)])
+    failing[-1]["failed"] = 1
+    assert not bench_pairs.summarize(failing, better)["w"]["queries_per_s"]["gain_rule_met"]
+
+
+def test_bench_pairs_counts_a_silent_run_as_failed(monkeypatch):
+    bench_pairs = _bench_pairs()
+    monkeypatch.setattr(bench_pairs.subprocess, "run",
+                        lambda cmd, **kw: subprocess.CompletedProcess(cmd, 0, "", ""))
+    result = bench_pairs.bench_once(ROOT, "short-queries", 1)
+    assert result["exit"] != 0 and "metrics" not in result, result
+
+
+def test_bench_pairs_numbers_pairs_per_workload_across_options(tmp_path, monkeypatch):
+    bench_pairs = _bench_pairs()
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "queries_per_s", "better": "higher"}]}')
+    calls = []
+
+    def fake_bench_once(checkout, workload, seed):
+        calls.append((checkout.name, workload, seed))
+        qps = 120 if checkout.name == "change" else 100
+        return {"exit": 0, "correct": True, "attempted": 1, "failed": 0,
+                "metrics": {"queries_per_s": qps + seed}}
+
+    monkeypatch.setattr(bench_pairs, "bench_once", fake_bench_once)
+    out = tmp_path / "out.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                             "--pairs", "w:1,2", "--pairs", "v:7", "--pairs", "w:3",
+                             "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert [(r["workload"], r["seed"], r["pair"]) for r in doc["runs"] if r["side"] == "parent"] == [
+        ("w", 1, 0), ("w", 2, 1), ("v", 7, 0), ("w", 3, 2)]
+    # the side that runs first alternates per workload, across options
+    assert [c[0] for c in calls if c[1] == "w"] == ["parent", "change", "change", "parent",
+                                                     "parent", "change"]
+    assert doc["summary"]["w"]["queries_per_s"]["pairs"] == 3
