@@ -7,8 +7,8 @@ pre/post-selection (ABL) probability rules, verified against independent
 textbook oracles.
 """
 
-from .contour import Branch, ContourPath, PathSegment, build_path
-from .dynamics import HamiltonianSchedule, SchedulePiece, apply, compose_check, propagate
+from .contour import Branch, PathSegment, build_path
+from .dynamics import HamiltonianSchedule, SchedulePiece, compose_check, propagate
 from .errors import (
     CoverageError,
     DegenerateNormalizer,
@@ -40,10 +40,8 @@ from .measure import (
     MeasureResult,
     abl_measure,
     born_measure,
-    branch_amplitude,
     chain_delta_psi,
     chain_measure,
-    delta_psi_pair,
 )
 from .scenario import (
     Query,
@@ -62,7 +60,6 @@ from .statespace import (
     basis_state,
     check_basis,
     expm_hermitian,
-    inner,
     standard_basis,
 )
 from .tolerances import Tolerances, active_tolerances, tolerance_overrides

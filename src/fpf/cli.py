@@ -12,6 +12,8 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
+
 from .errors import DomainError, FpfError, NumericalCheckFailure, ValidationError
 from .scenario import (
     QUERY_KINDS,
@@ -59,10 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rand_p.add_argument("--dim", type=int, default=2)
     rand_p.add_argument("--pieces", type=int, default=1)
     rand_p.add_argument("--query", choices=QUERY_KINDS, default="born")
-
-    net_p = sub.add_parser("network", help="run a network-counting scenario")
-    net_p.add_argument("file", type=Path)
-    net_p.add_argument("--format", choices=("json", "table"), default="json")
     return parser
 
 
@@ -104,33 +102,30 @@ def _loaded(path: Path, cli_overrides: dict[str, float]):
         yield parse_scenario(raw)
 
 
-def _run_file(path: Path, fmt: str, cli_overrides: dict[str, float], *, require_kind=None) -> int:
-    with _loaded(path, cli_overrides) as scenario:
-        if require_kind is not None and scenario.query.kind != require_kind:
-            raise ValidationError(
-                f"{path} holds a {scenario.query.kind!r} query, expected {require_kind!r}"
-            )
-        report = run(scenario)
-    print(report.to_json() if fmt == "json" else report.to_table())
-    return 0
+def _command(args: argparse.Namespace) -> int:
+    if args.command == "run":
+        with _loaded(args.file, _parse_overrides(args.tol_override)) as scenario:
+            report = run(scenario)
+        print(report.to_json() if args.format == "json" else report.to_table())
+        return 0
+    if args.command == "validate":
+        with _loaded(args.file, {}):
+            pass
+        print(f"VALID: {args.file}")
+        return 0
+    if args.command == "random":
+        print(serialize_scenario(random_scenario(args.seed, args.dim, args.pieces, args.query)))
+        return 0
+    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _PARSER.parse_args(argv)
-        if args.command == "run":
-            return _run_file(args.file, args.format, _parse_overrides(args.tol_override))
-        if args.command == "network":
-            return _run_file(args.file, args.format, {}, require_kind="network")
-        if args.command == "validate":
-            with _loaded(args.file, {}):
-                pass
-            print(f"VALID: {args.file}")
-            return 0
-        if args.command == "random":
-            print(serialize_scenario(random_scenario(args.seed, args.dim, args.pieces, args.query)))
-            return 0
-        raise AssertionError(f"unhandled command {args.command!r}")
+        # overflow and NaN surface through the engine's finiteness and
+        # unitarity checks, which report them as one error line
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _command(args)
     except NumericalCheckFailure as exc:
         _report_error(exc)
         return 4

@@ -15,12 +15,7 @@ import numpy as np
 
 from .contour import Branch
 from .errors import CoverageError, DimensionMismatch, ValidationError
-from .statespace import (
-    HermitianOperator,
-    StateVector,
-    UnitaryMatrix,
-    expm_hermitian,
-)
+from .statespace import HermitianOperator, UnitaryMatrix, expm_hermitian
 from .tolerances import active_tolerances
 
 
@@ -123,12 +118,6 @@ def propagate(
     if t_to < t_from:
         u = u.conj().T
     return UnitaryMatrix(u)
-
-
-def apply(u: UnitaryMatrix, v: StateVector) -> StateVector:
-    if u.dim != v.dim:
-        raise DimensionMismatch(f"cannot apply {u.dim}-dim unitary to {v.dim}-dim state")
-    return StateVector(u.mat @ v.amps)
 
 
 def compose_check(

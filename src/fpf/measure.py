@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .contour import Branch
-from .dynamics import HamiltonianSchedule, apply, propagate
+from .dynamics import HamiltonianSchedule, propagate
 from .errors import (
     DegenerateNormalizer,
     DimensionMismatch,
@@ -35,7 +35,7 @@ from .errors import (
     ValidationError,
 )
 from .histories import FixedPoint
-from .statespace import Basis, StateVector, inner
+from .statespace import Basis, StateVector
 from .tolerances import Tolerances, active_tolerances
 
 MAX_JOINTS = 1 << 16  # joint outcomes one chain may enumerate
@@ -76,14 +76,6 @@ class MeasureResult:
             raise NumericalCheckFailure(
                 f"measures sum to {float(np.sum(measures))!r}, not 1"
             )
-
-
-def branch_amplitude(
-    sched: HamiltonianSchedule, branch: Branch, src: FixedPoint, dst: FixedPoint
-) -> complex:
-    """Transition amplitude <dst| U_branch(dst.t, src.t) |src>."""
-    u = propagate(sched, branch, src.t, dst.t)
-    return inner(dst.state, apply(u, src.state))
 
 
 def _joint_weights(
@@ -137,15 +129,6 @@ def _real_weight(values: np.ndarray, tols: Tolerances) -> np.ndarray:
             )
         raise RealnessViolation(f"history weight is negative: {value.real:.3e}")
     return values.real.ravel()
-
-
-def delta_psi_pair(sched: HamiltonianSchedule, src: FixedPoint, snk: FixedPoint) -> float:
-    """Two-point history weight; equals |forward amplitude|^2 for
-    branch-independent schedules."""
-    if not src.t < snk.t:
-        raise ValidationError("source must precede sink in time")
-    slots = [(src.t, (src.state,)), (snk.t, (snk.state,))]
-    return float(_real_weight(_joint_weights(sched, slots), active_tolerances())[0])
 
 
 def born_measure(

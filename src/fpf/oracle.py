@@ -64,8 +64,12 @@ class DensityMatrix:
 
 def _expm_series(a: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling, truncated power series, and repeated
-    squaring. Slow and boring on purpose."""
+    squaring. Slow and boring on purpose. A generator too large for the
+    scaling factor 2**squarings, or a result that overflows, is beyond the
+    oracle's reach."""
     scale = float(np.linalg.norm(a, 1))
+    if not scale <= 2.0**1022:  # also catches inf and NaN
+        raise InstanceTooLarge(f"series exponential of a matrix with norm {scale:.3e}")
     squarings = 0
     if scale > 0.5:
         squarings = int(np.ceil(np.log2(scale / 0.5)))
@@ -79,6 +83,8 @@ def _expm_series(a: np.ndarray) -> np.ndarray:
             break
     for _ in range(squarings):
         total = total @ total
+    if not np.isfinite(total).all():
+        raise InstanceTooLarge(f"series exponential overflows in {squarings} squarings")
     return total
 
 
@@ -211,6 +217,8 @@ def contour_line_integral(
         raise ValidationError("steps_per_segment must be at least 2")
     fine = _path_weight(sched, history, steps_per_segment)
     coarse = _path_weight(sched, history, max(1, steps_per_segment // 2))
+    if not (np.isfinite(fine) and np.isfinite(coarse)):
+        raise InstanceTooLarge(f"stepped line integral overflows at {steps_per_segment} steps")
     value = fine.real
     # |fine - coarse| bounds the half-resolution error; reporting it for the
     # returned fine value leaves a ~16x safety margin. Floored at rounding noise.

@@ -151,13 +151,6 @@ class Basis:
         return self.elements == other.elements
 
 
-def inner(a: StateVector, b: StateVector) -> complex:
-    """Inner product <a|b>, conjugating the first argument."""
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"inner product of dims {a.dim} and {b.dim}")
-    return complex(np.vdot(a.amps, b.amps))
-
-
 def check_basis(elements: Iterable[StateVector]) -> bool:
     """True iff the elements form a complete orthonormal basis within the
     active basis_orthonormal tolerance.
@@ -197,7 +190,3 @@ def basis_state(dim: int, k: int) -> StateVector:
 
 def standard_basis(dim: int) -> Basis:
     return Basis(tuple(basis_state(dim, k) for k in range(dim)))
-
-
-def identity(dim: int) -> UnitaryMatrix:
-    return UnitaryMatrix(np.eye(dim, dtype=np.complex128))

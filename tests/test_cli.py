@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -183,18 +184,21 @@ class TestValidate:
 
 class TestNetwork:
     def test_network_counts(self, capsys):
-        code, out, _ = run_cli(capsys, "network", str(SCENARIOS / "network_2x3.json"))
+        code, out, _ = run_cli(capsys, "run", str(SCENARIOS / "network_2x3.json"))
         assert code == 0
         doc = json.loads(out)
         pair = doc["adjacent_pairs"][0]
         assert pair["edges"] == 12 and pair["channels"] == 6
         assert doc["max_deviation"] == 0.0
 
-    def test_wrong_kind_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "network", str(SCENARIOS / "born_sx_quarter.json"))
-        assert code == 2
+    def test_table_format(self, capsys):
+        code, out, err = run_cli(
+            capsys, "run", str(SCENARIOS / "network_2x3.json"), "--format", "table"
+        )
+        assert code == 0 and err == ""
+        assert "edge_count: 12" in out
 
-    @pytest.mark.parametrize("command", ["run", "validate", "network"])
+    @pytest.mark.parametrize("command", ["run", "validate"])
     @pytest.mark.parametrize(
         "times", [[float("nan"), 1.0], [0.0, float("nan")], [0.0, float("inf")], [float("-inf"), 1.0]]
     )
@@ -310,6 +314,55 @@ def _field_paths(node, path=()):
         yield from _field_paths(child, path + (key,))
 
 
+def _stretched(name, t_end):
+    """A golden scenario with its one piece ending at t_end."""
+    doc = json.loads((SCENARIOS / name).read_text())
+    doc["hamiltonian"]["pieces"][0]["t_end"] = t_end
+    return doc
+
+
+def _far_born(t):
+    doc = _stretched("born_sx_quarter.json", t)
+    doc["query"]["time"] = t
+    return doc
+
+
+def _far_chain():
+    # the interior x outcomes of a z:0 -> z:0 chain over 1e20 time units
+    doc = _stretched("chain_sx_interior.json", 1e20)
+    doc["fixed_points"][1] = {"time": 1e20, "state": "z:0"}
+    doc["query"]["interior"][0]["time"] = 5e19
+    return doc
+
+
+def _huge_validate():
+    doc = _stretched("born_sx_quarter.json", 1e300)
+    doc["query"] = {"kind": "validate"}
+    doc["hamiltonian"]["pieces"][0]["matrix"] = [[[0, 0], [1e10, 0]], [[1e10, 0], [0, 0]]]
+    return doc
+
+
+class TestOverflow:
+    """Spans long enough to overflow the oracle or the propagator end in
+    one error line: no traceback, no NaN in a report, no numpy warning."""
+
+    @pytest.mark.parametrize(
+        "make, code_name",
+        [
+            pytest.param(lambda: _far_born(1e308), "INSTANCE_TOO_LARGE", id="series-scale"),
+            pytest.param(lambda: _far_born(1e20), "INSTANCE_TOO_LARGE", id="series-result"),
+            pytest.param(_far_chain, "INSTANCE_TOO_LARGE", id="line-integral"),
+            pytest.param(_huge_validate, "VALIDATION_ERROR", id="propagator"),
+        ],
+    )
+    def test_one_error_line(self, capsys, tmp_path, make, code_name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "run", _write(tmp_path, make()))
+        assert code == 2 and out == ""
+        _one_error_line(err, code_name)
+
+
 class TestParserFuzz:
     REPLACEMENTS = ([1], 1, "x", None, {}, True, [])
 
@@ -392,6 +445,7 @@ class TestUsageErrors:
             ["run"],
             ["run", "f", "--format", "xml"],
             ["random", "--seed", "x"],
+            ["network", "f"],  # network files run through `fpf run`
         ],
     )
     def test_one_error_line(self, capsys, argv):

@@ -11,14 +11,14 @@ times = st.floats(min_value=-100, max_value=100, allow_nan=False)
 class TestBuildPath:
     def test_pair(self):
         path = build_path([0.0, 1.0])
-        assert tuple(path) == (
+        assert path == (
             PathSegment(Branch.FORWARD, 0.0, 1.0),
             PathSegment(Branch.BACKWARD, 1.0, 0.0),
         )
 
     def test_triple(self):
         path = build_path([0.0, 0.4, 1.0])
-        assert tuple(path) == (
+        assert path == (
             PathSegment(Branch.FORWARD, 0.0, 0.4),
             PathSegment(Branch.FORWARD, 0.4, 1.0),
             PathSegment(Branch.BACKWARD, 1.0, 0.4),
@@ -38,6 +38,11 @@ class TestBuildPath:
     def test_non_monotone(self):
         with pytest.raises(NonMonotoneTimes):
             build_path([0.0, 2.0, 1.0])
+
+    @pytest.mark.parametrize("ts", [[float("nan"), 1.0], [0.0, float("nan")]])
+    def test_nan_time(self, ts):
+        with pytest.raises(NonMonotoneTimes):
+            build_path(ts)
 
     @given(st.lists(times, min_size=2, max_size=8, unique=True))
     @settings(max_examples=100)

@@ -5,7 +5,7 @@ import pytest
 
 from fpf import oracle
 from fpf.contour import Branch
-from fpf.dynamics import HamiltonianSchedule, SchedulePiece, apply, propagate
+from fpf.dynamics import HamiltonianSchedule, SchedulePiece, propagate
 from fpf.errors import (
     DegenerateNormalizer,
     ImpossiblePostSelection,
@@ -16,10 +16,8 @@ from fpf.histories import FixedPoint, make_history
 from fpf.measure import (
     abl_measure,
     born_measure,
-    branch_amplitude,
     chain_delta_psi,
     chain_measure,
-    delta_psi_pair,
 )
 from fpf.scenario import random_basis, random_hermitian, random_schedule, random_state
 from fpf.statespace import (
@@ -48,38 +46,52 @@ SX_SCHED = constant(SX, 0.0, QUARTER)
 FREE = constant(ZERO2)
 
 
+def amplitude(sched, branch, src, dst):
+    """Transition amplitude <dst| U_branch(dst.t, src.t) |src>."""
+    u = propagate(sched, branch, src.t, dst.t).mat
+    return complex(np.vdot(dst.state.amps, u @ src.state.amps))
+
+
+def pair_weight(sched, src, snk):
+    return chain_measure(sched, (src, snk), [], []).delta_psi[0]
+
+
 class TestBranchAmplitude:
     def test_free_evolution_identity(self):
-        amp = branch_amplitude(FREE, F, FixedPoint(0.0, E0), FixedPoint(1.0, E0))
+        amp = amplitude(FREE, F, FixedPoint(0.0, E0), FixedPoint(1.0, E0))
         assert amp == 1 + 0j
 
     def test_sigma_x_quarter(self):
-        amp = branch_amplitude(SX_SCHED, F, FixedPoint(0.0, E0), FixedPoint(QUARTER, E1))
+        amp = amplitude(SX_SCHED, F, FixedPoint(0.0, E0), FixedPoint(QUARTER, E1))
         assert amp == pytest.approx(-1j / SQRT2, abs=1e-15)
 
     def test_backward_is_conjugate_with_swapped_endpoints(self):
         src, dst = FixedPoint(0.0, E0), FixedPoint(QUARTER, E1)
-        fwd = branch_amplitude(SX_SCHED, F, src, dst)
-        back = branch_amplitude(SX_SCHED, B, dst, src)
+        fwd = amplitude(SX_SCHED, F, src, dst)
+        back = amplitude(SX_SCHED, B, dst, src)
         assert back == pytest.approx(np.conj(fwd), abs=1e-15)
 
 
 class TestDeltaPsiPair:
     def test_same_state_free(self):
-        assert delta_psi_pair(FREE, FixedPoint(0.0, E0), FixedPoint(1.0, E0)) == pytest.approx(1.0)
+        assert pair_weight(FREE, FixedPoint(0.0, E0), FixedPoint(1.0, E0)) == pytest.approx(1.0)
 
     def test_orthogonal_free(self):
-        assert delta_psi_pair(FREE, FixedPoint(0.0, E0), FixedPoint(1.0, E1)) == pytest.approx(0.0, abs=1e-15)
+        src, snk = FixedPoint(0.0, E0), FixedPoint(1.0, E1)
+        assert chain_delta_psi(FREE, (src, snk)) == pytest.approx(0.0, abs=1e-15)
+        # a zero pair weight leaves nothing to normalize
+        with pytest.raises(ImpossiblePostSelection):
+            pair_weight(FREE, src, snk)
 
     def test_sigma_x_half_weight(self):
-        got = delta_psi_pair(SX_SCHED, FixedPoint(0.0, E0), FixedPoint(QUARTER, E1))
+        got = pair_weight(SX_SCHED, FixedPoint(0.0, E0), FixedPoint(QUARTER, E1))
         u = propagate(SX_SCHED, F, 0.0, QUARTER)
         assert got == pytest.approx(oracle.standard_born(u, E0, E1), abs=1e-13)
         assert got == pytest.approx(0.5, abs=1e-13)
 
     def test_time_order_enforced(self):
         with pytest.raises(ValidationError):
-            delta_psi_pair(FREE, FixedPoint(1.0, E0), FixedPoint(0.0, E0))
+            pair_weight(FREE, FixedPoint(1.0, E0), FixedPoint(0.0, E0))
 
 
 class TestBornMeasure:
@@ -167,7 +179,7 @@ class TestChainMeasure:
     def test_zero_interior_reduces_to_pair(self):
         src, snk = FixedPoint(0.0, E0), FixedPoint(QUARTER, E1)
         res = chain_measure(SX_SCHED, (src, snk), [], [])
-        assert res.delta_psi[0] == delta_psi_pair(SX_SCHED, src, snk)
+        assert res.delta_psi[0] == chain_delta_psi(SX_SCHED, (src, snk)).real
         assert res.measures[0] == 1.0
         assert res.selected == 0
 
@@ -192,11 +204,11 @@ class TestChainMeasure:
         post = FixedPoint(1.0, random_state(np.random.default_rng(12), 2))
         t = 0.37
         u = propagate(sched, F, 0.0, t)
-        evolved = apply(u, pre.state)
+        evolved = StateVector(u.mat @ pre.state.amps)
         perp = StateVector(np.array([-np.conj(evolved.amps[1]), np.conj(evolved.amps[0])]))
         outcomes = Basis((evolved, perp))
         res = chain_measure(sched, (pre, post), [(t, outcomes)], [0])
-        pair = delta_psi_pair(sched, pre, post)
+        pair = chain_delta_psi(sched, (pre, post)).real
         assert res.delta_psi[res.selected] == pytest.approx(pair, abs=1e-12)
         # brute force over all interior outcomes: only the evolved state
         # carries weight, so the normalizer is the bare pair weight and the
@@ -262,7 +274,7 @@ class TestRealness:
         raw = chain_delta_psi(sched, (src, snk))
         assert abs(raw.imag) > 1e-3  # diagnostics mode reports the raw value
         with pytest.raises(RealnessViolation):
-            delta_psi_pair(sched, src, snk)
+            pair_weight(sched, src, snk)
 
     def test_branch_override_can_go_negative(self):
         minus_sx = HermitianOperator(-SX.mat)
@@ -274,7 +286,7 @@ class TestRealness:
         raw = chain_delta_psi(sched, (src, snk))
         assert raw.real == pytest.approx(-0.5, abs=1e-12)
         with pytest.raises(RealnessViolation):
-            delta_psi_pair(sched, src, snk)
+            pair_weight(sched, src, snk)
 
 
 class TestMeasureSymmetries:

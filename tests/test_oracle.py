@@ -8,7 +8,7 @@ from fpf.contour import Branch
 from fpf.dynamics import HamiltonianSchedule, SchedulePiece, propagate
 from fpf.errors import InstanceTooLarge, ValidationError, ZeroDenominator
 from fpf.histories import FixedPoint, make_history
-from fpf.measure import chain_delta_psi, delta_psi_pair
+from fpf.measure import chain_delta_psi
 from fpf.oracle import (
     DensityMatrix,
     _rk4_segment,
@@ -23,8 +23,8 @@ from fpf.scenario import random_basis, random_schedule, random_state
 from fpf.statespace import (
     HermitianOperator,
     StateVector,
+    UnitaryMatrix,
     basis_state,
-    identity,
     standard_basis,
 )
 
@@ -45,10 +45,10 @@ def constant(h, t0=0.0, t1=1.0):
 
 class TestStandardBorn:
     def test_identity_same_state(self):
-        assert standard_born(identity(2), E0, E0) == 1.0
+        assert standard_born(UnitaryMatrix(np.eye(2)), E0, E0) == 1.0
 
     def test_identity_orthogonal(self):
-        assert standard_born(identity(2), E0, E1) == 0.0
+        assert standard_born(UnitaryMatrix(np.eye(2)), E0, E1) == 0.0
 
     def test_sigma_x_quarter(self):
         u = propagator(constant(SX, 0.0, QUARTER), F, 0.0, QUARTER)
@@ -67,16 +67,16 @@ class TestStandardBorn:
 
 class TestAblRule:
     def test_plus_postselection(self):
-        probs = abl_rule(identity(2), identity(2), E0, standard_basis(2), PLUS)
+        probs = abl_rule(UnitaryMatrix(np.eye(2)), UnitaryMatrix(np.eye(2)), E0, standard_basis(2), PLUS)
         np.testing.assert_allclose(probs, [1.0, 0.0], atol=1e-15)
 
     def test_symmetric_case(self):
-        probs = abl_rule(identity(2), identity(2), PLUS, standard_basis(2), PLUS)
+        probs = abl_rule(UnitaryMatrix(np.eye(2)), UnitaryMatrix(np.eye(2)), PLUS, standard_basis(2), PLUS)
         np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-15)
 
     def test_zero_denominator(self):
         with pytest.raises(ZeroDenominator):
-            abl_rule(identity(2), identity(2), E0, standard_basis(2), E1)
+            abl_rule(UnitaryMatrix(np.eye(2)), UnitaryMatrix(np.eye(2)), E0, standard_basis(2), E1)
 
 
 class TestExpectation:
@@ -130,7 +130,7 @@ class TestLineIntegral:
     def test_observed_order_at_least_3_5(self):
         sched = constant(SX, 0.0, QUARTER)
         h = make_history([FixedPoint(0.0, E0), FixedPoint(QUARTER, E1)])
-        closed = delta_psi_pair(sched, h.points[0], h.points[1])
+        closed = chain_delta_psi(sched, h.points).real
         errors = []
         for steps in (8, 16, 32):
             value, _ = contour_line_integral(sched, h, steps)
@@ -157,6 +157,13 @@ class TestLineIntegral:
         value, estimate = contour_line_integral(sched, make_history(pts), 512)
         assert abs(value - closed) <= estimate
         assert estimate <= 1e-6
+
+    def test_overflow_is_instance_too_large(self):
+        # a z:0 -> z:0 chain over 1e20 time units: the stepped map overflows
+        sched = constant(SX, 0.0, 1e20)
+        h = make_history([FixedPoint(0.0, E0), FixedPoint(5e19, PLUS), FixedPoint(1e20, E0)])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InstanceTooLarge):
+            contour_line_integral(sched, h, 512)
 
 
 def _rk4_stepping(h, psi, t_from, t_to, steps):
@@ -202,7 +209,7 @@ class TestTensorSink:
         got = tensor_sink_delta_psi(sched, h)
         assert got == pytest.approx(0.5, abs=1e-13)
         assert got == pytest.approx(
-            delta_psi_pair(sched, h.points[0], h.points[1]), abs=1e-12
+            chain_delta_psi(sched, h.points).real, abs=1e-12
         )
 
     @pytest.mark.parametrize("seed", range(8))
@@ -242,6 +249,12 @@ class TestSeriesPropagator:
             propagate(sched, F, ta, tb).mat,
             atol=1e-12,
         )
+
+    # 1e20 overflows in the squarings, 1e308 even the scaling factor 2**squarings
+    @pytest.mark.parametrize("span", [1e20, 1e308])
+    def test_overflow_is_instance_too_large(self, span):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InstanceTooLarge):
+            propagator(constant(SX, 0.0, span), F, 0.0, span)
 
 
 class TestIndependence:

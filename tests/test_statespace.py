@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpf.errors import DimensionMismatch, ValidationError
+from fpf.errors import ValidationError
 from fpf.statespace import (
     Basis,
     HermitianOperator,
@@ -12,7 +12,6 @@ from fpf.statespace import (
     basis_state,
     check_basis,
     expm_hermitian,
-    inner,
     standard_basis,
 )
 
@@ -30,35 +29,6 @@ def expm_taylor(mat, terms=60):
         term = term @ mat / k
         out = out + term
     return out
-
-
-def random_unit(rng, dim):
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return StateVector(v / np.linalg.norm(v))
-
-
-class TestInner:
-    def test_identity(self):
-        e0 = basis_state(2, 0)
-        assert inner(e0, e0) == 1 + 0j
-
-    def test_orthogonality(self):
-        assert inner(basis_state(2, 0), basis_state(2, 1)) == 0j
-
-    def test_plus_overlap(self):
-        plus = StateVector(np.array([1, 1]) / SQRT2)
-        assert inner(plus, basis_state(2, 0)) == pytest.approx(1 / SQRT2)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            inner(basis_state(2, 0), basis_state(3, 0))
-
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 6))
-    @settings(max_examples=50, deadline=None)
-    def test_conjugate_symmetry(self, seed, dim):
-        rng = np.random.default_rng(seed)
-        a, b = random_unit(rng, dim), random_unit(rng, dim)
-        assert inner(a, b) == np.conj(inner(b, a))
 
 
 class TestCheckBasis:
