@@ -105,7 +105,10 @@ class HamiltonianSchedule:
 def propagate(
     sched: HamiltonianSchedule, branch: Branch, t_from: float, t_to: float
 ) -> UnitaryMatrix:
-    """Unitary mapping states at t_from to states at t_to on the given branch."""
+    """Unitary mapping states at t_from to states at t_to on the given branch.
+
+    The factors are plain arrays; the product is checked for unitarity
+    once, here."""
     sched.require_coverage(t_from, t_to)
     if t_from == t_to:
         return UnitaryMatrix(np.eye(sched.dim, dtype=np.complex128))
@@ -114,7 +117,7 @@ def propagate(
     for piece in sched.pieces_for(branch):
         a, b = max(lo, piece.t_start), min(hi, piece.t_end)
         if b > a:
-            u = expm_hermitian(piece.hamiltonian, b - a).mat @ u
+            u = expm_hermitian(piece.hamiltonian, b - a) @ u
     if t_to < t_from:
         u = u.conj().T
     return UnitaryMatrix(u)

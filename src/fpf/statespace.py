@@ -3,12 +3,16 @@
 States, orthonormal bases, Hermitian generators, and unitaries are thin
 immutable wrappers around complex128 ndarrays; invariants are enforced at
 construction. Matrix exponentials of Hermitian generators go through the
-eigendecomposition, which keeps the result unitary to rounding.
+eigendecomposition, which keeps the result unitary to rounding. Each
+generator computes its eigendecomposition once, and the engine's
+exponentials are plain arrays: `dynamics.propagate` multiplies them and
+checks unitarity once, on the propagator it returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -78,6 +82,14 @@ class HermitianOperator:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues and eigenvectors (read-only), computed on first use."""
+        w, v = np.linalg.eigh(self.mat)
+        w.setflags(write=False)
+        v.setflags(write=False)
+        return w, v
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HermitianOperator):
@@ -169,11 +181,13 @@ def check_basis(elements: Iterable[StateVector]) -> bool:
     return float(np.max(np.abs(gram - np.eye(dim)))) <= active_tolerances().basis_orthonormal
 
 
-def expm_hermitian(h: HermitianOperator, s: float) -> UnitaryMatrix:
-    """exp(-i*s*h) by spectral synthesis of the Hermitian generator."""
-    w, v = np.linalg.eigh(h.mat)
+def expm_hermitian(h: HermitianOperator, s: float) -> np.ndarray:
+    """exp(-i*s*h) by spectral synthesis from the generator's cached
+    spectrum. The result is a plain array, unitary to rounding; the
+    propagator built from it is checked once, in `dynamics.propagate`."""
+    w, v = h.spectrum
     phases = np.exp(-1j * s * w)
-    return UnitaryMatrix((v * phases) @ v.conj().T)
+    return (v * phases) @ v.conj().T
 
 
 def unitarity_defect(mat: np.ndarray) -> float:

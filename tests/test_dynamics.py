@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import fpf.statespace
 from fpf.contour import Branch
 from fpf.dynamics import (
     HamiltonianSchedule,
@@ -9,8 +10,21 @@ from fpf.dynamics import (
     propagate,
 )
 from fpf.errors import CoverageError, ValidationError
-from fpf.scenario import random_schedule, random_state
-from fpf.statespace import HermitianOperator, basis_state, expm_hermitian, unitarity_defect
+from fpf.scenario import (
+    parse_scenario,
+    random_scenario,
+    random_schedule,
+    random_state,
+    run,
+    serialize_scenario,
+)
+from fpf.statespace import (
+    HermitianOperator,
+    UnitaryMatrix,
+    basis_state,
+    expm_hermitian,
+    unitarity_defect,
+)
 
 SX = HermitianOperator(np.array([[0, 1], [1, 0]], dtype=complex))
 SZ = HermitianOperator(np.array([[1, 0], [0, -1]], dtype=complex))
@@ -80,10 +94,10 @@ class TestPropagate:
             branch_override=(SchedulePiece(0.0, 1.0, SZ),),
         )
         np.testing.assert_allclose(
-            propagate(sched, F, 0.0, 1.0).mat, expm_hermitian(SX, 1.0).mat
+            propagate(sched, F, 0.0, 1.0).mat, expm_hermitian(SX, 1.0)
         )
         np.testing.assert_allclose(
-            propagate(sched, B, 0.0, 1.0).mat, expm_hermitian(SZ, 1.0).mat
+            propagate(sched, B, 0.0, 1.0).mat, expm_hermitian(SZ, 1.0)
         )
 
 
@@ -166,3 +180,44 @@ def test_refinement_leaves_propagator_unchanged(seed):
     u = propagate(sched, F, sched.t_start, sched.t_end)
     v = propagate(refined_sched, F, sched.t_start, sched.t_end)
     np.testing.assert_allclose(u.mat, v.mat, atol=1e-12)
+
+
+def count_calls(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records each call; returns the
+    list of recorded calls."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestWorkCounts:
+    """Each generator is diagonalized once per parsed scenario, and each
+    propagator is checked for unitarity once."""
+
+    @pytest.mark.parametrize("kind", ["born", "abl", "validate"])
+    @pytest.mark.parametrize("n_pieces", [1, 4])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_eigh_per_piece(self, monkeypatch, seed, n_pieces, kind):
+        # the queries of random scenarios touch every piece
+        scenario = parse_scenario(serialize_scenario(random_scenario(seed, 5, n_pieces, kind)))
+        calls = count_calls(monkeypatch, fpf.statespace.np.linalg, "eigh")
+        run(scenario)
+        assert len(calls) == n_pieces
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_unitarity_check_per_propagator(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        sched = random_schedule(rng, 4, 4)
+        ta, tb = sorted(rng.uniform(sched.t_start, sched.t_end, 2))
+        spans = [(sched.t_start, sched.t_end), (tb, ta), (ta, ta)]
+        calls = count_calls(monkeypatch, UnitaryMatrix, "__post_init__")
+        for t_from, t_to in spans:
+            for branch in (F, B):
+                propagate(sched, branch, t_from, t_to)
+        assert len(calls) == 2 * len(spans)

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fpf.oracle
 from fpf.contour import Branch
 from fpf.dynamics import HamiltonianSchedule, SchedulePiece, propagate
 from fpf.errors import InstanceTooLarge, ValidationError, ZeroDenominator
@@ -11,6 +12,7 @@ from fpf.histories import FixedPoint, make_history
 from fpf.measure import chain_delta_psi
 from fpf.oracle import (
     DensityMatrix,
+    _expm_series,
     _rk4_segment,
     abl_rule,
     contour_line_integral,
@@ -19,12 +21,13 @@ from fpf.oracle import (
     standard_born,
     tensor_sink_delta_psi,
 )
-from fpf.scenario import random_basis, random_schedule, random_state
+from fpf.scenario import random_basis, random_hermitian, random_schedule, random_state
 from fpf.statespace import (
     HermitianOperator,
     StateVector,
     UnitaryMatrix,
     basis_state,
+    expm_hermitian,
     standard_basis,
 )
 
@@ -255,6 +258,57 @@ class TestSeriesPropagator:
     def test_overflow_is_instance_too_large(self, span):
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InstanceTooLarge):
             propagator(constant(SX, 0.0, span), F, 0.0, span)
+
+
+def series_case(rng, dim, target):
+    """A random Hermitian h and a span s with ||-i s h||_1 == target
+    exactly, the norm taken as _expm_series takes it. The norm grows
+    monotonically with s, so stepping s by ulps finds the smallest span
+    that reaches target; a draw whose norm steps over target is redrawn."""
+
+    def norm(h, s):
+        return float(np.linalg.norm(-1j * s * h.mat, 1))
+
+    while True:
+        h = random_hermitian(rng, dim)
+        s = target / norm(h, 1.0)
+        while norm(h, s) < target:
+            s = np.nextafter(s, np.inf)
+        while s > 0 and norm(h, np.nextafter(s, 0.0)) >= target:
+            s = np.nextafter(s, 0.0)
+        if norm(h, s) == target:
+            return h, float(s)
+
+
+class TestSeriesExponential:
+    # 0.5 is the largest norm summed without squaring; the next float above
+    # it takes one squaring
+    NORMS = [0.0, 1e-10, 0.25, 0.5, float(np.nextafter(0.5, 1.0)), 3.0, 200.0]
+
+    @pytest.mark.parametrize("target", NORMS)
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_agrees_with_spectral_route(self, dim, target):
+        rng = np.random.default_rng(dim)
+        for _ in range(4):
+            h, s = series_case(rng, dim, target)
+            for span in (s, -s):
+                np.testing.assert_allclose(
+                    _expm_series(-1j * span * h.mat), expm_hermitian(h, span), rtol=0, atol=1e-13
+                )
+
+    @pytest.mark.parametrize("target", [0.25, 3.0, 200.0])
+    def test_one_norm_per_call(self, monkeypatch, target):
+        h, s = series_case(np.random.default_rng(0), 4, target)
+        calls = []
+        norm = fpf.oracle.np.linalg.norm
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return norm(*args, **kwargs)
+
+        monkeypatch.setattr(fpf.oracle.np.linalg, "norm", counted)
+        _expm_series(-1j * s * h.mat)
+        assert len(calls) <= 1
 
 
 class TestIndependence:

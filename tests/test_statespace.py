@@ -56,18 +56,18 @@ class TestCheckBasis:
 class TestExpmHermitian:
     def test_zero_generator(self):
         h = HermitianOperator(np.zeros((3, 3)))
-        np.testing.assert_array_equal(expm_hermitian(h, 2.7).mat, np.eye(3))
+        np.testing.assert_array_equal(expm_hermitian(h, 2.7), np.eye(3))
 
     def test_sigma_z_half_turn(self):
         u = expm_hermitian(HermitianOperator(SZ), np.pi)
-        np.testing.assert_allclose(u.mat, -np.eye(2), atol=1e-15)
-        np.testing.assert_allclose(u.mat, expm_taylor(-1j * np.pi * SZ), atol=1e-13)
+        np.testing.assert_allclose(u, -np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(u, expm_taylor(-1j * np.pi * SZ), atol=1e-13)
 
     def test_sigma_x_quarter(self):
         u = expm_hermitian(HermitianOperator(SX), np.pi / 4)
         closed = np.cos(np.pi / 4) * np.eye(2) - 1j * np.sin(np.pi / 4) * SX
-        np.testing.assert_allclose(u.mat, closed, atol=1e-15)
-        np.testing.assert_allclose(u.mat, expm_taylor(-1j * (np.pi / 4) * SX), atol=1e-14)
+        np.testing.assert_allclose(u, closed, atol=1e-15)
+        np.testing.assert_allclose(u, expm_taylor(-1j * (np.pi / 4) * SX), atol=1e-14)
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValidationError):
@@ -80,8 +80,8 @@ class TestExpmHermitian:
         a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         h = HermitianOperator((a + a.conj().T) / 2)
         s, t = rng.uniform(-10, 10, 2)
-        prod = expm_hermitian(h, s).mat @ expm_hermitian(h, t).mat
-        np.testing.assert_allclose(prod, expm_hermitian(h, s + t).mat, atol=1e-12)
+        prod = expm_hermitian(h, s) @ expm_hermitian(h, t)
+        np.testing.assert_allclose(prod, expm_hermitian(h, s + t), atol=1e-12)
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 8))
     @settings(max_examples=40, deadline=None)
@@ -91,7 +91,7 @@ class TestExpmHermitian:
         h = HermitianOperator((a + a.conj().T) / 2)
         s = float(rng.uniform(-10, 10))
         np.testing.assert_allclose(
-            expm_hermitian(h, s).mat.conj().T, expm_hermitian(h, -s).mat, atol=1e-12
+            expm_hermitian(h, s).conj().T, expm_hermitian(h, -s), atol=1e-12
         )
 
 
