@@ -10,11 +10,13 @@ neither side. A metric's direction (`better`) comes from the change
 checkout's BENCHMARK.json. `gain_rule_met` says whether the change won at
 least nine tenths of the pairs run, its median beat the parent's by more
 than the distance between the parent's quartiles, and no change run was
-incorrect or failed more calls than its parent run.
+incorrect or failed more calls than its parent run. Each `--traced`
+seed adds one `--trace 1` run per side, kept under `traced` with its
+per-layer metrics and left out of the pairs and the gain rule.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --pairs short-queries:1,2,3,90001 --pairs chain-oracle:1,2,3 \\
-        --out BENCH.json
+        --traced chain-oracle:1 --out BENCH.json
 
 Runs are serial, and the output file is rewritten after every run, so an
 interrupted sweep keeps what it measured.
@@ -40,8 +42,9 @@ def pair_spec(text: str) -> tuple[str, list[int]]:
     return workload, [int(s) for s in seeds.split(",")]
 
 
-def bench_once(checkout: Path, workload: str, seed: int) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
+def bench_once(checkout: Path, workload: str, seed: int, trace: bool = False) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--trace", "1" if trace else "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -107,13 +110,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--change", type=Path, default=Path("."), help="checkout of the change")
     parser.add_argument("--pairs", type=pair_spec, action="append", required=True,
                         metavar="WORKLOAD:SEEDS", help="one pair per seed (repeatable)")
+    parser.add_argument("--traced", type=pair_spec, action="append", default=[],
+                        metavar="WORKLOAD:SEEDS", help="one traced run per side and seed (repeatable)")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    doc = {"command": "perfbench/run.py --trace 0", "runs": [], "summary": {}}
+    doc = {"command": "perfbench/run.py --trace 0", "runs": [], "summary": {}, "traced": []}
     next_pair: dict[str, int] = {}
     for workload, seeds in args.pairs:
         for seed in seeds:
@@ -129,7 +134,14 @@ def main(argv: list[str] | None = None) -> int:
                       flush=True)
                 doc["summary"] = summarize(doc["runs"], better)
                 args.out.write_text(json.dumps(doc, indent=2) + "\n")
-    bad = [r for r in doc["runs"] if r["exit"] != 0 or not r["correct"] or r["failed"]]
+    for workload, seeds in args.traced:
+        for seed in seeds:
+            for side in SIDES:
+                result = bench_once(sides[side], workload, seed, trace=True)
+                doc["traced"].append({"workload": workload, "seed": seed, "side": side, **result})
+                print(f"{workload} seed {seed} {side}: traced, exit {result['exit']}", flush=True)
+                args.out.write_text(json.dumps(doc, indent=2) + "\n")
+    bad = [r for r in doc["runs"] + doc["traced"] if r["exit"] != 0 or not r["correct"] or r["failed"]]
     for workload, rows in doc["summary"].items():
         for name, row in rows.items():
             if "change_wins" in row:

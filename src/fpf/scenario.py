@@ -58,9 +58,11 @@ class Scenario:
     bases: dict[str, Basis]
     query: Query
     tolerance_overrides: dict[str, float] = field(default_factory=dict)
+    # built-in bases resolved so far, so each is built and checked once
+    builtins: dict[str, Basis | None] = field(default_factory=dict, repr=False, compare=False)
 
     def resolve_basis(self, name: str) -> Basis:
-        found = resolve_basis(name, self.dim, self.bases)
+        found = resolve_basis(name, self.dim, self.bases, self.builtins)
         if found is None:
             raise ValidationError(f"query references unknown basis {name!r}")
         return found
@@ -76,10 +78,16 @@ def builtin_basis(name: str, dim: int) -> Basis | None:
     return None
 
 
-def resolve_basis(name: str, dim: int, bases: dict[str, Basis]) -> Basis | None:
+def resolve_basis(
+    name: str, dim: int, bases: dict[str, Basis], builtins: dict[str, Basis | None]
+) -> Basis | None:
+    """The scenario's own basis `name`, else the built-in one, which is
+    built on first lookup and kept in `builtins`."""
     if name in bases:
         return bases[name]
-    return builtin_basis(name, dim)
+    if name not in builtins:
+        builtins[name] = builtin_basis(name, dim)
+    return builtins[name]
 
 
 # -- parsing -----------------------------------------------------------------
@@ -176,13 +184,13 @@ def _parse_pieces(value: Any, dim: int, path: str) -> tuple[SchedulePiece, ...]:
 
 
 def _parse_state(
-    value: Any, dim: int, bases: dict[str, Basis], path: str
+    value: Any, dim: int, bases: dict[str, Basis], builtins: dict[str, Basis | None], path: str
 ) -> StateVector:
     if isinstance(value, str):
         name, _, key = value.partition(":")
         if not key:
             raise SchemaError(f"{path}: state names look like 'basis:element'")
-        basis = resolve_basis(name, dim, bases)
+        basis = resolve_basis(name, dim, bases, builtins)
         if basis is None:
             raise ValidationError(f"{path}: unknown basis {name!r}")
         if basis.dim != dim:
@@ -339,6 +347,7 @@ def parse_scenario(source: Any) -> Scenario:
     fps_raw = raw.get("fixed_points", [])
     if not isinstance(fps_raw, list):
         raise SchemaError("scenario.fixed_points: expected a list")
+    builtins: dict[str, Basis | None] = {}
     fixed_points = []
     for i, item in enumerate(fps_raw):
         fpath = f"fixed_points[{i}]"
@@ -350,7 +359,7 @@ def parse_scenario(source: Any) -> Scenario:
                 f"{fpath}.time: {t} is outside schedule coverage "
                 f"[{schedule.t_start}, {schedule.t_end}]"
             )
-        state = _parse_state(_want(item, "state", fpath), dim, bases, fpath + ".state")
+        state = _parse_state(_want(item, "state", fpath), dim, bases, builtins, fpath + ".state")
         fixed_points.append(FixedPoint(t, state))
 
     query = _parse_query(_want(raw, "query", "scenario"), "query")
@@ -362,6 +371,7 @@ def parse_scenario(source: Any) -> Scenario:
         bases=bases,
         query=query,
         tolerance_overrides=overrides,
+        builtins=builtins,
     )
     _check_query(scenario)
     return scenario
@@ -405,7 +415,7 @@ def _check_query(s: Scenario) -> None:
         if any(not a < b for a, b in zip(q.times, q.times[1:])):
             raise ValidationError("network layer times must be strictly increasing")
         for name in q.layer_bases:
-            if resolve_basis(name, s.dim, s.bases) is None:
+            if resolve_basis(name, s.dim, s.bases, s.builtins) is None:
                 raise ValidationError(f"query.bases: unknown basis {name!r}")
 
 
@@ -418,7 +428,7 @@ def _check_covered(s: Scenario, t: float | None, path: str) -> None:
 
 
 def _check_outcome_basis(s: Scenario, name: str | None) -> None:
-    basis = resolve_basis(name, s.dim, s.bases) if name else None
+    basis = resolve_basis(name, s.dim, s.bases, s.builtins) if name else None
     if basis is None:
         raise ValidationError(f"query references unknown basis {name!r}")
     if basis.dim != s.dim:
@@ -694,7 +704,7 @@ def run(scenario: Scenario) -> ResultReport:
         report.max_deviation = max(abs(m - r) for m, r in zip(report.measures, report.oracle))
         return report
     if q.kind == "network":
-        layer_bases = [resolve_basis(n, scenario.dim, scenario.bases) for n in q.layer_bases]
+        layer_bases = [scenario.resolve_basis(n) for n in q.layer_bases]
         net = build_network(q.times, layer_bases)
         pairs = []
         expected = []

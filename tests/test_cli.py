@@ -362,6 +362,18 @@ class TestOverflow:
         assert code == 2 and out == ""
         _one_error_line(err, code_name)
 
+    def test_long_span_is_refused_before_the_oracle_decays(self, capsys, tmp_path):
+        # a z:0 -> z:0 chain over 1000 time units: at 256 coarse steps per
+        # 500-unit span ||h||_1*|dt| is 1.95, where both RK4 runs decay toward
+        # zero (the fine one to 4.5e-6, against a weight of 0.25) and agree
+        doc = _stretched("chain_sx_interior.json", 1000.0)
+        doc["fixed_points"][1] = {"time": 1000.0, "state": "z:0"}
+        doc["query"]["interior"][0]["time"] = 500.0
+        code, out, err = run_cli(capsys, "run", _write(tmp_path, doc))
+        assert code == 2 and out == ""
+        _one_error_line(err, "INSTANCE_TOO_LARGE")
+        assert "1.953e+00" in err
+
 
 class TestParserFuzz:
     REPLACEMENTS = ([1], 1, "x", None, {}, True, [])

@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 import fpf.oracle
-from fpf.contour import Branch
+from fpf.contour import Branch, build_path
 from fpf.dynamics import HamiltonianSchedule, SchedulePiece, propagate
 from fpf.errors import InstanceTooLarge, ValidationError, ZeroDenominator
 from fpf.histories import FixedPoint, make_history
 from fpf.measure import chain_delta_psi
 from fpf.oracle import (
+    RK4_STEP_NORM_BOUND,
     DensityMatrix,
+    _constant_spans,
     _expm_series,
     _rk4_segment,
     abl_rule,
@@ -162,11 +164,102 @@ class TestLineIntegral:
         assert estimate <= 1e-6
 
     def test_overflow_is_instance_too_large(self):
-        # a z:0 -> z:0 chain over 1e20 time units: the stepped map overflows
+        # a z:0 -> z:0 chain over 1e20 time units: the stepped map would overflow
         sched = constant(SX, 0.0, 1e20)
         h = make_history([FixedPoint(0.0, E0), FixedPoint(5e19, PLUS), FixedPoint(1e20, E0)])
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InstanceTooLarge):
             contour_line_integral(sched, h, 512)
+
+    def test_long_span_is_refused(self):
+        # 500-unit spans of sigma_x at 256 coarse steps: ||h||_1*|dt| = 1.95,
+        # where both resolutions decay toward zero (the fine one to 4.5e-6,
+        # against a weight of 0.25) and agree
+        sched = constant(SX, 0.0, 1000.0)
+        h = make_history([FixedPoint(0.0, E0), FixedPoint(500.0, PLUS), FixedPoint(1000.0, E0)])
+        with pytest.raises(InstanceTooLarge, match="1.953e"):
+            contour_line_integral(sched, h, 512)
+
+    def test_bound_is_inclusive_at_the_coarse_resolution(self):
+        # ||sigma_x||_1 = 1 and 2 steps leave one coarse step: |dt| is the span
+        def line_integral(span):
+            h = make_history([FixedPoint(0.0, E0), FixedPoint(span, E1)])
+            return contour_line_integral(constant(SX, 0.0, span), h, 2)
+
+        assert RK4_STEP_NORM_BOUND == 1.0
+        line_integral(1.0)
+        with pytest.raises(InstanceTooLarge):
+            line_integral(float(np.nextafter(1.0, 2.0)))
+
+
+def _per_span_line_integral(sched, history, steps):
+    """The line integral one span at a time, each span through
+    _rk4_segment, at steps and steps // 2, with the same estimate."""
+
+    def weight(n):
+        state_at = {p.t: p.state.amps for p in history.points}
+        value = complex(1.0)
+        for seg in build_path(history.times):
+            psi = state_at[seg.t_from]
+            spans = _constant_spans(sched, seg.branch, *seg.interval)
+            if seg.t_to < seg.t_from:
+                spans = [(h, b, a) for h, a, b in reversed(spans)]
+            for h, a, b in spans:
+                psi = _rk4_segment(h, psi, a, b, n)
+            value *= complex(np.vdot(state_at[seg.t_to], psi))
+        return value
+
+    fine, coarse = weight(steps), weight(steps // 2)
+    value = fine.real
+    estimate = abs(fine - coarse) + 64.0 * np.finfo(float).eps * (1.0 + abs(value))
+    return value, float(estimate)
+
+
+def random_chain(rng, slots, pieces, dim, override=False):
+    """A schedule (with a different backward branch if override) and a
+    history of random states at the ends and at `slots` interior times."""
+    sched = random_schedule(rng, dim, pieces)
+    if override:
+        backward = random_schedule(rng, dim, pieces).pieces
+        sched = HamiltonianSchedule(
+            sched.pieces,
+            tuple(SchedulePiece(p.t_start, p.t_end, q.hamiltonian) for p, q in zip(sched.pieces, backward)),
+        )
+    times = [sched.t_start, *sorted(rng.uniform(sched.t_start, sched.t_end, slots)), sched.t_end]
+    return sched, make_history([FixedPoint(float(t), random_state(rng, dim)) for t in times])
+
+
+class TestStackedLineIntegral:
+    """All spans of a resolution in one stacked power give the per-span
+    answer, and cost one powering per resolution."""
+
+    @pytest.mark.parametrize("override", [False, True])
+    def test_matches_per_span_reference(self, override):
+        rng = np.random.default_rng(2000 + override)
+        worst = 0.0
+        for _ in range(80):
+            slots, pieces, dim = int(rng.integers(0, 9)), int(rng.integers(1, 5)), int(rng.integers(1, 9))
+            sched, history = random_chain(rng, slots, pieces, dim, override)
+            for steps in (512, 64):
+                got = contour_line_integral(sched, history, steps)
+                want = _per_span_line_integral(sched, history, steps)
+                worst = max(worst, abs(got[0] - want[0]), abs(got[1] - want[1]))
+        print(f"worst |stacked - per-span| over value and estimate: {worst:.3e}")
+        assert worst <= 1e-15, worst
+
+    @pytest.mark.parametrize("slots, pieces", [(0, 1), (1, 4), (3, 2), (8, 3)])
+    def test_one_stacked_power_per_resolution(self, monkeypatch, slots, pieces):
+        sched, history = random_chain(np.random.default_rng(slots), slots, pieces, 3)
+        n_spans = sum(len(_constant_spans(sched, s.branch, *s.interval)) for s in build_path(history.times))
+        calls = []
+        maps = fpf.oracle._rk4_maps
+
+        def counted(a, steps):
+            calls.append((a.shape, steps))
+            return maps(a, steps)
+
+        monkeypatch.setattr(fpf.oracle, "_rk4_maps", counted)
+        contour_line_integral(sched, history, 512)
+        assert calls == [((n_spans, 3, 3), 512), ((n_spans, 3, 3), 256)]
 
 
 def _rk4_stepping(h, psi, t_from, t_to, steps):

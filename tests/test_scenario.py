@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpf import scenario as scenario_module
+from fpf.cli import main
 from fpf.errors import SchemaError, ScenarioSyntaxError, ValidationError
 from fpf.scenario import (
     QUERY_KINDS,
@@ -197,6 +198,50 @@ class TestRunReports:
 
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+class TestBuiltinBases:
+    """A built-in basis is built and checked once per parsed scenario."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        build = scenario_module.standard_basis
+
+        def counted(dim):
+            calls.append(dim)
+            return build(dim)
+
+        monkeypatch.setattr(scenario_module, "standard_basis", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "name, code",
+        [
+            ("born_sx_quarter", 0),
+            ("chain_sx_interior", 0),
+            ("abl_plus_postselection", 0),
+            ("network_2x3", 0),
+            ("abl_impossible", 3),
+        ],
+    )
+    def test_one_build_per_run(self, builds, capsys, name, code):
+        assert main(["run", str(SCENARIOS / f"{name}.json")]) == code
+        assert len(builds) == 1
+        assert main(["run", str(SCENARIOS / f"{name}.json")]) == code
+        assert len(builds) == 2  # nothing is kept from one run to the next
+
+    def test_each_run_checks_under_its_own_tolerances(self, capsys):
+        # the x basis has a Gram defect of 2.2e-16: accepted by default,
+        # rejected at basis_orthonormal 0, whatever ran before
+        path = str(SCENARIOS / "chain_sx_interior.json")
+        assert main(["run", path]) == 0
+        capsys.readouterr()
+        assert main(["run", path, "--tol-override", "basis_orthonormal=0"]) == 2
+        assert capsys.readouterr().err.startswith("VALIDATION_ERROR: basis elements are not orthonormal")
+        assert main(["run", path]) == 0
+
+
 S = 1 / math.sqrt(2)
 
 

@@ -38,6 +38,14 @@ def test_convergence_study_is_fourth_order():
     assert min(orders) >= 3.5, out
 
 
+def test_convergence_study_reports_refused_step_counts():
+    # at dim 8, 8 steps (4 coarse) exceed the oracle's step bound; 16 do not
+    out = run_script("convergence_study.py", "--dim", "8", "--max-steps", "16")
+    rows = [line.split() for line in out.splitlines() if line.split()[:1] in (["8"], ["16"])]
+    assert [cols[:2] for cols in rows if cols[1] == "refused:"] == [["8", "refused:"]] * 2, out
+    assert [cols[0] for cols in rows if len(cols) == 5] == ["16", "16"], out
+
+
 def test_oracle_sweep_runs_chains():
     out = run_script("oracle_sweep.py", "--seeds", "20", "--kinds", "chain")
     assert "chain: worst deviation" in out, out
@@ -139,3 +147,28 @@ def test_bench_pairs_numbers_pairs_per_workload_across_options(tmp_path, monkeyp
     assert [c[0] for c in calls if c[1] == "w"] == ["parent", "change", "change", "parent",
                                                      "parent", "change"]
     assert doc["summary"]["w"]["queries_per_s"]["pairs"] == 3
+
+
+def test_bench_pairs_keeps_traced_runs_out_of_the_pairs(tmp_path, monkeypatch):
+    bench_pairs = _bench_pairs()
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "queries_per_s", "better": "higher"}]}')
+    calls = []
+
+    def fake_bench_once(checkout, workload, seed, trace=False):
+        calls.append((checkout.name, workload, seed, trace))
+        return {"exit": 0, "correct": True, "attempted": 1, "failed": 0,
+                "metrics": {"queries_per_s": 100.0 + trace}}
+
+    monkeypatch.setattr(bench_pairs, "bench_once", fake_bench_once)
+    out = tmp_path / "out.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                             "--pairs", "w:1", "--traced", "w:5", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert [c for c in calls if c[3]] == [("parent", "w", 5, True), ("change", "w", 5, True)]
+    assert [(r["side"], r["seed"], r["metrics"]["queries_per_s"]) for r in doc["traced"]] == [
+        ("parent", 5, 101.0), ("change", 5, 101.0)]
+    assert [r["seed"] for r in doc["runs"]] == [1, 1]
+    assert doc["summary"]["w"]["queries_per_s"]["pairs"] == 1
