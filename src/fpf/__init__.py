@@ -57,8 +57,6 @@ from .statespace import (
     HermitianOperator,
     StateVector,
     UnitaryMatrix,
-    basis_state,
-    check_basis,
     expm_hermitian,
     standard_basis,
 )

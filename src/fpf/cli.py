@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, FpfError, NumericalCheckFailure, ValidationError
+from .errors import FpfError, ValidationError
 from .scenario import (
     QUERY_KINDS,
     decode_scenario,
@@ -126,23 +126,10 @@ def main(argv: list[str] | None = None) -> int:
         # unitarity checks, which report them as one error line
         with np.errstate(over="ignore", invalid="ignore"):
             return _command(args)
-    except NumericalCheckFailure as exc:
-        _report_error(exc)
-        return 4
-    except DomainError as exc:
-        _report_error(exc)
-        return 3
-    except ValidationError as exc:
-        _report_error(exc)
-        return 2
-    except FpfError as exc:  # uncategorized engine error: treat as internal
-        _report_error(exc)
-        return 4
-
-
-def _report_error(exc: FpfError) -> None:
-    message = " ".join(str(exc).split())
-    print(f"{exc.code}: {message}", file=sys.stderr)
+    except FpfError as exc:
+        message = " ".join(str(exc).split())
+        print(f"{exc.code}: {message}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,23 +1,27 @@
 """Exception hierarchy shared across the engine.
 
-Three families matter for the CLI exit protocol: validation errors (bad
-input, exit 2), domain errors (well-formed input whose query has no
-answer, exit 3), and internal numerical check failures (exit 4).
+Three families matter for the CLI exit protocol, and each carries its exit
+status as `exit_code`: validation errors (bad input, exit 2), domain
+errors (well-formed input whose query has no answer, exit 3), and
+internal numerical check failures (exit 4).
 """
 
 from __future__ import annotations
 
 
 class FpfError(Exception):
-    """Base class for all engine errors."""
+    """Base class for all engine errors. exit_code is the CLI's exit status
+    for the family; an uncategorized engine error counts as internal."""
 
     code = "FPF_ERROR"
+    exit_code = 4
 
 
 # -- validation family: malformed or inconsistent inputs (exit 2) -----------
 
 class ValidationError(FpfError):
     code = "VALIDATION_ERROR"
+    exit_code = 2
 
 
 class ScenarioSyntaxError(ValidationError):
@@ -64,6 +68,7 @@ class InstanceTooLarge(ValidationError):
 
 class DomainError(FpfError):
     code = "DOMAIN_ERROR"
+    exit_code = 3
 
 
 class RealnessViolation(DomainError):
@@ -96,3 +101,4 @@ class NumericalCheckFailure(FpfError):
     """A self-consistency check failed; results cannot be trusted."""
 
     code = "NUMERICAL_CHECK_FAILURE"
+    exit_code = 4

@@ -35,7 +35,7 @@ from .errors import (
     ValidationError,
 )
 from .histories import FixedPoint
-from .statespace import Basis, StateVector
+from .statespace import Basis
 from .tolerances import Tolerances, active_tolerances
 
 MAX_JOINTS = 1 << 16  # joint outcomes one chain may enumerate
@@ -79,9 +79,10 @@ class MeasureResult:
 
 
 def _joint_weights(
-    sched: HamiltonianSchedule, slots: Sequence[tuple[float, Sequence[StateVector]]]
+    sched: HamiltonianSchedule, slots: Sequence[tuple[float, np.ndarray]]
 ) -> np.ndarray:
-    """Raw complex weights of every joint assignment of the slots' states.
+    """Raw complex weights of every joint assignment of the slots' states,
+    each slot holding its candidate states as the rows of a 2-D array.
 
     Entry [i_0, ..., i_n] is the product over consecutive slots of the
     forward amplitude <a_k|U_F|a_{k-1}> and the backward amplitude
@@ -93,11 +94,10 @@ def _joint_weights(
     joints = math.prod(len(states) for _, states in slots)
     if joints > MAX_JOINTS:
         raise InstanceTooLarge(f"{joints} joint outcomes exceed the limit of {MAX_JOINTS}")
-    rows = [np.array([s.amps for s in states]) for _, states in slots]
-    if any(r.shape[1] != sched.dim for r in rows):
+    if any(states.shape[1] != sched.dim for _, states in slots):
         raise DimensionMismatch(f"slot states must have the schedule's dim {sched.dim}")
-    weights = np.ones(len(rows[0]), dtype=np.complex128)
-    for (t_a, _), (t_b, _), a, b in zip(slots, slots[1:], rows, rows[1:]):
+    weights = np.ones(len(slots[0][1]), dtype=np.complex128)
+    for (t_a, a), (t_b, b) in zip(slots, slots[1:]):
         u_f = propagate(sched, Branch.FORWARD, t_a, t_b).mat
         if sched.branch_override is None:
             u_b = u_f.conj().T  # what propagate builds for the shared pieces
@@ -113,7 +113,7 @@ def chain_delta_psi(sched: HamiltonianSchedule, points: Sequence[FixedPoint]) ->
     """Raw, possibly complex history weight: the product over consecutive
     pairs of forward and backward amplitudes. Diagnostic entry point; no
     realness filtering, no normalization."""
-    return complex(_joint_weights(sched, [(p.t, (p.state,)) for p in points]).item())
+    return complex(_joint_weights(sched, [(p.t, p.state.amps[None]) for p in points]).item())
 
 
 def _real_weight(values: np.ndarray, tols: Tolerances) -> np.ndarray:
@@ -163,9 +163,9 @@ def chain_measure(
     a sink with one slot the ABL measure, a sink with none the pair
     weight."""
     src, snk = endpoints
-    slots = [(src.t, (src.state,)), *((float(t), basis) for t, basis in interior)]
+    slots = [(src.t, src.state.amps[None]), *((float(t), basis.rows) for t, basis in interior)]
     if snk is not None:
-        slots.append((snk.t, (snk.state,)))
+        slots.append((snk.t, snk.state.amps[None]))
     if any(a >= b for (a, _), (b, _) in zip(slots, slots[1:])):
         raise ValidationError("slot times must increase strictly from source to sink")
     if selection is not None:

@@ -72,9 +72,7 @@ def builtin_basis(name: str, dim: int) -> Basis | None:
     if name == "z":
         return standard_basis(dim)
     if name == "x" and dim == 2:
-        plus = StateVector(np.array([1.0, 1.0]) / _SQRT2)
-        minus = StateVector(np.array([1.0, -1.0]) / _SQRT2)
-        return Basis((plus, minus))
+        return Basis(np.array([[1.0, 1.0], [1.0, -1.0]]) / _SQRT2)
     return None
 
 
@@ -99,13 +97,22 @@ def _want(obj: dict, key: str, path: str) -> Any:
     return obj[key]
 
 
-def _number(value: Any, path: str) -> float:
+def _real(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{path}: expected a number, got {type(value).__name__}")
     try:
         return float(value)
     except OverflowError:
         raise SchemaError(f"{path}: integer beyond float range") from None
+
+
+def _number(value: Any, path: str) -> float:
+    """A time: a finite real number. Array entries are read by `_real`;
+    their finiteness is checked by the wrapper they build."""
+    number = _real(value, path)
+    if not math.isfinite(number):
+        raise ValidationError(f"{path}: expected a finite number, got {number!r}")
+    return number
 
 
 _LEAF_TYPES = {int, float}
@@ -138,7 +145,7 @@ def _complex_array(value: Any, shape: tuple[int, ...]) -> np.ndarray | None:
 def _complex_pair(value: Any, path: str) -> complex:
     if not (isinstance(value, list) and len(value) == 2):
         raise SchemaError(f"{path}: complex values are [re, im] pairs")
-    return complex(_number(value[0], path + "[0]"), _number(value[1], path + "[1]"))
+    return complex(_real(value[0], path + "[0]"), _real(value[1], path + "[1]"))
 
 
 def _vector_entries(value: Any, dim: int, path: str) -> np.ndarray:
@@ -205,7 +212,11 @@ def _parse_state(
         if not 0 <= index < len(basis):
             raise ValidationError(f"{path}: element {index} out of range for {name!r}")
         return basis[index]
-    state = StateVector(_vector(value, dim, path))
+    amps = _vector(value, dim, path)
+    try:
+        state = StateVector(amps)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
     if not state.is_normalized():
         raise ValidationError(f"{path}: state norm is {state.norm!r}, not 1")
     return state
@@ -337,10 +348,9 @@ def parse_scenario(source: Any) -> Scenario:
         size = len(value)
         rows = _complex_array(value, (size, size))
         if rows is None:
-            rows = (_vector_entries(v, size, f"{bpath}[{i}]") for i, v in enumerate(value))
-        vectors = [StateVector(row) for row in rows]
+            rows = [_vector_entries(v, size, f"{bpath}[{i}]") for i, v in enumerate(value)]
         try:
-            bases[name] = Basis(tuple(vectors))
+            bases[name] = Basis(rows)
         except ValidationError as exc:
             raise ValidationError(f"{bpath}: {exc}") from exc
 
@@ -410,8 +420,6 @@ def _check_query(s: Scenario) -> None:
     elif q.kind == "network":
         if len(q.times) < 2 or len(q.times) != len(q.layer_bases):
             raise ValidationError("network queries need matching times and bases, two or more")
-        if not all(math.isfinite(t) for t in q.times):
-            raise ValidationError("query.times: network layer times must be finite")
         if any(not a < b for a, b in zip(q.times, q.times[1:])):
             raise ValidationError("network layer times must be strictly increasing")
         for name in q.layer_bases:
@@ -494,7 +502,7 @@ def serialize_scenario(s: Scenario) -> str:
             for p in s.fixed_points
         ],
         "bases": {
-            name: [[_dump_complex(z) for z in e.amps] for e in basis]
+            name: [[_dump_complex(z) for z in row] for row in basis.rows]
             for name, basis in sorted(s.bases.items())
         },
         "query": _dump_query(s.query),
@@ -514,7 +522,7 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> HermitianOperator:
 def random_basis(rng: np.random.Generator, dim: int) -> Basis:
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, _ = np.linalg.qr(a)
-    return Basis(tuple(StateVector(q[:, k]) for k in range(dim)))
+    return Basis(q.T)
 
 
 def random_state(rng: np.random.Generator, dim: int) -> StateVector:

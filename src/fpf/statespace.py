@@ -2,27 +2,27 @@
 
 States, orthonormal bases, Hermitian generators, and unitaries are thin
 immutable wrappers around complex128 ndarrays; invariants are enforced at
-construction. Matrix exponentials of Hermitian generators go through the
-eigendecomposition, which keeps the result unitary to rounding. Each
-generator computes its eigendecomposition once, and the engine's
-exponentials are plain arrays: `dynamics.propagate` multiplies them and
-checks unitarity once, on the propagator it returns.
+construction; a basis is one matrix, one row per element. Matrix
+exponentials of Hermitian generators go through the eigendecomposition,
+which keeps the result unitary to rounding. Each generator computes its
+eigendecomposition once, and the engine's exponentials are plain arrays:
+`dynamics.propagate` multiplies them and checks unitarity once, on the
+propagator it returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
-from .errors import DimensionMismatch, ValidationError
+from .errors import ValidationError
 from .tolerances import active_tolerances
 
 
-def _frozen_array(data, *, ndim: int, what: str) -> np.ndarray:
-    arr = np.array(data, dtype=np.complex128, copy=True)
+def _frozen_array(data, *, ndim: int, what: str, order: str = "K") -> np.ndarray:
+    arr = np.array(data, dtype=np.complex128, copy=True, order=order)
     if arr.ndim != ndim or arr.size == 0:
         raise ValidationError(f"{what} must be a nonempty {ndim}-D complex array")
     if not np.all(np.isfinite(arr)):
@@ -125,60 +125,42 @@ class UnitaryMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Basis:
-    """Complete orthonormal basis: exactly dim elements, Gram matrix = I."""
+    """Complete orthonormal basis held as one read-only (d, d) matrix whose
+    rows are its elements: Gram matrix rows* rows^T = I within the active
+    basis_orthonormal tolerance. Indexing and iteration give the rows as
+    StateVectors."""
 
-    elements: tuple[StateVector, ...]
+    rows: np.ndarray
 
     def __post_init__(self):
-        elems = tuple(self.elements)
-        if not elems:
-            raise ValidationError("basis needs at least one element")
-        dim = elems[0].dim
-        if any(e.dim != dim for e in elems):
-            raise DimensionMismatch("basis elements have differing dimensions")
-        if len(elems) != dim:
+        rows = _frozen_array(self.rows, ndim=2, what="basis", order="C")
+        dim = rows.shape[1]
+        if rows.shape[0] != dim:
             raise ValidationError(
-                f"basis of a {dim}-dimensional space needs {dim} elements, got {len(elems)}"
+                f"basis of a {dim}-dimensional space needs {dim} elements, got {rows.shape[0]}"
             )
-        if not check_basis(elems):
+        gram = rows.conj() @ rows.T
+        if float(np.max(np.abs(gram - np.eye(dim)))) > active_tolerances().basis_orthonormal:
             raise ValidationError("basis elements are not orthonormal within tolerance")
-        object.__setattr__(self, "elements", elems)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def dim(self) -> int:
-        return self.elements[0].dim
+        return self.rows.shape[0]
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.rows.shape[0]
 
     def __iter__(self):
-        return iter(self.elements)
+        return (StateVector(row) for row in self.rows)
 
     def __getitem__(self, i: int) -> StateVector:
-        return self.elements[i]
+        return StateVector(self.rows[i])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Basis):
             return NotImplemented
-        return self.elements == other.elements
-
-
-def check_basis(elements: Iterable[StateVector]) -> bool:
-    """True iff the elements form a complete orthonormal basis within the
-    active basis_orthonormal tolerance.
-
-    Returns False on any failure (wrong count, non-orthonormal); validating
-    wrappers such as Basis raise instead.
-    """
-    elems = list(elements)
-    if not elems:
-        return False
-    dim = elems[0].dim
-    if len(elems) != dim or any(e.dim != dim for e in elems):
-        return False
-    rows = np.vstack([e.amps for e in elems])
-    gram = rows.conj() @ rows.T
-    return float(np.max(np.abs(gram - np.eye(dim)))) <= active_tolerances().basis_orthonormal
+        return np.array_equal(self.rows, other.rows)
 
 
 def expm_hermitian(h: HermitianOperator, s: float) -> np.ndarray:
@@ -194,13 +176,5 @@ def unitarity_defect(mat: np.ndarray) -> float:
     return float(np.linalg.norm(mat.conj().T @ mat - np.eye(mat.shape[0])))
 
 
-def basis_state(dim: int, k: int) -> StateVector:
-    if not 0 <= k < dim:
-        raise ValidationError(f"basis index {k} out of range for dim {dim}")
-    amps = np.zeros(dim, dtype=np.complex128)
-    amps[k] = 1.0
-    return StateVector(amps)
-
-
 def standard_basis(dim: int) -> Basis:
-    return Basis(tuple(basis_state(dim, k) for k in range(dim)))
+    return Basis(np.eye(dim))

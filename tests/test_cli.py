@@ -5,8 +5,9 @@ from pathlib import Path
 import pytest
 
 import fpf.cli
+import fpf.errors
 from fpf.cli import main
-from fpf.errors import FpfError
+from fpf.errors import DomainError, FpfError, ValidationError
 from fpf.scenario import parse_scenario, random_scenario, serialize_scenario
 from fpf.tolerances import tolerance_overrides
 
@@ -291,6 +292,62 @@ class TestInputRobustness:
         _one_error_line(err, "VALIDATION_ERROR")
         assert "hamiltonian.pieces[0]" in err
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "base, keys",
+        [
+            ("born", ("hamiltonian", "pieces", 0, "t_start")),
+            ("born", ("hamiltonian", "pieces", 0, "t_end")),
+            ("override", ("hamiltonian", "branch_override", 0, "t_start")),
+            ("override", ("hamiltonian", "branch_override", 0, "t_end")),
+            ("born", ("fixed_points", 0, "time")),
+            ("born", ("query", "time")),
+            ("validate", ("hamiltonian", "pieces", 0, "t_start")),
+            ("chain", ("query", "interior", 0, "time")),
+        ],
+        ids=lambda v: v if isinstance(v, str) else ".".join(map(str, v)),
+    )
+    def test_non_finite_times_are_rejected(self, capsys, tmp_path, command, value, base, keys):
+        # every time field other than the network layer times, which
+        # TestNetwork covers: one line naming the field, exit 2
+        if base == "chain":
+            doc = json.loads((SCENARIOS / "chain_sx_interior.json").read_text())
+        else:
+            doc = _born_doc(query={"kind": "validate"}) if base == "validate" else _born_doc()
+            if base == "override":
+                doc["hamiltonian"]["branch_override"] = json.loads(
+                    json.dumps(doc["hamiltonian"]["pieces"])
+                )
+        *parents, last = keys
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys).lstrip(".")
+        code, out, err = run_cli(capsys, command, _write(tmp_path, doc))
+        assert (code, out) == (2, "")
+        assert err == f"VALIDATION_ERROR: {path}: expected a finite number, got {value!r}\n"
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (
+                {"fixed_points": [{"time": 0.0, "state": [[float("nan"), 0.0], [0.0, 0.0]]}]},
+                "fixed_points[0].state: state vector contains non-finite entries",
+            ),
+            (
+                {"bases": {"m": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [float("inf"), 0.0]]]}},
+                "bases.m: basis contains non-finite entries",
+            ),
+        ],
+        ids=["state", "basis"],
+    )
+    def test_non_finite_entry_names_its_field(self, capsys, tmp_path, command, changes, message):
+        code, out, err = run_cli(capsys, command, _write(tmp_path, _born_doc(**changes)))
+        assert (code, out, err) == (2, "", f"VALIDATION_ERROR: {message}\n")
+
     def test_joint_count_guard(self, capsys, tmp_path):
         # 2**17 joint outcomes: twice the enumeration limit
         doc = _born_doc(
@@ -373,6 +430,30 @@ class TestOverflow:
         assert code == 2 and out == ""
         _one_error_line(err, "INSTANCE_TOO_LARGE")
         assert "1.953e+00" in err
+
+
+class TestExitCodes:
+    def test_each_family_carries_its_exit_code(self):
+        families = [
+            cls for cls in vars(fpf.errors).values()
+            if isinstance(cls, type) and issubclass(cls, FpfError)
+        ]
+        assert len(families) == 16
+        for cls in families:
+            if issubclass(cls, ValidationError):
+                assert cls.exit_code == 2, cls
+            elif issubclass(cls, DomainError):
+                assert cls.exit_code == 3, cls
+            else:
+                assert cls.exit_code == 4, cls
+
+    def test_uncategorized_engine_error_is_internal(self, capsys, monkeypatch):
+        def fail(scenario):
+            raise FpfError("unexpected\n  state")
+
+        monkeypatch.setattr(fpf.cli, "run", fail)
+        code, out, err = run_cli(capsys, "run", str(SCENARIOS / "born_sx_quarter.json"))
+        assert (code, out, err) == (4, "", "FPF_ERROR: unexpected state\n")
 
 
 class TestParserFuzz:

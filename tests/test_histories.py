@@ -11,9 +11,9 @@ from fpf.errors import (
     ValidationError,
 )
 from fpf.histories import FixedPoint, build_network, make_history
-from fpf.statespace import StateVector, basis_state, standard_basis
+from fpf.statespace import StateVector, standard_basis
 
-E0, E1 = basis_state(2, 0), basis_state(2, 1)
+E0, E1 = standard_basis(2)
 
 
 class TestMakeHistory:
@@ -36,7 +36,7 @@ class TestMakeHistory:
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
-            make_history([FixedPoint(0.0, E0), FixedPoint(1.0, basis_state(3, 0))])
+            make_history([FixedPoint(0.0, E0), FixedPoint(1.0, standard_basis(3)[0])])
 
     def test_unnormalized_rejected(self):
         crooked = StateVector(np.array([0.5, 0.5]))

@@ -24,7 +24,6 @@ from fpf.statespace import (
     Basis,
     HermitianOperator,
     StateVector,
-    basis_state,
     standard_basis,
 )
 
@@ -32,7 +31,7 @@ SQRT2 = np.sqrt(2.0)
 QUARTER = float(np.pi / 4)
 SX = HermitianOperator(np.array([[0, 1], [1, 0]], dtype=complex))
 ZERO2 = HermitianOperator(np.zeros((2, 2)))
-E0, E1 = basis_state(2, 0), basis_state(2, 1)
+E0, E1 = standard_basis(2)
 PLUS = StateVector(np.array([1, 1]) / SQRT2)
 
 F, B = Branch.FORWARD, Branch.BACKWARD
@@ -127,7 +126,7 @@ class TestBornMeasure:
         # a "basis" that misses the evolved state entirely cannot arise from
         # the Basis type, so feed the measure a crafted incomplete stand-in
         lying = Basis.__new__(Basis)
-        object.__setattr__(lying, "elements", (E1,))
+        object.__setattr__(lying, "rows", E1.amps[None])
         with pytest.raises(DegenerateNormalizer):
             born_measure(FREE, FixedPoint(0.0, E0), 1.0, lying)
 
@@ -206,7 +205,7 @@ class TestChainMeasure:
         u = propagate(sched, F, 0.0, t)
         evolved = StateVector(u.mat @ pre.state.amps)
         perp = StateVector(np.array([-np.conj(evolved.amps[1]), np.conj(evolved.amps[0])]))
-        outcomes = Basis((evolved, perp))
+        outcomes = Basis(np.array([evolved.amps, perp.amps]))
         res = chain_measure(sched, (pre, post), [(t, outcomes)], [0])
         pair = chain_delta_psi(sched, (pre, post)).real
         assert res.delta_psi[res.selected] == pytest.approx(pair, abs=1e-12)
@@ -316,7 +315,7 @@ class TestMeasureSymmetries:
         outcomes = random_basis(rng, 4)
         res = born_measure(sched, prep, sched.t_end, outcomes)
         perm = [2, 0, 3, 1]
-        shuffled = Basis(tuple(outcomes[i] for i in perm))
+        shuffled = Basis(outcomes.rows[perm])
         res_p = born_measure(sched, prep, sched.t_end, shuffled)
         np.testing.assert_allclose(res_p.measures, res.measures[perm], atol=1e-14)
 

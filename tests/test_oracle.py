@@ -28,7 +28,6 @@ from fpf.statespace import (
     HermitianOperator,
     StateVector,
     UnitaryMatrix,
-    basis_state,
     expm_hermitian,
     standard_basis,
 )
@@ -38,7 +37,7 @@ QUARTER = float(np.pi / 4)
 SX = HermitianOperator(np.array([[0, 1], [1, 0]], dtype=complex))
 SZ = HermitianOperator(np.array([[1, 0], [0, -1]], dtype=complex))
 ZERO2 = HermitianOperator(np.zeros((2, 2)))
-E0, E1 = basis_state(2, 0), basis_state(2, 1)
+E0, E1 = standard_basis(2)
 PLUS = StateVector(np.array([1, 1]) / SQRT2)
 
 F = Branch.FORWARD

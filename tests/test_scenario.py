@@ -16,6 +16,7 @@ from fpf.scenario import (
     run,
     serialize_scenario,
 )
+from fpf.statespace import StateVector
 
 QUARTER = math.pi / 4
 ZERO2 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
@@ -240,6 +241,36 @@ class TestBuiltinBases:
         assert main(["run", path, "--tol-override", "basis_orthonormal=0"]) == 2
         assert capsys.readouterr().err.startswith("VALIDATION_ERROR: basis elements are not orthonormal")
         assert main(["run", path]) == 0
+
+
+class TestBasisRows:
+    """A basis is one checked matrix: parsing wraps explicit states in
+    StateVectors, never the rows of a basis."""
+
+    @pytest.fixture
+    def wrapped(self, monkeypatch):
+        calls = []
+        init = StateVector.__post_init__
+
+        def counted(self):
+            calls.append(self)
+            init(self)
+
+        monkeypatch.setattr(StateVector, "__post_init__", counted)
+        return calls
+
+    def test_network_file_wraps_no_state(self, wrapped):
+        s = parse_scenario((SCENARIOS / "network_2x3.json").read_bytes())
+        assert s.bases["triple"].rows.shape == (3, 3)
+        assert wrapped == []
+
+    @pytest.mark.parametrize("dim", [2, 5, 8])
+    def test_custom_basis_file_wraps_only_its_preparation(self, wrapped, dim):
+        text = serialize_scenario(random_scenario(3, dim, 2, "born"))
+        wrapped.clear()
+        s = parse_scenario(text)
+        assert s.bases["m"].rows.shape == (dim, dim)
+        assert len(wrapped) == 1
 
 
 S = 1 / math.sqrt(2)

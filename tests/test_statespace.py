@@ -9,8 +9,6 @@ from fpf.statespace import (
     HermitianOperator,
     StateVector,
     UnitaryMatrix,
-    basis_state,
-    check_basis,
     expm_hermitian,
     standard_basis,
 )
@@ -32,25 +30,44 @@ def expm_taylor(mat, terms=60):
 
 
 class TestCheckBasis:
+    """The Gram check in Basis's constructor: the rows of a (d, d) array
+    must be orthonormal within basis_orthonormal."""
+
     def test_standard_dim4(self):
-        assert check_basis(standard_basis(4).elements)
+        basis = standard_basis(4)
+        np.testing.assert_array_equal(basis.rows, np.eye(4))
+        assert basis.dim == len(basis) == 4
 
     def test_repeated_vector(self):
-        e0 = basis_state(2, 0)
-        assert not check_basis([e0, e0])
+        with pytest.raises(ValidationError, match="not orthonormal"):
+            Basis(np.array([[1.0, 0.0], [1.0, 0.0]]))
 
     def test_hadamard_pair(self):
-        plus = StateVector(np.array([1, 1]) / SQRT2)
-        minus = StateVector(np.array([1, -1]) / SQRT2)
-        assert check_basis([plus, minus])
+        basis = Basis(np.array([[1, 1], [1, -1]]) / SQRT2)
+        plus, minus = basis
+        assert plus == StateVector(np.array([1, 1]) / SQRT2)
+        assert basis[1] == minus == StateVector(np.array([1, -1]) / SQRT2)
 
     def test_incomplete_set(self):
-        assert not check_basis([basis_state(3, 0), basis_state(3, 1)])
+        with pytest.raises(ValidationError, match="needs 3 elements, got 2"):
+            Basis(np.eye(3)[:2])
 
     def test_basis_type_raises_on_bad_input(self):
-        e0 = basis_state(2, 0)
-        with pytest.raises(ValidationError):
-            Basis((e0, e0))
+        for rows, message in [
+            (np.array([1.0, 0.0]), "nonempty 2-D"),
+            (np.zeros((0, 0)), "nonempty 2-D"),
+            (np.array([[np.nan, 0.0], [0.0, 1.0]]), "non-finite"),
+        ]:
+            with pytest.raises(ValidationError, match=message):
+                Basis(rows)
+
+    def test_rows_are_one_read_only_c_contiguous_copy(self):
+        q = np.linalg.qr(np.arange(9.0).reshape(3, 3) + np.eye(3))[0]
+        basis = Basis(q.T)  # a Fortran-ordered view of q
+        assert basis.rows.flags.c_contiguous and not basis.rows.flags.writeable
+        assert basis.rows.dtype == np.complex128
+        np.testing.assert_array_equal(basis.rows, q.T)
+        assert not np.shares_memory(basis.rows, q)
 
 
 class TestExpmHermitian:
@@ -105,6 +122,6 @@ class TestInvariants:
             UnitaryMatrix(np.array([[1, 0], [0, 2]], dtype=complex))
 
     def test_values_are_frozen(self):
-        v = basis_state(2, 0)
+        v = StateVector(np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             v.amps[0] = 5.0
