@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Sequence
 
 import numpy as np
@@ -448,6 +449,63 @@ def _check_outcome_basis(s: Scenario, name: str | None) -> None:
 # -- serialization -----------------------------------------------------------
 
 
+def _write(value: Any, nl: str = "\n") -> str:
+    """value spelt as json.dumps(value, indent=2, sort_keys=True) spells it,
+    for str-keyed dicts, lists, tuples, str, int, float, bool and None; nl
+    is a newline plus the indent of the line value starts on. Any other key
+    or value raises TypeError."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    inner = nl + "  "
+    if isinstance(value, (list, tuple)):
+        return "[" + inner + _write_items(value, inner) + nl + "]" if value else "[]"
+    if isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("dict keys must be str")
+        items = [_quote(key) + ": " + _write(value[key], inner) for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + nl + "}" if items else "{}"
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _write_items(seq: list | tuple, nl: str) -> str:
+    """The items of a nonempty list, one per line at indent nl; lists of
+    exact floats and of equal-length int rows (labels) are joined whole."""
+    sep = "," + nl
+    kinds = set(map(type, seq))
+    if kinds == {float}:
+        text = sep.join(map(float.__repr__, seq))
+        if "n" not in text:  # no nan or inf, which json spells NaN and Infinity
+            return text
+    elif kinds <= {list, tuple}:
+        widths = set(map(len, seq))
+        leaves = set(map(type, chain.from_iterable(seq)))
+        if len(widths) == 1 and leaves == {int}:  # an int leaf: rows are nonempty
+            inner = nl + "  "
+            row = "[" + inner + ("," + inner).join(["%d"] * widths.pop()) + nl + "]"
+            return sep.join([row % tuple(r) for r in seq])
+    return sep.join([_write(v, nl) for v in seq])
+
+
 def _dump_complex(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
@@ -508,7 +566,7 @@ def serialize_scenario(s: Scenario) -> str:
         "query": _dump_query(s.query),
         "tolerances": dict(sorted(s.tolerance_overrides.items())),
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return _write(doc)
 
 
 # -- random generation -------------------------------------------------------
@@ -633,7 +691,7 @@ class ResultReport:
         return doc
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return _write(self.to_dict())
 
     def to_table(self) -> str:
         lines = [f"query: {self.query.get('kind', '?')}"]
@@ -680,9 +738,9 @@ def run(scenario: Scenario) -> ResultReport:
         result = measure.chain_measure(sched, (src, snk), interior, selection)
         report = ResultReport(
             query=echo,
-            delta_psi=[float(d) for d in result.delta_psi],
+            delta_psi=result.delta_psi.tolist(),
             normalizer=float(result.normalizer),
-            measures=[float(m) for m in result.measures],
+            measures=result.measures.tolist(),
         )
         if q.kind == "chain":
             points = (

@@ -9,11 +9,13 @@ from fpf.dynamics import HamiltonianSchedule, SchedulePiece, propagate
 from fpf.errors import (
     DegenerateNormalizer,
     ImpossiblePostSelection,
+    NumericalCheckFailure,
     RealnessViolation,
     ValidationError,
 )
 from fpf.histories import FixedPoint, make_history
 from fpf.measure import (
+    MeasureResult,
     abl_measure,
     born_measure,
     chain_delta_psi,
@@ -396,3 +398,21 @@ class TestWholeTensor:
             assert abs(chain_delta_psi(sched, pts) - weight) <= 1e-12
         with pytest.raises(RealnessViolation):
             chain_measure(sched, (src, snk), interior, [0, 0])
+
+
+class TestMeasureResultChecks:
+    """MeasureResult refuses a normalizer that is not the sum of the weights
+    beyond its fixed 1e-9 bound, and admits rounding below it."""
+
+    @staticmethod
+    def off_by(eps):
+        # weights summing to 1 with a normalizer off by eps; measures sum to 1
+        return dict(delta_psi=[0.5, 0.5], normalizer=1.0 + eps, measures=[0.5, 0.5],
+                    labels=((0,), (1,)))
+
+    def test_wrong_normalizer_is_refused(self):
+        with pytest.raises(NumericalCheckFailure, match="normalizer is not the sum"):
+            MeasureResult(**self.off_by(1e-6))
+
+    def test_rounding_is_admitted(self):
+        assert MeasureResult(**self.off_by(1e-12)).normalizer == 1.0 + 1e-12

@@ -1,0 +1,169 @@
+"""The report writer against json.dumps(indent=2, sort_keys=True), byte for
+byte: reports of every query kind, random scenarios (a chain of 1024
+joints among them), `fpf random` documents, edge values, and random
+JSON-like trees."""
+
+import json
+import math
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fpf.scenario import (
+    QUERY_KINDS,
+    Query,
+    _write,
+    parse_scenario,
+    random_scenario,
+    run,
+    serialize_scenario,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def reference(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+def assert_same(value):
+    assert _write(value) == reference(value)
+
+
+def assert_report_same(s):
+    report = run(s)
+    assert report.to_json() == reference(report.to_dict())
+
+
+# every file but abl_impossible, which ends in IMPOSSIBLE_POSTSELECTION
+REPORT_FILES = [
+    p for p in sorted((ROOT / "scenarios").glob("*.json")) if p.stem != "abl_impossible"
+]
+
+
+@pytest.mark.parametrize("path", REPORT_FILES, ids=lambda p: p.stem)
+def test_scenario_files(path):
+    assert_report_same(parse_scenario(path.read_bytes()))
+
+
+def test_scenario_files_cover_every_report_kind():
+    kinds = {parse_scenario(p.read_bytes()).query.kind for p in REPORT_FILES}
+    assert kinds == {"born", "abl", "chain", "network"}  # validate: test_random_reports
+
+
+@pytest.mark.parametrize("kind", QUERY_KINDS)
+@pytest.mark.parametrize("seed", range(4))
+def test_random_reports(kind, seed):
+    assert_report_same(random_scenario(seed, 2 + 2 * seed, 1 + seed, kind))
+
+
+def test_chain_of_1024_joints():
+    s = random_scenario(7, 4, 2, "chain")
+    t0, t1 = s.schedule.t_start, s.schedule.t_end
+    names = ("a0", "a1", "a0", "a1", "a0")
+    interior = tuple(
+        (t0 + (t1 - t0) * (k + 1) / (len(names) + 1), name) for k, name in enumerate(names)
+    )
+    s = replace(s, query=Query(kind="chain", interior=interior, selection=(0, 1, 2, 3, 0)))
+    report = run(s)
+    assert len(report.extra["labels"]) == 4**5
+    assert report.to_json() == reference(report.to_dict())
+
+
+@pytest.mark.parametrize("kind", QUERY_KINDS)
+@pytest.mark.parametrize("dim, pieces", [(2, 1), (5, 3), (8, 4)])
+def test_serialize_scenario(kind, dim, pieces):
+    for seed in range(3):
+        text = serialize_scenario(random_scenario(seed, dim, pieces, kind))
+        # floats round-trip through repr, so the decoded document is the one written
+        assert text == reference(json.loads(text))
+
+
+EDGE_VALUES = [
+    -0.0,
+    5e-324,
+    1e-320,
+    1e308,
+    math.nan,
+    math.inf,
+    -math.inf,
+    [0.5, math.nan, -0.0],
+    [math.inf, 1.0],
+    [-math.inf],
+    [5e-324, 1e-320, 1e308, -0.0],
+    [1, True, 2],
+    [False],
+    [1, 2.5, 3],
+    [[1, 2], [3]],
+    [[1, 2], []],
+    [[], []],
+    [[1, 2], [3, 4.0]],
+    [[1, True], [3, 4]],
+    [(1, 2), [3, 4]],
+    [[[1]], [[2]]],
+    [[-1, 10**30], [0, -(10**30)]],
+    [],
+    {},
+    [[]],
+    [{}],
+    {"a": [], "b": {}},
+    (1, "two", 3.0),
+    ((0, 1), (1, 0)),
+    "",
+    "plain",
+    "ünïcödé ∮ 𝄞",
+    "tab\tnewline\nquote\"backslash\\nul\x00bell\x07del\x7f",
+    {"é": 1, "\n": 2, "a": 3, "B": 4},
+    np.float64(0.1),
+    [np.float64(1.5), np.float64(-0.0), 2.0],
+    {"x": np.float64(math.nan), "y": [np.float64(math.inf)]},
+    None,
+    True,
+    False,
+    0,
+    -7,
+    {"z": None, "a": [True, False, None], "m": {"deep": [[0.25]]}},
+]
+
+
+@pytest.mark.parametrize("value", EDGE_VALUES, ids=repr)
+def test_edge_values(value):
+    assert_same(value)
+
+
+@pytest.mark.parametrize("value", [{1: 2}, {"a": {None: 1}}, [{(1,): 0}]], ids=repr)
+def test_non_str_key_raises(value):
+    with pytest.raises(TypeError):
+        _write(value)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, b"bytes", object(), [np.int64(3)], 1j])
+def test_unknown_type_raises(value):
+    with pytest.raises(TypeError):
+        _write(value)
+
+
+FLOATS = st.floats() | st.floats().map(np.float64)
+SCALARS = st.none() | st.booleans() | st.integers() | FLOATS | st.text()
+INT_ROWS = st.integers(0, 4).flatmap(
+    lambda k: st.lists(st.lists(st.integers(), min_size=k, max_size=k), max_size=4)
+)
+TREES = st.recursive(
+    SCALARS | st.lists(st.floats()) | st.lists(st.integers()) | INT_ROWS,
+    lambda children: (
+        st.lists(children, max_size=5)
+        | st.lists(children, max_size=5).map(tuple)
+        | st.dictionaries(st.text(), children, max_size=5)
+    ),
+    max_leaves=30,
+)
+
+
+@given(TREES)
+@settings(max_examples=300, deadline=None)
+def test_json_like_trees(value):
+    assert_same(value)
