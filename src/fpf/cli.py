@@ -9,22 +9,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .errors import FpfError, ValidationError
-from .scenario import (
-    QUERY_KINDS,
-    decode_scenario,
-    parse_scenario,
-    random_scenario,
-    run,
-    scenario_tolerances,
-    serialize_scenario,
-)
-from .tolerances import checked_overrides, tolerance_overrides
+from .scenario import QUERY_KINDS, parse_scenario, random_scenario, run, serialize_scenario
+from .tolerances import checked_overrides
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,25 +83,14 @@ def _read(path: Path) -> bytes:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
-@contextmanager
-def _loaded(path: Path, cli_overrides: dict[str, float]):
-    """Decode a scenario file once and parse it under its own tolerances
-    plus the command line's, which win; the scenario is used inside the
-    same context."""
-    raw = decode_scenario(_read(path))
-    with tolerance_overrides(**{**scenario_tolerances(raw), **cli_overrides}):
-        yield parse_scenario(raw)
-
-
 def _command(args: argparse.Namespace) -> int:
     if args.command == "run":
-        with _loaded(args.file, _parse_overrides(args.tol_override)) as scenario:
-            report = run(scenario)
+        flags = _parse_overrides(args.tol_override)
+        report = run(parse_scenario(_read(args.file), flags))
         print(report.to_json() if args.format == "json" else report.to_table())
         return 0
     if args.command == "validate":
-        with _loaded(args.file, {}):
-            pass
+        parse_scenario(_read(args.file))
         print(f"VALID: {args.file}")
         return 0
     if args.command == "random":

@@ -36,6 +36,13 @@ from .histories import QuantumHistory
 from .statespace import Basis, HermitianOperator, StateVector, UnitaryMatrix
 from .tolerances import active_tolerances
 
+# Fixed bounds of the density-matrix checks: no command builds a density
+# matrix or an expectation value, so no invocation has one to override.
+DENSITY_HERMITIAN = 1e-12
+DENSITY_TRACE = 1e-12
+DENSITY_EIGEN_FLOOR = 1e-10  # eigenvalues of a density matrix >= -this
+EXPECTATION_IMAG = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
@@ -45,12 +52,11 @@ class DensityMatrix:
         arr = np.array(self.mat, dtype=np.complex128, copy=True)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValidationError("density matrix must be square")
-        tols = active_tolerances()
-        if np.linalg.norm(arr - arr.conj().T) > tols.density_hermitian:
+        if np.linalg.norm(arr - arr.conj().T) > DENSITY_HERMITIAN:
             raise ValidationError("density matrix is not Hermitian")
-        if abs(np.trace(arr).real - 1.0) > tols.density_trace:
+        if abs(np.trace(arr).real - 1.0) > DENSITY_TRACE:
             raise ValidationError("density matrix trace differs from 1")
-        if np.min(np.linalg.eigvalsh(arr)) < -tols.density_eigen_floor:
+        if np.min(np.linalg.eigvalsh(arr)) < -DENSITY_EIGEN_FLOOR:
             raise ValidationError("density matrix has a negative eigenvalue")
         arr.setflags(write=False)
         object.__setattr__(self, "mat", arr)
@@ -162,7 +168,7 @@ def expectation(
         raise DimensionMismatch("expectation arguments disagree in dimension")
     u = propagator(sched, Branch.FORWARD, t1, t2).mat
     value = complex(np.trace(rho.mat @ u.conj().T @ obs.mat @ u))
-    if abs(value.imag) > active_tolerances().expectation_imag:
+    if abs(value.imag) > EXPECTATION_IMAG:
         raise NumericalCheckFailure(
             f"expectation value has imaginary part {value.imag:.3e}"
         )

@@ -29,8 +29,7 @@ from .errors import (
 )
 from .histories import FixedPoint, build_network, make_history
 from .statespace import Basis, HermitianOperator, StateVector, standard_basis, unitarity_defect
-from .tolerances import _FIELD_NAMES as _TOLERANCE_FIELDS
-from .tolerances import active_tolerances, tolerance_value
+from .tolerances import active_tolerances, block_overrides, tolerance_overrides
 
 SCHEMA_VERSION = 1
 QUERY_KINDS = ("born", "abl", "chain", "network", "validate")
@@ -287,105 +286,86 @@ def decode_scenario(text: bytes | str) -> Any:
         raise ScenarioSyntaxError(f"scenario cannot be decoded: {exc}") from None
 
 
-def scenario_tolerances(raw: Any) -> dict[str, float]:
-    """The checked `tolerances` block of a decoded scenario document; {}
-    when it is absent or the root is not an object. A block that is not an
-    object, an unknown field or a value that is not a JSON number is a
-    SchemaError; a number or boolean that is not finite and >= 0 is a
-    ValidationError."""
-    block = (raw.get("tolerances") if isinstance(raw, dict) else None) or {}
-    if not isinstance(block, dict):
-        raise SchemaError("scenario.tolerances: expected an object")
-    overrides = {}
-    for key, value in block.items():
-        if key not in _TOLERANCE_FIELDS:
-            raise SchemaError(f"tolerances.{key}: unknown tolerance field")
-        try:
-            overrides[key] = tolerance_value(key, value)
-        except ValueError as exc:
-            # bools are ints in Python: they are out of range, not mistyped
-            error = ValidationError if isinstance(value, (int, float)) else SchemaError
-            raise error(str(exc)) from None
-    return overrides
-
-
-def parse_scenario(source: Any) -> Scenario:
-    """Parse and validate a scenario under the active tolerances. source is
-    scenario text (bytes or str) or the document `decode_scenario` made of
-    it, so a caller that has decoded the text need not decode it again."""
+def parse_scenario(source: Any, overrides: dict[str, float] | None = None) -> Scenario:
+    """Parse and validate a scenario. source is scenario text (bytes or
+    str) or the document `decode_scenario` made of it. The file's own
+    `tolerances` block goes on top of the active tolerances, and overrides
+    on top of the block; the scenario keeps the merged overrides, and `run`
+    applies them too. A bad value in overrides raises ValueError."""
     raw = decode_scenario(source) if isinstance(source, (bytes, str)) else source
     if not isinstance(raw, dict):
         raise SchemaError("scenario root must be an object")
-    overrides = scenario_tolerances(raw)
-    schema = _want(raw, "schema", "scenario")
-    if type(schema) is not int or schema != SCHEMA_VERSION:
-        raise SchemaError(f"scenario.schema: version {schema!r} unsupported, want {SCHEMA_VERSION}")
-    dim = _want(raw, "dim", "scenario")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise SchemaError("scenario.dim: expected a positive integer")
+    overrides = {**block_overrides(raw.get("tolerances")), **(overrides or {})}
+    with tolerance_overrides(**overrides):
+        schema = _want(raw, "schema", "scenario")
+        if type(schema) is not int or schema != SCHEMA_VERSION:
+            raise SchemaError(f"scenario.schema: version {schema!r} unsupported, want {SCHEMA_VERSION}")
+        dim = _want(raw, "dim", "scenario")
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+            raise SchemaError("scenario.dim: expected a positive integer")
 
-    ham = _want(raw, "hamiltonian", "scenario")
-    if not isinstance(ham, dict):
-        raise SchemaError("scenario.hamiltonian: expected an object")
-    pieces = _parse_pieces(_want(ham, "pieces", "hamiltonian"), dim, "hamiltonian.pieces")
-    override = None
-    if ham.get("branch_override") is not None:
-        override = _parse_pieces(ham["branch_override"], dim, "hamiltonian.branch_override")
-    try:
-        schedule = HamiltonianSchedule(pieces, override)
-    except ValidationError as exc:
-        raise ValidationError(f"hamiltonian: {exc}") from exc
-
-    bases_raw = raw.get("bases") or {}
-    if not isinstance(bases_raw, dict):
-        raise SchemaError("scenario.bases: expected an object")
-    bases: dict[str, Basis] = {}
-    for name, value in bases_raw.items():
-        bpath = f"bases.{name}"
-        if name in ("z", "x"):
-            raise SchemaError(f"{bpath}: name shadows a built-in basis")
-        if not (isinstance(value, list) and value):
-            raise SchemaError(f"{bpath}: expected a nonempty list of vectors")
-        size = len(value)
-        rows = _complex_array(value, (size, size))
-        if rows is None:
-            rows = [_vector_entries(v, size, f"{bpath}[{i}]") for i, v in enumerate(value)]
+        ham = _want(raw, "hamiltonian", "scenario")
+        if not isinstance(ham, dict):
+            raise SchemaError("scenario.hamiltonian: expected an object")
+        pieces = _parse_pieces(_want(ham, "pieces", "hamiltonian"), dim, "hamiltonian.pieces")
+        override = None
+        if ham.get("branch_override") is not None:
+            override = _parse_pieces(ham["branch_override"], dim, "hamiltonian.branch_override")
         try:
-            bases[name] = Basis(rows)
+            schedule = HamiltonianSchedule(pieces, override)
         except ValidationError as exc:
-            raise ValidationError(f"{bpath}: {exc}") from exc
+            raise ValidationError(f"hamiltonian: {exc}") from exc
 
-    fps_raw = raw.get("fixed_points", [])
-    if not isinstance(fps_raw, list):
-        raise SchemaError("scenario.fixed_points: expected a list")
-    builtins: dict[str, Basis | None] = {}
-    fixed_points = []
-    for i, item in enumerate(fps_raw):
-        fpath = f"fixed_points[{i}]"
-        if not isinstance(item, dict):
-            raise SchemaError(f"{fpath}: expected an object")
-        t = _number(_want(item, "time", fpath), fpath + ".time")
-        if not schedule.covers(t):
-            raise ValidationError(
-                f"{fpath}.time: {t} is outside schedule coverage "
-                f"[{schedule.t_start}, {schedule.t_end}]"
-            )
-        state = _parse_state(_want(item, "state", fpath), dim, bases, builtins, fpath + ".state")
-        fixed_points.append(FixedPoint(t, state))
+        bases_raw = {} if raw.get("bases") is None else raw["bases"]
+        if not isinstance(bases_raw, dict):
+            raise SchemaError("scenario.bases: expected an object")
+        bases: dict[str, Basis] = {}
+        for name, value in bases_raw.items():
+            bpath = f"bases.{name}"
+            if name in ("z", "x"):
+                raise SchemaError(f"{bpath}: name shadows a built-in basis")
+            if not (isinstance(value, list) and value):
+                raise SchemaError(f"{bpath}: expected a nonempty list of vectors")
+            size = len(value)
+            rows = _complex_array(value, (size, size))
+            if rows is None:
+                rows = [_vector_entries(v, size, f"{bpath}[{i}]") for i, v in enumerate(value)]
+            try:
+                bases[name] = Basis(rows)
+            except ValidationError as exc:
+                raise ValidationError(f"{bpath}: {exc}") from exc
 
-    query = _parse_query(_want(raw, "query", "scenario"), "query")
+        fps_raw = raw.get("fixed_points", [])
+        if not isinstance(fps_raw, list):
+            raise SchemaError("scenario.fixed_points: expected a list")
+        builtins: dict[str, Basis | None] = {}
+        fixed_points = []
+        for i, item in enumerate(fps_raw):
+            fpath = f"fixed_points[{i}]"
+            if not isinstance(item, dict):
+                raise SchemaError(f"{fpath}: expected an object")
+            t = _number(_want(item, "time", fpath), fpath + ".time")
+            if not schedule.covers(t):
+                raise ValidationError(
+                    f"{fpath}.time: {t} is outside schedule coverage "
+                    f"[{schedule.t_start}, {schedule.t_end}]"
+                )
+            state = _parse_state(_want(item, "state", fpath), dim, bases, builtins, fpath + ".state")
+            fixed_points.append(FixedPoint(t, state))
 
-    scenario = Scenario(
-        dim=dim,
-        schedule=schedule,
-        fixed_points=tuple(fixed_points),
-        bases=bases,
-        query=query,
-        tolerance_overrides=overrides,
-        builtins=builtins,
-    )
-    _check_query(scenario)
-    return scenario
+        query = _parse_query(_want(raw, "query", "scenario"), "query")
+
+        scenario = Scenario(
+            dim=dim,
+            schedule=schedule,
+            fixed_points=tuple(fixed_points),
+            bases=bases,
+            query=query,
+            tolerance_overrides=overrides,
+            builtins=builtins,
+        )
+        _check_query(scenario)
+        return scenario
 
 
 def _check_query(s: Scenario) -> None:
@@ -423,6 +403,8 @@ def _check_query(s: Scenario) -> None:
             raise ValidationError("network queries need matching times and bases, two or more")
         if any(not a < b for a, b in zip(q.times, q.times[1:])):
             raise ValidationError("network layer times must be strictly increasing")
+        for i, t in enumerate(q.times):
+            _check_covered(s, t, f"query.times[{i}]")
         for name in q.layer_bases:
             if resolve_basis(name, s.dim, s.bases, s.builtins) is None:
                 raise ValidationError(f"query.bases: unknown basis {name!r}")
@@ -721,96 +703,98 @@ class ResultReport:
 
 
 def run(scenario: Scenario) -> ResultReport:
-    """Execute a scenario's query and attach the oracle comparison."""
-    q = scenario.query
-    echo = _dump_query(q)
-    sched = scenario.schedule
-    if q.kind in ("born", "abl", "chain"):
-        # born: source and one slot; abl: source, one slot, sink; chain:
-        # source, any slots, sink
-        src, snk = (*scenario.fixed_points, None)[:2]
-        if q.kind == "chain":
-            interior = [(t, scenario.resolve_basis(name)) for t, name in q.interior]
-            selection = q.selection
-        else:
-            interior = [(q.time, scenario.resolve_basis(q.outcomes))]
-            selection = None
-        result = measure.chain_measure(sched, (src, snk), interior, selection)
-        report = ResultReport(
-            query=echo,
-            delta_psi=result.delta_psi.tolist(),
-            normalizer=float(result.normalizer),
-            measures=result.measures.tolist(),
-        )
-        if q.kind == "chain":
-            points = (
-                src,
-                *(FixedPoint(t, basis[k]) for (t, basis), k in zip(interior, q.selection)),
-                snk,
+    """Execute a scenario's query under the tolerance overrides it keeps,
+    and attach the oracle comparison."""
+    with tolerance_overrides(**scenario.tolerance_overrides):
+        q = scenario.query
+        echo = _dump_query(q)
+        sched = scenario.schedule
+        if q.kind in ("born", "abl", "chain"):
+            # born: source and one slot; abl: source, one slot, sink; chain:
+            # source, any slots, sink
+            src, snk = (*scenario.fixed_points, None)[:2]
+            if q.kind == "chain":
+                interior = [(t, scenario.resolve_basis(name)) for t, name in q.interior]
+                selection = q.selection
+            else:
+                interior = [(q.time, scenario.resolve_basis(q.outcomes))]
+                selection = None
+            result = measure.chain_measure(sched, (src, snk), interior, selection)
+            report = ResultReport(
+                query=echo,
+                delta_psi=result.delta_psi.tolist(),
+                normalizer=float(result.normalizer),
+                measures=result.measures.tolist(),
             )
-            value, estimate = oracle.contour_line_integral(
-                sched, make_history(points), ORACLE_STEPS
-            )
-            report.oracle = [value]
-            report.max_deviation = abs(report.delta_psi[result.selected] - value)
-            report.extra = {
-                "labels": [list(lbl) for lbl in result.labels],
-                "selected_index": result.selected,
-                "selected_measure": float(result.measures[result.selected]),
-                "oracle_error_estimate": estimate,
-            }
-            return report
-        t, outcomes = interior[0]
-        u1 = oracle.propagator(sched, Branch.FORWARD, src.t, t)
-        if snk is None:
-            report.oracle = [oracle.standard_born(u1, src.state, phi) for phi in outcomes]
-        else:
-            u2 = oracle.propagator(sched, Branch.FORWARD, t, snk.t)
-            report.oracle = oracle.abl_rule(u1, u2, src.state, outcomes, snk.state)
-        report.max_deviation = max(abs(m - r) for m, r in zip(report.measures, report.oracle))
-        return report
-    if q.kind == "network":
-        layer_bases = [scenario.resolve_basis(n) for n in q.layer_bases]
-        net = build_network(q.times, layer_bases)
-        pairs = []
-        expected = []
-        deviations = []
-        for i in range(len(net.layers) - 1):
-            n1, n2 = net.layers[i].size, net.layers[i + 1].size
-            edges = len(net.edges_between(i))
-            channels = len(net.channels_between(i))
-            pairs.append(
-                {
-                    "layers": [i, i + 1],
-                    "edges": edges,
-                    "channels": channels,
-                    "expected_edges": 2 * n1 * n2,
-                    "expected_channels": n1 * n2,
+            if q.kind == "chain":
+                points = (
+                    src,
+                    *(FixedPoint(t, basis[k]) for (t, basis), k in zip(interior, q.selection)),
+                    snk,
+                )
+                value, estimate = oracle.contour_line_integral(
+                    sched, make_history(points), ORACLE_STEPS
+                )
+                report.oracle = [value]
+                report.max_deviation = abs(report.delta_psi[result.selected] - value)
+                report.extra = {
+                    "labels": [list(lbl) for lbl in result.labels],
+                    "selected_index": result.selected,
+                    "selected_measure": float(result.measures[result.selected]),
+                    "oracle_error_estimate": estimate,
                 }
+                return report
+            t, outcomes = interior[0]
+            u1 = oracle.propagator(sched, Branch.FORWARD, src.t, t)
+            if snk is None:
+                report.oracle = [oracle.standard_born(u1, src.state, phi) for phi in outcomes]
+            else:
+                u2 = oracle.propagator(sched, Branch.FORWARD, t, snk.t)
+                report.oracle = oracle.abl_rule(u1, u2, src.state, outcomes, snk.state)
+            report.max_deviation = max(abs(m - r) for m, r in zip(report.measures, report.oracle))
+            return report
+        if q.kind == "network":
+            layer_bases = [scenario.resolve_basis(n) for n in q.layer_bases]
+            net = build_network(q.times, layer_bases)
+            pairs = []
+            expected = []
+            deviations = []
+            for i in range(len(net.layers) - 1):
+                n1, n2 = net.layers[i].size, net.layers[i + 1].size
+                edges = len(net.edges_between(i))
+                channels = len(net.channels_between(i))
+                pairs.append(
+                    {
+                        "layers": [i, i + 1],
+                        "edges": edges,
+                        "channels": channels,
+                        "expected_edges": 2 * n1 * n2,
+                        "expected_channels": n1 * n2,
+                    }
+                )
+                expected.append(float(2 * n1 * n2))
+                deviations.append(abs(edges - 2 * n1 * n2))
+                deviations.append(abs(channels - n1 * n2))
+            return ResultReport(
+                query=echo,
+                oracle=expected,
+                max_deviation=float(max(deviations)),
+                extra={
+                    "layers": [
+                        {"time": float(l.t), "size": l.size} for l in net.layers
+                    ],
+                    "edge_count": len(net.edges),
+                    "adjacent_pairs": pairs,
+                },
             )
-            expected.append(float(2 * n1 * n2))
-            deviations.append(abs(edges - 2 * n1 * n2))
-            deviations.append(abs(channels - n1 * n2))
-        return ResultReport(
-            query=echo,
-            oracle=expected,
-            max_deviation=float(max(deviations)),
-            extra={
-                "layers": [
-                    {"time": float(l.t), "size": l.size} for l in net.layers
-                ],
-                "edge_count": len(net.edges),
-                "adjacent_pairs": pairs,
-            },
-        )
-    # validate: propagator-law residuals over the covered interval
-    checks = _validate_checks(scenario)
-    worst = max(checks.values())
-    if worst > active_tolerances().unitary:
-        raise NumericalCheckFailure(
-            f"propagator law residual {worst:.3e} exceeds tolerance"
-        )
-    return ResultReport(query=echo, extra={"checks": checks})
+        # validate: propagator-law residuals over the covered interval
+        checks = _validate_checks(scenario)
+        worst = max(checks.values())
+        if worst > active_tolerances().unitary:
+            raise NumericalCheckFailure(
+                f"propagator law residual {worst:.3e} exceeds tolerance"
+            )
+        return ResultReport(query=echo, extra={"checks": checks})
 
 
 def _validate_checks(scenario: Scenario) -> dict[str, float]:

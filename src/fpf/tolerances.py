@@ -1,10 +1,10 @@
 """Central numerical tolerance record.
 
-Every threshold used by constructors, checks, and the measure evaluation
-lives in one frozen record so tests can tighten or loosen all of them
-uniformly. Values are absolute unless noted, and every value must be a
-finite number >= 0: a NaN threshold would silently switch off each check
-written as `residual > tol`.
+Every threshold used by the engine's constructors, checks and measure
+evaluation lives in one frozen record so tests can tighten or loosen all
+of them uniformly. Values are absolute unless noted, and every value must
+be a finite number >= 0: a NaN threshold would silently switch off each
+check written as `residual > tol`.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
+
+from .errors import SchemaError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -25,10 +27,6 @@ class Tolerances:
     negativity: float = 1e-12          # Re dPsi below -this aborts the query
     degenerate_normalizer: float = 1e-14
     measure_sum: float = 1e-10         # | sum(measures) - 1 |
-    density_hermitian: float = 1e-12
-    density_trace: float = 1e-12
-    density_eigen_floor: float = 1e-10  # eigenvalues of a density matrix >= -this
-    expectation_imag: float = 1e-12
 
 
 _FIELD_NAMES = frozenset(f.name for f in fields(Tolerances))
@@ -63,6 +61,28 @@ def checked_overrides(overrides: dict) -> dict[str, float]:
     if unknown:
         raise ValueError(f"unknown tolerance fields: {sorted(unknown)}")
     return {name: tolerance_value(name, v) for name, v in overrides.items()}
+
+
+def block_overrides(block) -> dict[str, float]:
+    """The checked overrides of a scenario file's `tolerances` block; {}
+    when it is absent (None). A block that is not an object, an unknown
+    field or a value that is not a JSON number is a SchemaError; a number
+    or boolean that is not finite and >= 0 is a ValidationError."""
+    if block is None:
+        return {}
+    if not isinstance(block, dict):
+        raise SchemaError("scenario.tolerances: expected an object")
+    overrides = {}
+    for key, value in block.items():
+        if key not in _FIELD_NAMES:
+            raise SchemaError(f"tolerances.{key}: unknown tolerance field")
+        try:
+            overrides[key] = tolerance_value(key, value)
+        except ValueError as exc:
+            # bools are ints in Python: they are out of range, not mistyped
+            error = ValidationError if isinstance(value, (int, float)) else SchemaError
+            raise error(str(exc)) from None
+    return overrides
 
 
 def tolerance_overrides(**overrides: float):

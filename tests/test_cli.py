@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -8,8 +9,8 @@ import fpf.cli
 import fpf.errors
 from fpf.cli import main
 from fpf.errors import DomainError, FpfError, ValidationError
-from fpf.scenario import parse_scenario, random_scenario, serialize_scenario
-from fpf.tolerances import tolerance_overrides
+from fpf.scenario import parse_scenario, random_scenario, run, serialize_scenario
+from fpf.tolerances import Tolerances, tolerance_overrides
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -211,6 +212,16 @@ class TestNetwork:
         _one_error_line(err, "VALIDATION_ERROR")
         assert "query.times" in err
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("times, field", [([0.0, 100.0], "[1]"), ([-1.0, 1.0], "[0]")])
+    def test_uncovered_layer_time_is_rejected(self, capsys, tmp_path, command, times, field):
+        doc = json.loads((SCENARIOS / "network_2x3.json").read_text())
+        doc["query"]["times"] = times
+        code, out, err = run_cli(capsys, command, _write(tmp_path, doc))
+        assert code == 2 and out == ""
+        _one_error_line(err, "VALIDATION_ERROR")
+        assert f"query.times{field}: " in err and "outside schedule coverage" in err
+
 
 class TestRandom:
     def test_deterministic_output(self, capsys):
@@ -273,7 +284,13 @@ class TestInputRobustness:
         assert code == 0 and err == ""
 
     @pytest.mark.parametrize("command", ["run", "validate"])
-    @pytest.mark.parametrize("bases", [[1], 1, "x", True])
+    def test_null_blocks_are_empty(self, capsys, tmp_path, command):
+        path = _write(tmp_path, _born_doc(bases=None, tolerances=None))
+        code, _, err = run_cli(capsys, command, path)
+        assert code == 0 and err == ""
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("bases", [[1], 1, "x", True, [], 0, False, ""])
     def test_non_object_bases_is_a_schema_error(self, capsys, tmp_path, command, bases):
         code, out, err = run_cli(capsys, command, _write(tmp_path, _born_doc(bases=bases)))
         assert code == 2 and out == ""
@@ -660,6 +677,10 @@ TOLERANCE_FAULTS = [
     ({"unitary": True}, "VALIDATION_ERROR"),
     ({"unitary": False}, "VALIDATION_ERROR"),
     ({"unitary": HUGE}, "VALIDATION_ERROR"),
+    ([], "SCHEMA_ERROR"),
+    (0, "SCHEMA_ERROR"),
+    (False, "SCHEMA_ERROR"),
+    ("", "SCHEMA_ERROR"),
 ]
 
 
@@ -680,6 +701,123 @@ class TestToleranceBlockRule:
         code, out, err = run_cli(capsys, path, _write(tmp_path, doc))
         assert code == 2 and out == ""
         _one_error_line(err, expected)
+
+
+def _loosened(doc, state_norm=1e-3):
+    """A preparation of norm 1.0005, accepted by the file's own block."""
+    doc["fixed_points"][0]["state"] = [[1.0005, 0.0], [0.0, 0.0]]
+    doc["tolerances"] = {"state_norm": state_norm}
+
+
+def _strict_basis(doc):
+    doc["tolerances"] = {"basis_orthonormal": 0}
+
+
+def _high_floor(doc):
+    doc["tolerances"] = {"degenerate_normalizer": 10}
+
+
+def _scenario_file(tmp_path, name, mutate=None):
+    if mutate is None:
+        return SCENARIOS / name
+    doc = json.loads((SCENARIOS / name).read_text())
+    mutate(doc)
+    return Path(_write(tmp_path, doc))
+
+
+class TestLibraryMatchesCli:
+    """`run(parse_scenario(text))` prints what `fpf run` prints, or raises
+    an error with the code `fpf run` exits with: a file's tolerances block
+    governs both."""
+
+    @pytest.mark.parametrize(
+        "name, mutate",
+        [
+            *((path.name, None) for path in sorted(SCENARIOS.glob("*.json"))),
+            ("born_sx_quarter.json", _loosened),
+            ("chain_sx_interior.json", _strict_basis),
+            ("born_sx_quarter.json", _high_floor),
+        ],
+    )
+    def test_same_report_or_code(self, capsys, tmp_path, name, mutate):
+        path = _scenario_file(tmp_path, name, mutate)
+        code, out, err = run_cli(capsys, "run", str(path))
+        if code == 0:
+            assert out == run(parse_scenario(path.read_bytes())).to_json() + "\n"
+            return
+        with pytest.raises(FpfError) as exc:
+            run(parse_scenario(path.read_bytes()))
+        _one_error_line(err, exc.value.code)
+
+
+class TestTolerancePrecedence:
+    """The in-code context, then the file's block, then flags or explicit
+    overrides: each later one wins."""
+
+    def test_flag_beats_file_block(self, capsys, tmp_path):
+        path = _scenario_file(tmp_path, "born_sx_quarter.json", _loosened)
+        code, out, err = run_cli(capsys, "run", str(path), "--tol-override", "state_norm=1e-12")
+        assert code == 2 and out == ""
+        _one_error_line(err, "VALIDATION_ERROR")
+        assert "state norm" in err
+
+    def test_explicit_overrides_beat_file_block(self, tmp_path):
+        text = _scenario_file(tmp_path, "born_sx_quarter.json", _loosened).read_bytes()
+        with pytest.raises(ValidationError, match="state norm"):
+            parse_scenario(text, {"state_norm": 1e-12})
+
+    def test_file_block_beats_context(self, tmp_path):
+        loose = _scenario_file(tmp_path, "born_sx_quarter.json", _loosened).read_bytes()
+        with tolerance_overrides(state_norm=0):
+            assert parse_scenario(loose).tolerance_overrides == {"state_norm": 1e-3}
+        strict = json.loads(loose)
+        _loosened(strict, state_norm=1e-12)
+        with tolerance_overrides(state_norm=1e-2):
+            with pytest.raises(ValidationError, match="state norm"):
+                parse_scenario(json.dumps(strict))
+
+    def test_run_applies_the_block_over_context(self, tmp_path):
+        text = _scenario_file(tmp_path, "born_sx_quarter.json", _high_floor).read_bytes()
+        with tolerance_overrides(degenerate_normalizer=0):
+            scenario = parse_scenario(text)
+            with pytest.raises(fpf.errors.DegenerateNormalizer):
+                run(scenario)
+
+
+REMOVED_FIELDS = ["density_hermitian", "density_trace", "density_eigen_floor", "expectation_imag"]
+
+
+class TestRemovedToleranceFields:
+    """The density-matrix and expectation bounds are oracle constants, not
+    tolerances: each channel refuses their names."""
+
+    def test_nine_fields(self):
+        names = {f.name for f in fields(Tolerances)}
+        assert len(names) == 9 and not names & set(REMOVED_FIELDS)
+
+    @pytest.mark.parametrize("name", REMOVED_FIELDS)
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_file_block(self, capsys, tmp_path, name, command):
+        path = _write(tmp_path, _born_doc(tolerances={name: 1e-3}))
+        code, out, err = run_cli(capsys, command, path)
+        assert code == 2 and out == ""
+        _one_error_line(err, "SCHEMA_ERROR")
+        assert f"tolerances.{name}: unknown tolerance field" in err
+
+    @pytest.mark.parametrize("name", REMOVED_FIELDS)
+    def test_flag(self, capsys, name):
+        born = str(SCENARIOS / "born_sx_quarter.json")
+        code, out, err = run_cli(capsys, "run", born, "--tol-override", f"{name}=1e-3")
+        assert code == 2 and out == ""
+        _one_error_line(err, "VALIDATION_ERROR")
+        assert name in err
+
+    @pytest.mark.parametrize("name", REMOVED_FIELDS)
+    def test_in_code(self, name):
+        with pytest.raises(ValueError, match=name):
+            tolerance_overrides(**{name: 1e-3})
+        with pytest.raises(ValueError, match=name):
+            parse_scenario((SCENARIOS / "born_sx_quarter.json").read_bytes(), {name: 1e-3})
 
 
 def _pairs(doc):
