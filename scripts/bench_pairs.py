@@ -4,15 +4,17 @@ For each workload and seed, runs `perfbench/run.py --trace 0` at the
 benchmark's own run length once in a parent checkout and once in a change
 checkout, alternating which side runs first, and writes one JSON file with
 every run's metrics, each side's median and quartiles, and per metric the
-number of pairs the change won. Pairs are numbered per workload across all
-`--pairs` options, so a workload named twice adds pairs. Ties count for
-neither side. A metric's direction (`better`) comes from the change
-checkout's BENCHMARK.json. `gain_rule_met` says whether the change won at
-least nine tenths of the pairs run, its median beat the parent's by more
-than the distance between the parent's quartiles, and no change run was
-incorrect or failed more calls than its parent run. Each `--traced`
-seed adds one `--trace 1` run per side, kept under `traced` with its
-per-layer metrics and left out of the pairs and the gain rule.
+number of pairs the change won and, to show the run-order effect, the
+number won by whichever side ran second (`second_wins`). Pairs are
+numbered per workload across all `--pairs` options, so a workload named
+twice adds pairs. Ties count for neither side. A metric's direction
+(`better`) comes from the change checkout's BENCHMARK.json.
+`gain_rule_met` says whether the change won at least nine tenths of the
+pairs run, its median beat the parent's by more than the distance between
+the parent's quartiles, and no change run was incorrect or failed more
+calls than its parent run. Each `--traced` seed adds one `--trace 1` run
+per side, kept under `traced` with its per-layer metrics and left out of
+the pairs and the gain rule.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --pairs short-queries:1,2,3,90001 --pairs chain-oracle:1,2,3 \\
@@ -80,6 +82,8 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
         # a change run that is wrong or fails more calls than its parent run voids any gain
         sound = all(p["change"]["correct"] and p["change"]["failed"] <= p["parent"]["failed"]
                     for p in complete)
+        # (first, second) run of each pair, by the order they ran in
+        ordered = [sorted(p.values(), key=lambda r: r["position"]) for p in complete]
         rows = {}
         for name in complete[0]["change"]["metrics"]:
             parent = [p["parent"]["metrics"][name] for p in complete]
@@ -96,6 +100,8 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
                     better=direction,
                     change_wins=wins,
                     ties=sum(c == p for p, c in zip(parent, change)),
+                    second_wins=sum(sign * (b["metrics"][name] - a["metrics"][name]) > 0
+                                    for a, b in ordered),
                     median_ratio=row["change"]["median"] / row["parent"]["median"],
                     gain_rule_met=sound and wins >= 0.9 * len(pairs) and gain > gap,
                 )

@@ -55,7 +55,6 @@ from .scenario import (
 from .statespace import (
     Basis,
     HermitianOperator,
-    StateVector,
     UnitaryMatrix,
     expm_hermitian,
     standard_basis,

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .contour import Branch
 from .errors import (
     DimensionMismatch,
@@ -20,13 +22,25 @@ from .errors import (
     TooFewPoints,
     ValidationError,
 )
-from .statespace import Basis, StateVector
+from .statespace import Basis, _frozen_array, is_unit
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FixedPoint:
+    """A state at a time. The state is a read-only copy: a nonempty, finite
+    complex128 vector; unit norm is checked where it matters (histories,
+    scenario files), not here."""
+
     t: float
-    state: StateVector
+    state: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "state", _frozen_array(self.state, ndim=1, what="state vector"))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FixedPoint):
+            return NotImplemented
+        return self.t == other.t and np.array_equal(self.state, other.state)
 
 
 @dataclass(frozen=True)
@@ -39,12 +53,13 @@ class QuantumHistory:
             raise TooFewPoints("a history needs at least two fixed points")
         if any(not a.t < b.t for a, b in zip(pts, pts[1:])):
             raise NonMonotoneTimes("history times must be strictly increasing")
-        dim = pts[0].state.dim
-        if any(p.state.dim != dim for p in pts):
+        dim = len(pts[0].state)
+        if any(len(p.state) != dim for p in pts):
             raise DimensionMismatch("history states have differing dimensions")
         for p in pts:
-            if not p.state.is_normalized():
-                raise NotNormalized(f"fixed point at t={p.t} has norm {p.state.norm}")
+            if not is_unit(p.state):
+                norm = float(np.linalg.norm(p.state))
+                raise NotNormalized(f"fixed point at t={p.t} has norm {norm}")
         object.__setattr__(self, "points", pts)
 
     @property
@@ -53,7 +68,7 @@ class QuantumHistory:
 
     @property
     def dim(self) -> int:
-        return self.points[0].state.dim
+        return len(self.points[0].state)
 
     @property
     def times(self) -> tuple[float, ...]:

@@ -113,7 +113,7 @@ def chain_delta_psi(sched: HamiltonianSchedule, points: Sequence[FixedPoint]) ->
     """Raw, possibly complex history weight: the product over consecutive
     pairs of forward and backward amplitudes. Diagnostic entry point; no
     realness filtering, no normalization."""
-    return complex(_joint_weights(sched, [(p.t, p.state.amps[None]) for p in points]).item())
+    return complex(_joint_weights(sched, [(p.t, p.state[None]) for p in points]).item())
 
 
 def _real_weight(values: np.ndarray, tols: Tolerances) -> np.ndarray:
@@ -163,9 +163,9 @@ def chain_measure(
     a sink with one slot the ABL measure, a sink with none the pair
     weight."""
     src, snk = endpoints
-    slots = [(src.t, src.state.amps[None]), *((float(t), basis.rows) for t, basis in interior)]
+    slots = [(src.t, src.state[None]), *((float(t), basis.rows) for t, basis in interior)]
     if snk is not None:
-        slots.append((snk.t, snk.state.amps[None]))
+        slots.append((snk.t, snk.state[None]))
     if any(a >= b for (a, _), (b, _) in zip(slots, slots[1:])):
         raise ValidationError("slot times must increase strictly from source to sink")
     if selection is not None:

@@ -33,7 +33,7 @@ from .errors import (
     ZeroDenominator,
 )
 from .histories import QuantumHistory
-from .statespace import Basis, HermitianOperator, StateVector, UnitaryMatrix
+from .statespace import Basis, HermitianOperator, UnitaryMatrix
 from .tolerances import active_tolerances
 
 # Fixed bounds of the density-matrix checks: no command builds a density
@@ -66,8 +66,8 @@ class DensityMatrix:
         return self.mat.shape[0]
 
     @classmethod
-    def from_state(cls, v: StateVector) -> "DensityMatrix":
-        return cls(np.outer(v.amps, v.amps.conj()))
+    def from_state(cls, v: np.ndarray) -> "DensityMatrix":
+        return cls(np.outer(v, v.conj()))
 
 
 def _expm_series(a: np.ndarray) -> np.ndarray:
@@ -129,27 +129,27 @@ def propagator(
     return UnitaryMatrix(u)
 
 
-def standard_born(u: UnitaryMatrix, psi: StateVector, phi: StateVector) -> float:
+def standard_born(u: UnitaryMatrix, psi: np.ndarray, phi: np.ndarray) -> float:
     """Textbook transition probability |<phi| u |psi>|^2."""
-    if not u.dim == psi.dim == phi.dim:
+    if not u.dim == len(psi) == len(phi):
         raise DimensionMismatch("standard_born arguments disagree in dimension")
-    return float(abs(np.vdot(phi.amps, u.mat @ psi.amps)) ** 2)
+    return float(abs(np.vdot(phi, u.mat @ psi)) ** 2)
 
 
 def abl_rule(
     u1: UnitaryMatrix,
     u2: UnitaryMatrix,
-    psi: StateVector,
+    psi: np.ndarray,
     outcomes: Basis,
-    phi: StateVector,
+    phi: np.ndarray,
 ) -> list[float]:
     """Textbook pre/post-selected outcome probabilities:
     |<phi|u2|a_i><a_i|u1|psi>|^2, normalized over the basis."""
-    if not u1.dim == u2.dim == psi.dim == phi.dim == outcomes.dim:
+    if not u1.dim == u2.dim == len(psi) == len(phi) == outcomes.dim:
         raise DimensionMismatch("abl_rule arguments disagree in dimension")
-    fwd = u1.mat @ psi.amps
-    back = u2.mat.conj().T @ phi.amps
-    numerators = [float(abs(np.vdot(back, a.amps) * np.vdot(a.amps, fwd)) ** 2) for a in outcomes]
+    fwd = u1.mat @ psi
+    back = u2.mat.conj().T @ phi
+    numerators = [float(abs(np.vdot(back, a) * np.vdot(a, fwd)) ** 2) for a in outcomes.rows]
     denominator = sum(numerators)
     if denominator <= active_tolerances().degenerate_normalizer:
         raise ZeroDenominator("all pre/post-selection numerators vanish")
@@ -223,7 +223,7 @@ def _contour_plan(
     segment its start state, its end state and the indices of its spans.
     Backward segments list their spans latest first, with negative
     durations."""
-    state_at = {p.t: p.state.amps for p in history.points}
+    state_at = {p.t: p.state for p in history.points}
     generators, durations, segments = [], [], []
     for seg in build_path(history.times):
         spans = _constant_spans(sched, seg.branch, *seg.interval)
@@ -306,7 +306,7 @@ def tensor_sink_delta_psi(sched: HamiltonianSchedule, history: QuantumHistory) -
     if n > 3 or d > 2:
         raise InstanceTooLarge("tensor/sink evaluation is limited to n<=3 fixed points, dim<=2")
     m = n * d  # each slot: time-label block index (x) state index
-    states = [p.state.amps for p in history.points]
+    states = [p.state for p in history.points]
     times = history.times
 
     def labeled(idx: int, amp: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .histories import FixedPoint, build_network, make_history
-from .statespace import Basis, HermitianOperator, StateVector, standard_basis, unitarity_defect
+from .statespace import Basis, HermitianOperator, is_unit, standard_basis, unitarity_defect
 from .tolerances import active_tolerances, block_overrides, tolerance_overrides
 
 SCHEMA_VERSION = 1
@@ -190,9 +190,22 @@ def _parse_pieces(value: Any, dim: int, path: str) -> tuple[SchedulePiece, ...]:
     return tuple(pieces)
 
 
-def _parse_state(
-    value: Any, dim: int, bases: dict[str, Basis], builtins: dict[str, Basis | None], path: str
-) -> StateVector:
+def _parse_point(
+    item: Any,
+    schedule: HamiltonianSchedule,
+    bases: dict[str, Basis],
+    builtins: dict[str, Basis | None],
+    path: str,
+) -> FixedPoint:
+    if not isinstance(item, dict):
+        raise SchemaError(f"{path}: expected an object")
+    t = _number(_want(item, "time", path), path + ".time")
+    if not schedule.covers(t):
+        raise ValidationError(
+            f"{path}.time: {t} is outside schedule coverage "
+            f"[{schedule.t_start}, {schedule.t_end}]"
+        )
+    value, dim, path = _want(item, "state", path), schedule.dim, path + ".state"
     if isinstance(value, str):
         name, _, key = value.partition(":")
         if not key:
@@ -211,15 +224,27 @@ def _parse_state(
                 raise SchemaError(f"{path}: bad basis element {key!r}") from None
         if not 0 <= index < len(basis):
             raise ValidationError(f"{path}: element {index} out of range for {name!r}")
-        return basis[index]
+        return FixedPoint(t, basis.rows[index])
     amps = _vector(value, dim, path)
     try:
-        state = StateVector(amps)
+        point = FixedPoint(t, amps)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
-    if not state.is_normalized():
-        raise ValidationError(f"{path}: state norm is {state.norm!r}, not 1")
-    return state
+    if not is_unit(point.state):
+        norm = float(np.linalg.norm(point.state))
+        raise ValidationError(f"{path}: state norm is {norm!r}, not 1")
+    return point
+
+
+def _parse_slot(raw: Any, path: str) -> tuple[float, str]:
+    """A measurement slot: its time and the name of its outcome basis."""
+    if not isinstance(raw, dict):
+        raise SchemaError(f"{path}: expected an object")
+    t = _number(_want(raw, "time", path), path + ".time")
+    outcomes = _want(raw, "outcomes", path)
+    if not isinstance(outcomes, str):
+        raise SchemaError(f"{path}.outcomes: expected a basis name")
+    return t, outcomes
 
 
 def _parse_query(raw: Any, path: str) -> Query:
@@ -229,26 +254,12 @@ def _parse_query(raw: Any, path: str) -> Query:
     if kind not in QUERY_KINDS:
         raise SchemaError(f"{path}.kind: {kind!r} is not one of {list(QUERY_KINDS)}")
     if kind in ("born", "abl"):
-        return Query(
-            kind=kind,
-            time=_number(_want(raw, "time", path), path + ".time"),
-            outcomes=str(_want(raw, "outcomes", path)),
-        )
+        return Query(kind, *_parse_slot(raw, path))
     if kind == "chain":
         interior_raw = _want(raw, "interior", path)
         if not isinstance(interior_raw, list):
             raise SchemaError(f"{path}.interior: expected a list")
-        interior = []
-        for i, item in enumerate(interior_raw):
-            ipath = f"{path}.interior[{i}]"
-            if not isinstance(item, dict):
-                raise SchemaError(f"{ipath}: expected an object")
-            interior.append(
-                (
-                    _number(_want(item, "time", ipath), ipath + ".time"),
-                    str(_want(item, "outcomes", ipath)),
-                )
-            )
+        interior = [_parse_slot(x, f"{path}.interior[{i}]") for i, x in enumerate(interior_raw)]
         selection_raw = _want(raw, "selection", path)
         if not (
             isinstance(selection_raw, list)
@@ -335,23 +346,14 @@ def parse_scenario(source: Any, overrides: dict[str, float] | None = None) -> Sc
             except ValidationError as exc:
                 raise ValidationError(f"{bpath}: {exc}") from exc
 
-        fps_raw = raw.get("fixed_points", [])
+        fps_raw = [] if raw.get("fixed_points") is None else raw["fixed_points"]
         if not isinstance(fps_raw, list):
             raise SchemaError("scenario.fixed_points: expected a list")
         builtins: dict[str, Basis | None] = {}
-        fixed_points = []
-        for i, item in enumerate(fps_raw):
-            fpath = f"fixed_points[{i}]"
-            if not isinstance(item, dict):
-                raise SchemaError(f"{fpath}: expected an object")
-            t = _number(_want(item, "time", fpath), fpath + ".time")
-            if not schedule.covers(t):
-                raise ValidationError(
-                    f"{fpath}.time: {t} is outside schedule coverage "
-                    f"[{schedule.t_start}, {schedule.t_end}]"
-                )
-            state = _parse_state(_want(item, "state", fpath), dim, bases, builtins, fpath + ".state")
-            fixed_points.append(FixedPoint(t, state))
+        fixed_points = [
+            _parse_point(item, schedule, bases, builtins, f"fixed_points[{i}]")
+            for i, item in enumerate(fps_raw)
+        ]
 
         query = _parse_query(_want(raw, "query", "scenario"), "query")
 
@@ -538,7 +540,7 @@ def serialize_scenario(s: Scenario) -> str:
             ),
         },
         "fixed_points": [
-            {"time": float(p.t), "state": [_dump_complex(z) for z in p.state.amps]}
+            {"time": float(p.t), "state": [_dump_complex(z) for z in p.state]}
             for p in s.fixed_points
         ],
         "bases": {
@@ -565,9 +567,9 @@ def random_basis(rng: np.random.Generator, dim: int) -> Basis:
     return Basis(q.T)
 
 
-def random_state(rng: np.random.Generator, dim: int) -> StateVector:
+def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return StateVector(v / np.linalg.norm(v))
+    return v / np.linalg.norm(v)
 
 
 def random_schedule(
@@ -729,7 +731,7 @@ def run(scenario: Scenario) -> ResultReport:
             if q.kind == "chain":
                 points = (
                     src,
-                    *(FixedPoint(t, basis[k]) for (t, basis), k in zip(interior, q.selection)),
+                    *(FixedPoint(t, basis.rows[k]) for (t, basis), k in zip(interior, q.selection)),
                     snk,
                 )
                 value, estimate = oracle.contour_line_integral(
@@ -747,7 +749,7 @@ def run(scenario: Scenario) -> ResultReport:
             t, outcomes = interior[0]
             u1 = oracle.propagator(sched, Branch.FORWARD, src.t, t)
             if snk is None:
-                report.oracle = [oracle.standard_born(u1, src.state, phi) for phi in outcomes]
+                report.oracle = [oracle.standard_born(u1, src.state, phi) for phi in outcomes.rows]
             else:
                 u2 = oracle.propagator(sched, Branch.FORWARD, t, snk.t)
                 report.oracle = oracle.abl_rule(u1, u2, src.state, outcomes, snk.state)

@@ -1,13 +1,14 @@
 """Dense complex linear algebra on small Hilbert spaces.
 
-States, orthonormal bases, Hermitian generators, and unitaries are thin
-immutable wrappers around complex128 ndarrays; invariants are enforced at
-construction; a basis is one matrix, one row per element. Matrix
-exponentials of Hermitian generators go through the eigendecomposition,
-which keeps the result unitary to rounding. Each generator computes its
-eigendecomposition once, and the engine's exponentials are plain arrays:
-`dynamics.propagate` multiplies them and checks unitarity once, on the
-propagator it returns.
+A state is a plain complex128 vector: a fixed point keeps a read-only
+copy, and `is_unit` checks its norm where it must be 1. Orthonormal bases,
+Hermitian generators, and unitaries are thin immutable wrappers around
+complex128 ndarrays whose invariants are enforced at construction; a basis
+is one matrix, one row per element. Matrix exponentials of Hermitian
+generators go through the eigendecomposition, which keeps the result
+unitary to rounding. Each generator computes its eigendecomposition once,
+and the engine's exponentials are plain arrays: `dynamics.propagate`
+multiplies them and checks unitarity once, on the propagator it returns.
 """
 
 from __future__ import annotations
@@ -29,33 +30,6 @@ def _frozen_array(data, *, ndim: int, what: str, order: str = "K") -> np.ndarray
         raise ValidationError(f"{what} contains non-finite entries")
     arr.setflags(write=False)
     return arr
-
-
-@dataclass(frozen=True, eq=False)
-class StateVector:
-    """A vector of complex amplitudes; unit norm is enforced where it matters
-    (fixed points, basis elements), not here."""
-
-    amps: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "amps", _frozen_array(self.amps, ndim=1, what="state vector"))
-
-    @property
-    def dim(self) -> int:
-        return self.amps.shape[0]
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-    def is_normalized(self) -> bool:
-        return abs(self.norm - 1.0) <= active_tolerances().state_norm
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, StateVector):
-            return NotImplemented
-        return np.array_equal(self.amps, other.amps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,8 +101,7 @@ class UnitaryMatrix:
 class Basis:
     """Complete orthonormal basis held as one read-only (d, d) matrix whose
     rows are its elements: Gram matrix rows* rows^T = I within the active
-    basis_orthonormal tolerance. Indexing and iteration give the rows as
-    StateVectors."""
+    basis_orthonormal tolerance."""
 
     rows: np.ndarray
 
@@ -151,12 +124,6 @@ class Basis:
     def __len__(self) -> int:
         return self.rows.shape[0]
 
-    def __iter__(self):
-        return (StateVector(row) for row in self.rows)
-
-    def __getitem__(self, i: int) -> StateVector:
-        return StateVector(self.rows[i])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Basis):
             return NotImplemented
@@ -170,6 +137,11 @@ def expm_hermitian(h: HermitianOperator, s: float) -> np.ndarray:
     w, v = h.spectrum
     phases = np.exp(-1j * s * w)
     return (v * phases) @ v.conj().T
+
+
+def is_unit(v: np.ndarray) -> bool:
+    """Whether a state has unit norm within the active state_norm tolerance."""
+    return abs(float(np.linalg.norm(v)) - 1.0) <= active_tolerances().state_norm
 
 
 def unitarity_defect(mat: np.ndarray) -> float:

@@ -162,7 +162,7 @@ def test_criterion_7_realness_and_positivity(born_runs, abl_runs):
     worst_neg = 0.0
     for scenario in born_runs[0]:
         prep = scenario.fixed_points[0]
-        for phi in scenario.resolve_basis(scenario.query.outcomes):
+        for phi in scenario.resolve_basis(scenario.query.outcomes).rows:
             raw = chain_delta_psi(
                 scenario.schedule, (prep, FixedPoint(scenario.query.time, phi))
             )
@@ -170,7 +170,7 @@ def test_criterion_7_realness_and_positivity(born_runs, abl_runs):
             worst_neg = max(worst_neg, -raw.real)
     for scenario in abl_runs[0]:
         pre, post = scenario.fixed_points
-        for a in scenario.resolve_basis(scenario.query.outcomes):
+        for a in scenario.resolve_basis(scenario.query.outcomes).rows:
             raw = chain_delta_psi(
                 scenario.schedule, (pre, FixedPoint(scenario.query.time, a), post)
             )
@@ -233,8 +233,8 @@ def test_criterion_10_expectation_linkage():
         outcomes = random_basis(rng, dim)
         rho = DensityMatrix.from_state(psi)
         measures = born_measure(sched, FixedPoint(t0, psi), t1, outcomes).measures
-        for i, phi in enumerate(outcomes):
-            proj = HermitianOperator(np.outer(phi.amps, phi.amps.conj()))
+        for i, phi in enumerate(outcomes.rows):
+            proj = HermitianOperator(np.outer(phi, phi.conj()))
             worst = max(worst, abs(expectation(rho, sched, t0, t1, proj) - measures[i]))
     _verdict(
         10,

@@ -298,6 +298,53 @@ class TestInputRobustness:
         assert "scenario.bases" in err
 
     @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("outcomes", [5, None, ["m"], True])
+    @pytest.mark.parametrize(
+        "name, keys",
+        [
+            ("born_sx_quarter", ("query", "outcomes")),
+            ("abl_plus_postselection", ("query", "outcomes")),
+            ("chain_sx_interior", ("query", "interior", 0, "outcomes")),
+        ],
+        ids=lambda v: v if isinstance(v, str) else ".".join(map(str, v)),
+    )
+    def test_non_string_outcomes_is_a_schema_error(
+        self, capsys, tmp_path, command, outcomes, name, keys
+    ):
+        # a basis named "5" must not answer to the number 5
+        doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+        doc["bases"] = {"5": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
+        *parents, last = keys
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = outcomes
+        path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys).lstrip(".")
+        code, out, err = run_cli(capsys, command, _write(tmp_path, doc))
+        assert (code, out, err) == (2, "", f"SCHEMA_ERROR: {path}: expected a basis name\n")
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("fixed_points", ["absent", None])
+    def test_null_fixed_points_are_none(self, capsys, tmp_path, command, fixed_points):
+        doc = _born_doc(query={"kind": "validate"})
+        if fixed_points == "absent":
+            del doc["fixed_points"]
+        else:
+            doc["fixed_points"] = fixed_points
+        code, out, err = run_cli(capsys, command, _write(tmp_path, doc))
+        assert code == 0 and err == ""
+        assert parse_scenario(json.dumps(doc)).fixed_points == ()
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("fixed_points", [{}, 1, "z:0", True, 0, False, ""])
+    def test_non_list_fixed_points_is_a_schema_error(
+        self, capsys, tmp_path, command, fixed_points
+    ):
+        doc = _born_doc(query={"kind": "validate"}, fixed_points=fixed_points)
+        code, out, err = run_cli(capsys, command, _write(tmp_path, doc))
+        assert (code, out, err) == (2, "", "SCHEMA_ERROR: scenario.fixed_points: expected a list\n")
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
     def test_overflowing_generator_is_rejected(self, capsys, tmp_path, command):
         doc = _born_doc()
         doc["hamiltonian"]["pieces"][0]["matrix"] = [

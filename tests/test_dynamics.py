@@ -104,7 +104,7 @@ class TestApply:
     def test_identity(self):
         v = random_state(np.random.default_rng(1), 3)
         sched = HamiltonianSchedule((SchedulePiece(0.0, 1.0, HermitianOperator(np.zeros((3, 3)))),))
-        np.testing.assert_array_equal(propagate(sched, F, 0.0, 1.0).mat @ v.amps, v.amps)
+        np.testing.assert_array_equal(propagate(sched, F, 0.0, 1.0).mat @ v, v)
 
     def test_half_turn_flips_sign(self):
         u = propagate(constant(SZ, 0.0, np.pi), F, 0.0, np.pi)
@@ -115,7 +115,7 @@ class TestApply:
         rng = np.random.default_rng(2)
         sched = random_schedule(rng, 5, 2)
         v = random_state(rng, 5)
-        out = propagate(sched, F, sched.t_start, sched.t_end).mat @ v.amps
+        out = propagate(sched, F, sched.t_start, sched.t_end).mat @ v
         assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 

@@ -11,9 +11,9 @@ from fpf.errors import (
     ValidationError,
 )
 from fpf.histories import FixedPoint, build_network, make_history
-from fpf.statespace import StateVector, standard_basis
+from fpf.statespace import standard_basis
 
-E0, E1 = standard_basis(2)
+E0, E1 = standard_basis(2).rows
 
 
 class TestMakeHistory:
@@ -36,10 +36,10 @@ class TestMakeHistory:
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
-            make_history([FixedPoint(0.0, E0), FixedPoint(1.0, standard_basis(3)[0])])
+            make_history([FixedPoint(0.0, E0), FixedPoint(1.0, standard_basis(3).rows[0])])
 
     def test_unnormalized_rejected(self):
-        crooked = StateVector(np.array([0.5, 0.5]))
+        crooked = np.array([0.5, 0.5])
         with pytest.raises(NotNormalized):
             make_history([FixedPoint(0.0, E0), FixedPoint(1.0, crooked)])
 

@@ -26,7 +26,6 @@ from fpf.oracle import (
 from fpf.scenario import random_basis, random_hermitian, random_schedule, random_state
 from fpf.statespace import (
     HermitianOperator,
-    StateVector,
     UnitaryMatrix,
     expm_hermitian,
     standard_basis,
@@ -37,8 +36,8 @@ QUARTER = float(np.pi / 4)
 SX = HermitianOperator(np.array([[0, 1], [1, 0]], dtype=complex))
 SZ = HermitianOperator(np.array([[1, 0], [0, -1]], dtype=complex))
 ZERO2 = HermitianOperator(np.zeros((2, 2)))
-E0, E1 = standard_basis(2)
-PLUS = StateVector(np.array([1, 1]) / SQRT2)
+E0, E1 = standard_basis(2).rows
+PLUS = np.array([1, 1], dtype=complex) / SQRT2
 
 F = Branch.FORWARD
 
@@ -65,7 +64,7 @@ class TestStandardBorn:
         sched = random_schedule(rng, dim, 2)
         u = propagator(sched, F, sched.t_start, sched.t_end)
         psi = random_state(rng, dim)
-        total = sum(standard_born(u, psi, phi) for phi in random_basis(rng, dim))
+        total = sum(standard_born(u, psi, phi) for phi in random_basis(rng, dim).rows)
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -106,7 +105,7 @@ class TestExpectation:
         dim = int(rng.integers(2, 7))
         sched = random_schedule(rng, dim, 2)
         psi, phi = random_state(rng, dim), random_state(rng, dim)
-        proj = HermitianOperator(np.outer(phi.amps, phi.amps.conj()))
+        proj = HermitianOperator(np.outer(phi, phi.conj()))
         got = expectation(DensityMatrix.from_state(psi), sched, sched.t_start, sched.t_end, proj)
         want = standard_born(propagator(sched, F, sched.t_start, sched.t_end), psi, phi)
         assert got == pytest.approx(want, abs=1e-12)
@@ -195,7 +194,7 @@ def _per_span_line_integral(sched, history, steps):
     _rk4_segment, at steps and steps // 2, with the same estimate."""
 
     def weight(n):
-        state_at = {p.t: p.state.amps for p in history.points}
+        state_at = {p.t: p.state for p in history.points}
         value = complex(1.0)
         for seg in build_path(history.times):
             psi = state_at[seg.t_from]
@@ -283,7 +282,7 @@ class TestRK4Map:
         for dim in range(2, 9):
             m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             h = 0.5 * (m + m.conj().T)
-            psi = random_state(rng, dim).amps
+            psi = random_state(rng, dim)
             t_a, t_b = sorted(rng.uniform(-1.0, 1.0, 2))
             if backward:
                 t_a, t_b = t_b, t_a

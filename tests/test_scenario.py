@@ -16,7 +16,7 @@ from fpf.scenario import (
     run,
     serialize_scenario,
 )
-from fpf.statespace import StateVector
+from fpf.histories import FixedPoint
 
 QUARTER = math.pi / 4
 ZERO2 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
@@ -80,7 +80,7 @@ class TestParse:
     def test_named_states_expand(self):
         doc = minimal_born(fixed_points=[{"time": 0.0, "state": "x:+"}])
         s = parse_scenario(json.dumps(doc))
-        assert s.fixed_points[0].state.amps[0] == pytest.approx(1 / math.sqrt(2))
+        assert s.fixed_points[0].state[0] == pytest.approx(1 / math.sqrt(2))
 
     def test_unknown_basis_in_state(self):
         doc = minimal_born(fixed_points=[{"time": 0.0, "state": "w:0"}])
@@ -244,19 +244,19 @@ class TestBuiltinBases:
 
 
 class TestBasisRows:
-    """A basis is one checked matrix: parsing wraps explicit states in
-    StateVectors, never the rows of a basis."""
+    """A basis is one checked matrix: only fixed points copy and check a
+    state, and the oracles read the rows of a basis as they are."""
 
     @pytest.fixture
     def wrapped(self, monkeypatch):
         calls = []
-        init = StateVector.__post_init__
+        init = FixedPoint.__post_init__
 
         def counted(self):
             calls.append(self)
             init(self)
 
-        monkeypatch.setattr(StateVector, "__post_init__", counted)
+        monkeypatch.setattr(FixedPoint, "__post_init__", counted)
         return calls
 
     def test_network_file_wraps_no_state(self, wrapped):
@@ -271,6 +271,26 @@ class TestBasisRows:
         s = parse_scenario(text)
         assert s.bases["m"].rows.shape == (dim, dim)
         assert len(wrapped) == 1
+
+    @pytest.mark.parametrize("kind", ["born", "abl"])
+    def test_born_and_abl_runs_make_no_fixed_point(self, wrapped, kind):
+        s = parse_scenario(serialize_scenario(random_scenario(3, 4, 2, kind)))
+        wrapped.clear()
+        run(s)
+        assert wrapped == []
+
+    @pytest.mark.parametrize("slots", [1, 2, 3])
+    def test_chain_run_makes_one_fixed_point_per_slot(self, wrapped, slots):
+        doc = json.loads((SCENARIOS / "chain_sx_interior.json").read_text())
+        t0, t1 = (p["time"] for p in doc["fixed_points"])
+        doc["query"]["interior"] = [
+            {"time": t0 + (t1 - t0) * (k + 1) / (slots + 1), "outcomes": "x"} for k in range(slots)
+        ]
+        doc["query"]["selection"] = [0] * slots
+        s = parse_scenario(json.dumps(doc))
+        wrapped.clear()
+        run(s)
+        assert len(wrapped) == slots
 
 
 S = 1 / math.sqrt(2)

@@ -63,8 +63,9 @@ def _runs(pairs):
     for index, (parent, change) in enumerate(pairs):
         for side, qps in (("parent", parent), ("change", change)):
             metrics = {"queries_per_s": qps, "query_ms_p50": 1000 / qps}
-            runs.append({"workload": "w", "pair": index, "side": side, "exit": 0,
-                         "correct": True, "failed": 0, "metrics": metrics})
+            position = (side == "change") ^ (index % 2)  # alternated as in main
+            runs.append({"workload": "w", "pair": index, "side": side, "position": position,
+                         "exit": 0, "correct": True, "failed": 0, "metrics": metrics})
     return runs
 
 
@@ -78,6 +79,18 @@ def test_bench_pairs_counts_wins_in_each_metric_direction():
     assert (qps["parent"]["median"], qps["change"]["median"]) == (100, 110)
     assert not qps["gain_rule_met"]  # 2 wins of 4 pairs is under nine tenths
     assert rows["query_ms_p50"]["change_wins"] == 2
+
+
+def test_bench_pairs_counts_wins_of_the_side_that_ran_second():
+    better = {"queries_per_s": "higher", "query_ms_p50": "lower"}
+    # pairs 0 and 2 run the change second, pair 1 the parent; pair 3 ties
+    runs = _runs([(100, 110), (102, 101), (98, 99), (97, 97)])
+    rows = _bench_pairs().summarize(runs, better)["w"]
+    qps = rows["queries_per_s"]
+    assert (qps["change_wins"], qps["second_wins"], qps["ties"]) == (2, 3, 1)
+    assert rows["query_ms_p50"]["second_wins"] == 3
+    flipped = _runs([(110, 100), (100, 110)])  # the side that ran first wins both
+    assert _bench_pairs().summarize(flipped, better)["w"]["queries_per_s"]["second_wins"] == 0
 
 
 def test_bench_pairs_gain_rule_needs_a_gap_wider_than_the_parent_spread():

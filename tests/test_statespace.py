@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpf.errors import ValidationError
+from fpf.histories import FixedPoint
 from fpf.statespace import (
     Basis,
     HermitianOperator,
-    StateVector,
     UnitaryMatrix,
     expm_hermitian,
     standard_basis,
@@ -44,9 +44,16 @@ class TestCheckBasis:
 
     def test_hadamard_pair(self):
         basis = Basis(np.array([[1, 1], [1, -1]]) / SQRT2)
-        plus, minus = basis
-        assert plus == StateVector(np.array([1, 1]) / SQRT2)
-        assert basis[1] == minus == StateVector(np.array([1, -1]) / SQRT2)
+        plus, minus = basis.rows
+        np.testing.assert_array_equal(plus, np.array([1, 1]) / SQRT2)
+        np.testing.assert_array_equal(minus, np.array([1, -1]) / SQRT2)
+
+    def test_rows_are_the_only_element_access(self):
+        basis = standard_basis(2)
+        with pytest.raises(TypeError):
+            iter(basis)
+        with pytest.raises(TypeError):
+            basis[0]
 
     def test_incomplete_set(self):
         with pytest.raises(ValidationError, match="needs 3 elements, got 2"):
@@ -115,13 +122,19 @@ class TestExpmHermitian:
 class TestInvariants:
     def test_state_rejects_nan(self):
         with pytest.raises(ValidationError):
-            StateVector(np.array([np.nan, 0.0]))
+            FixedPoint(0.0, np.array([np.nan, 0.0]))
 
     def test_unitary_rejects_non_unitary(self):
         with pytest.raises(ValidationError):
             UnitaryMatrix(np.array([[1, 0], [0, 2]], dtype=complex))
 
     def test_values_are_frozen(self):
-        v = StateVector(np.array([1.0, 0.0]))
+        point = FixedPoint(0.0, np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
-            v.amps[0] = 5.0
+            point.state[0] = 5.0
+
+    def test_fixed_points_compare_by_time_and_values(self):
+        point = FixedPoint(0.5, np.array([1.0, 0.0]))
+        assert point == FixedPoint(0.5, np.array([1.0 + 0j, 0.0]))
+        assert point != FixedPoint(0.5, np.array([0.0, 1.0]))
+        assert point != FixedPoint(0.25, np.array([1.0, 0.0]))
