@@ -16,6 +16,12 @@ calls than its parent run. Each `--traced` seed adds one `--trace 1` run
 per side, kept under `traced` with its per-layer metrics and left out of
 the pairs and the gain rule.
 
+Both sides run from copies of their trees made once per sweep in a
+temporary directory, without `__pycache__`, so that neither side loads
+byte-code left over from earlier runs while the other compiles its
+modules: with PYTHONDONTWRITEBYTECODE set, a copy compiles fpf in every
+process, and an old cache in a working tree would show up as set-up time.
+
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --pairs short-queries:1,2,3,90001 --pairs chain-oracle:1,2,3 \\
         --traced chain-oracle:1 --out BENCH.json
@@ -28,9 +34,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 RUN_TIMEOUT_S = 900
@@ -42,6 +50,12 @@ def pair_spec(text: str) -> tuple[str, list[int]]:
     if not sep or not seeds:
         raise argparse.ArgumentTypeError(f"{text!r} is not WORKLOAD:SEED[,SEED...]")
     return workload, [int(s) for s in seeds.split(",")]
+
+
+def fresh_copy(tree: Path, dest: Path) -> Path:
+    """A copy of a checkout without byte-code caches, git data or benchmark scratch."""
+    shutil.copytree(tree, dest, ignore=shutil.ignore_patterns("__pycache__", ".git", ".perfbench"))
+    return dest
 
 
 def bench_once(checkout: Path, workload: str, seed: int, trace: bool = False) -> dict:
@@ -121,32 +135,34 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
-    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     doc = {"command": "perfbench/run.py --trace 0", "runs": [], "summary": {}, "traced": []}
-    next_pair: dict[str, int] = {}
-    for workload, seeds in args.pairs:
-        for seed in seeds:
-            index = next_pair.get(workload, 0)
-            next_pair[workload] = index + 1
-            order = SIDES if index % 2 == 0 else SIDES[::-1]
-            for position, side in enumerate(order):
-                result = bench_once(sides[side], workload, seed)
-                doc["runs"].append({"workload": workload, "seed": seed, "pair": index,
-                                    "side": side, "position": position, **result})
-                qps = result.get("metrics", {}).get("queries_per_s")
-                print(f"{workload} seed {seed} {side}: exit {result['exit']}, queries_per_s {qps}",
-                      flush=True)
-                doc["summary"] = summarize(doc["runs"], better)
-                args.out.write_text(json.dumps(doc, indent=2) + "\n")
-    for workload, seeds in args.traced:
-        for seed in seeds:
-            for side in SIDES:
-                result = bench_once(sides[side], workload, seed, trace=True)
-                doc["traced"].append({"workload": workload, "seed": seed, "side": side, **result})
-                print(f"{workload} seed {seed} {side}: traced, exit {result['exit']}", flush=True)
-                args.out.write_text(json.dumps(doc, indent=2) + "\n")
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
+        sides = {side: fresh_copy(tree, Path(tmp) / side) for side, tree in trees.items()}
+        next_pair: dict[str, int] = {}
+        for workload, seeds in args.pairs:
+            for seed in seeds:
+                index = next_pair.get(workload, 0)
+                next_pair[workload] = index + 1
+                order = SIDES if index % 2 == 0 else SIDES[::-1]
+                for position, side in enumerate(order):
+                    result = bench_once(sides[side], workload, seed)
+                    doc["runs"].append({"workload": workload, "seed": seed, "pair": index,
+                                        "side": side, "position": position, **result})
+                    qps = result.get("metrics", {}).get("queries_per_s")
+                    print(f"{workload} seed {seed} {side}: exit {result['exit']}, queries_per_s {qps}",
+                          flush=True)
+                    doc["summary"] = summarize(doc["runs"], better)
+                    args.out.write_text(json.dumps(doc, indent=2) + "\n")
+        for workload, seeds in args.traced:
+            for seed in seeds:
+                for side in SIDES:
+                    result = bench_once(sides[side], workload, seed, trace=True)
+                    doc["traced"].append({"workload": workload, "seed": seed, "side": side, **result})
+                    print(f"{workload} seed {seed} {side}: traced, exit {result['exit']}", flush=True)
+                    args.out.write_text(json.dumps(doc, indent=2) + "\n")
     bad = [r for r in doc["runs"] + doc["traced"] if r["exit"] != 0 or not r["correct"] or r["failed"]]
     for workload, rows in doc["summary"].items():
         for name, row in rows.items():

@@ -4,18 +4,20 @@ Time dependence is modeled as contiguous constant pieces, so the
 time-ordered exponential collapses to an exact finite product of spectral
 exponentials: latest factor leftmost when evolving toward larger times,
 and the adjoint of that product when evolving toward smaller times.
+A schedule diagonalizes each branch's generators together, once, and
+`propagators` builds all the propagators of a query in one stacked pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .contour import Branch
 from .errors import CoverageError, DimensionMismatch, ValidationError
-from .statespace import HermitianOperator, UnitaryMatrix, expm_hermitian
+from .statespace import HermitianOperator, UnitaryMatrix, expm_hermitian, unitaries
 from .tolerances import active_tolerances
 
 
@@ -54,6 +56,7 @@ class HamiltonianSchedule:
 
     pieces: tuple[SchedulePiece, ...]
     branch_override: tuple[SchedulePiece, ...] | None = None
+    _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tols = active_tolerances()
@@ -90,6 +93,15 @@ class HamiltonianSchedule:
             return self.branch_override
         return self.pieces
 
+    def _spectrum(self, branch: Branch) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues (P, d) and eigenvectors (P, d, d) of the branch's P
+        generators, from one stacked eigh on first use."""
+        own = branch is Branch.BACKWARD and self.branch_override is not None
+        if own not in self._spectra:
+            mats = [p.hamiltonian.mat for p in self.pieces_for(branch)]
+            self._spectra[own] = np.linalg.eigh(np.array(mats))
+        return self._spectra[own]
+
     def covers(self, t: float) -> bool:
         slack = active_tolerances().schedule_gap
         return self.t_start - slack <= t <= self.t_end + slack
@@ -102,25 +114,38 @@ class HamiltonianSchedule:
                 )
 
 
+def propagators(
+    sched: HamiltonianSchedule, branch: Branch, times: Sequence[float]
+) -> tuple[UnitaryMatrix, ...]:
+    """U(t_k -> t_k+1) on the branch for consecutive times in one pass: all
+    span exponentials at once, each segment's factors onto the identity,
+    latest leftmost (adjoint going back in time), one unitarity check."""
+    sched.require_coverage(*times)
+    pieces = sched.pieces_for(branch)
+    which, durations, ends = [], [], []
+    for lo, hi in map(sorted, zip(times, times[1:])):
+        for k, piece in enumerate(pieces):
+            a, b = max(lo, piece.t_start), min(hi, piece.t_end)
+            if b > a:
+                which.append(k)
+                durations.append(b - a)
+        ends.append(len(which))
+    w, v = sched._spectrum(branch)
+    factors = expm_hermitian(w[which], v[which], np.array(durations))
+    out = []
+    for t_a, t_b, start, end in zip(times, times[1:], [0, *ends], ends):
+        u = np.eye(sched.dim, dtype=np.complex128)
+        for factor in factors[start:end]:
+            u = factor @ u
+        out.append(u.conj().T if t_b < t_a else u)
+    return unitaries(out)
+
+
 def propagate(
     sched: HamiltonianSchedule, branch: Branch, t_from: float, t_to: float
 ) -> UnitaryMatrix:
-    """Unitary mapping states at t_from to states at t_to on the given branch.
-
-    The factors are plain arrays; the product is checked for unitarity
-    once, here."""
-    sched.require_coverage(t_from, t_to)
-    if t_from == t_to:
-        return UnitaryMatrix(np.eye(sched.dim, dtype=np.complex128))
-    lo, hi = min(t_from, t_to), max(t_from, t_to)
-    u = np.eye(sched.dim, dtype=np.complex128)
-    for piece in sched.pieces_for(branch):
-        a, b = max(lo, piece.t_start), min(hi, piece.t_end)
-        if b > a:
-            u = expm_hermitian(piece.hamiltonian, b - a) @ u
-    if t_to < t_from:
-        u = u.conj().T
-    return UnitaryMatrix(u)
+    """U(t_from -> t_to) on the given branch: the one-segment case of `propagators`."""
+    return propagators(sched, branch, (t_from, t_to))[0]
 
 
 def compose_check(
@@ -130,5 +155,5 @@ def compose_check(
     if not t1 <= t2 <= t3:
         raise ValidationError("compose_check requires t1 <= t2 <= t3")
     whole = propagate(sched, branch, t1, t3).mat
-    split = propagate(sched, branch, t2, t3).mat @ propagate(sched, branch, t1, t2).mat
-    return float(np.linalg.norm(whole - split))
+    early, late = propagators(sched, branch, (t1, t2, t3))
+    return float(np.linalg.norm(whole - late.mat @ early.mat))

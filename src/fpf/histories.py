@@ -10,6 +10,7 @@ and one backward line per node pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -103,10 +104,18 @@ class FixedPointNetwork:
     layers: tuple[NetworkLayer, ...]
     edges: tuple[NetworkEdge, ...]
 
+    @cached_property
+    def _pairs(self) -> dict[int, list[NetworkEdge]]:
+        """Edges between adjacent layers, grouped once by the earlier layer."""
+        pairs: dict[int, list[NetworkEdge]] = {}
+        for e in self.edges:
+            if abs(e.source[0] - e.target[0]) == 1:
+                pairs.setdefault(min(e.source[0], e.target[0]), []).append(e)
+        return pairs
+
     def edges_between(self, i: int) -> tuple[NetworkEdge, ...]:
         """All branch lines between layers i and i+1."""
-        pair = {i, i + 1}
-        return tuple(e for e in self.edges if {e.source[0], e.target[0]} == pair)
+        return tuple(self._pairs.get(i, ()))
 
     def channels_between(self, i: int) -> tuple[tuple[int, int], ...]:
         """Two-way channels (node pairs) between layers i and i+1."""

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .contour import Branch
-from .dynamics import HamiltonianSchedule, propagate
+from .dynamics import HamiltonianSchedule, propagators
 from .errors import (
     DegenerateNormalizer,
     DimensionMismatch,
@@ -86,8 +86,8 @@ def _joint_weights(
 
     Entry [i_0, ..., i_n] is the product over consecutive slots of the
     forward amplitude <a_k|U_F|a_{k-1}> and the backward amplitude
-    <a_{k-1}|U_B|a_k>. Each segment costs one propagator, and a second
-    only when a branch override gives the backward branch its own pieces.
+    <a_{k-1}|U_B|a_k>. All segments take one stacked propagator pass, and a
+    second only when a branch override gives the backward branch its own pieces.
     """
     if len(slots) < 2:
         raise ValidationError("a history weight needs at least two fixed points")
@@ -96,13 +96,12 @@ def _joint_weights(
         raise InstanceTooLarge(f"{joints} joint outcomes exceed the limit of {MAX_JOINTS}")
     if any(states.shape[1] != sched.dim for _, states in slots):
         raise DimensionMismatch(f"slot states must have the schedule's dim {sched.dim}")
+    times = [t for t, _ in slots]
+    forward_us = propagators(sched, Branch.FORWARD, times)
+    backward_us = propagators(sched, Branch.BACKWARD, times) if sched.branch_override else forward_us
     weights = np.ones(len(slots[0][1]), dtype=np.complex128)
-    for (t_a, a), (t_b, b) in zip(slots, slots[1:]):
-        u_f = propagate(sched, Branch.FORWARD, t_a, t_b).mat
-        if sched.branch_override is None:
-            u_b = u_f.conj().T  # what propagate builds for the shared pieces
-        else:
-            u_b = propagate(sched, Branch.BACKWARD, t_b, t_a).mat
+    for (_, a), (_, b), u_f, u_b in zip(slots, slots[1:], forward_us, backward_us):
+        u_f, u_b = u_f.mat, u_b.mat.conj().T  # u_b = U_B(t_b -> t_a)
         forward = b.conj() @ (u_f @ a.T)
         backward = a.conj() @ (u_b @ b.T)
         weights = weights[..., None] * (forward.T * backward)

@@ -1,10 +1,10 @@
 """Independent textbook checks for the measure engine.
 
-Everything here re-derives its own propagation: exponentials come from a
-scaled power series instead of the eigendecomposition, the line integral
-integrates the branch Schrodinger equation with classical RK4, and the
-tensor/sink evaluator builds the full multi-time product state with
-explicit time labels. None of it shares propagator code with the
+Everything here re-derives its own propagation: exponentials come from one
+scaled power series over stacked spans instead of the eigendecomposition,
+the line integral integrates the branch Schrodinger equation with classical
+RK4, and the tensor/sink evaluator builds the full multi-time product state
+with explicit time labels. None of it shares propagator code with the
 dynamics module.
 
 On a constant-generator span the line integral applies RK4's one-step
@@ -33,7 +33,7 @@ from .errors import (
     ZeroDenominator,
 )
 from .histories import QuantumHistory
-from .statespace import Basis, HermitianOperator, UnitaryMatrix
+from .statespace import Basis, HermitianOperator, UnitaryMatrix, unitaries
 from .tolerances import active_tolerances
 
 # Fixed bounds of the density-matrix checks: no command builds a density
@@ -71,33 +71,34 @@ class DensityMatrix:
 
 
 def _expm_series(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling, truncated power series, and repeated
-    squaring. Slow and boring on purpose. A generator too large for the
-    scaling factor 2**squarings, or a result that overflows, is beyond the
-    oracle's reach.
+    """Matrix exponentials of a (S, d, d) stack by scaling, one truncated
+    power series, and repeated squaring, slow and boring on purpose; each
+    span gets its own scale guard and squaring count, as if alone. A span
+    too large for 2**squarings, or whose result overflows, is beyond the
+    oracle's reach; the first such span names the error.
 
-    After scaling, ||b||_1 <= 0.5. The 1-norm is submultiplicative, so the
-    terms after the 17th sum to at most sum_{k>=18} 0.5^k / k!, and since
-    each of those bounds is at most 0.5/19 of the one before, that tail is
-    below (19/18.5) * 0.5^18 / 18! < 1e-21. That is far below rounding in
-    a sum whose leading term is I, so a fixed 17 terms need no per-term
-    stopping test."""
-    scale = float(np.linalg.norm(a, 1))
-    if not scale <= 2.0**1022:  # also catches inf and NaN
-        raise InstanceTooLarge(f"series exponential of a matrix with norm {scale:.3e}")
-    squarings = 0
-    if scale > 0.5:
-        squarings = int(np.ceil(np.log2(scale / 0.5)))
-    b = a / (2.0**squarings)
-    term = np.eye(a.shape[0], dtype=np.complex128)
-    total = term.copy()
+    After scaling, ||b||_1 <= 0.5 for each span. The 1-norm is
+    submultiplicative, so the terms after the 17th sum to at most
+    sum_{k>=18} 0.5^k / k!, and since each of those bounds is at most
+    0.5/19 of the one before, that tail is below (19/18.5) * 0.5^18 / 18!
+    < 1e-21 per span. That is far below rounding in a sum whose leading
+    term is I, so a fixed 17 terms need no per-term stopping test."""
+    scales = np.linalg.norm(a, 1, axis=(1, 2)).tolist()
+    squarings = [int(np.ceil(np.log2(s / 0.5))) if 0.5 < s <= 2.0**1022 else 0 for s in scales]
+    b = a / np.array([2.0**n for n in squarings])[:, np.newaxis, np.newaxis]
+    b[[not s <= 2.0**1022 for s in scales]] = 0.0  # summed as zero, then refused below
+    term = total = np.repeat(np.eye(a.shape[1], dtype=np.complex128)[np.newaxis], len(a), axis=0)
     for k in range(1, 18):
         term = term @ b / k
         total = total + term
-    for _ in range(squarings):
-        total = total @ total
-    if not np.isfinite(total).all():
-        raise InstanceTooLarge(f"series exponential overflows in {squarings} squarings")
+    for n in range(max(squarings, default=0)):
+        which = [i for i, count in enumerate(squarings) if count > n]
+        total[which] = total[which] @ total[which]
+    for s, n, finite in zip(scales, squarings, np.isfinite(total).all(axis=(1, 2))):
+        if not s <= 2.0**1022:  # also catches inf and NaN
+            raise InstanceTooLarge(f"series exponential of a matrix with norm {s:.3e}")
+        if not finite:
+            raise InstanceTooLarge(f"series exponential overflows in {n} squarings")
     return total
 
 
@@ -114,19 +115,36 @@ def _constant_spans(
     return spans
 
 
+def propagators(
+    sched: HamiltonianSchedule, branch: Branch, times
+) -> tuple[UnitaryMatrix, ...]:
+    """Branch propagators U(t_k -> t_k+1) for consecutive times from one
+    series over all their spans: each segment's factors onto the identity,
+    latest leftmost (adjoint going back in time), one unitarity check."""
+    pairs = list(zip(times, times[1:]))
+    segments = [_constant_spans(sched, branch, min(a, b), max(a, b)) for a, b in pairs]
+    a = [-1j * (t1 - t0) * h for seg in segments for h, t0, t1 in seg]
+    try:
+        factors = iter(_expm_series(np.array(a).reshape(len(a), sched.dim, sched.dim)))
+    except InstanceTooLarge:
+        if len(pairs) > 1:  # an earlier segment that fails its unitarity check comes first
+            for pair in pairs:
+                propagators(sched, branch, pair)
+        raise
+    out = []
+    for (t_a, t_b), seg in zip(pairs, segments):
+        u = np.eye(sched.dim, dtype=np.complex128)
+        for _ in seg:
+            u = next(factors) @ u
+        out.append(u.conj().T if t_b < t_a else u)
+    return unitaries(out)
+
+
 def propagator(
     sched: HamiltonianSchedule, branch: Branch, t_from: float, t_to: float
 ) -> UnitaryMatrix:
-    """Branch propagator assembled from series exponentials only."""
-    if t_from == t_to:
-        sched.require_coverage(t_from)
-        return UnitaryMatrix(np.eye(sched.dim, dtype=np.complex128))
-    u = np.eye(sched.dim, dtype=np.complex128)
-    for h, a, b in _constant_spans(sched, branch, min(t_from, t_to), max(t_from, t_to)):
-        u = _expm_series(-1j * (b - a) * h) @ u
-    if t_to < t_from:
-        u = u.conj().T
-    return UnitaryMatrix(u)
+    """Series-exponential U(t_from -> t_to): the one-segment case of `propagators`."""
+    return propagators(sched, branch, (t_from, t_to))[0]
 
 
 def standard_born(u: UnitaryMatrix, psi: np.ndarray, phi: np.ndarray) -> float:

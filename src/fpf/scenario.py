@@ -20,7 +20,7 @@ import numpy as np
 
 from . import measure, oracle
 from .contour import Branch
-from .dynamics import HamiltonianSchedule, SchedulePiece, compose_check, propagate
+from .dynamics import HamiltonianSchedule, SchedulePiece, propagators
 from .errors import (
     SchemaError,
     ScenarioSyntaxError,
@@ -747,11 +747,11 @@ def run(scenario: Scenario) -> ResultReport:
                 }
                 return report
             t, outcomes = interior[0]
-            u1 = oracle.propagator(sched, Branch.FORWARD, src.t, t)
             if snk is None:
+                (u1,) = oracle.propagators(sched, Branch.FORWARD, (src.t, t))
                 report.oracle = [oracle.standard_born(u1, src.state, phi) for phi in outcomes.rows]
             else:
-                u2 = oracle.propagator(sched, Branch.FORWARD, t, snk.t)
+                u1, u2 = oracle.propagators(sched, Branch.FORWARD, (src.t, t, snk.t))
                 report.oracle = oracle.abl_rule(u1, u2, src.state, outcomes, snk.state)
             report.max_deviation = max(abs(m - r) for m, r in zip(report.measures, report.oracle))
             return report
@@ -802,15 +802,11 @@ def run(scenario: Scenario) -> ResultReport:
 def _validate_checks(scenario: Scenario) -> dict[str, float]:
     sched = scenario.schedule
     t0, t1 = sched.t_start, sched.t_end
-    tm = 0.5 * (t0 + t1)
-    u = propagate(sched, Branch.FORWARD, t0, t1)
-    unitarity = unitarity_defect(u.mat)
-    composition = compose_check(sched, Branch.FORWARD, t0, tm, t1)
-    reversal = float(
-        np.linalg.norm(propagate(sched, Branch.FORWARD, t1, t0).mat - u.mat.conj().T)
-    )
+    u, back = propagators(sched, Branch.FORWARD, (t0, t1, t0))
+    early, late = propagators(sched, Branch.FORWARD, (t0, 0.5 * (t0 + t1), t1))
     return {
-        "unitarity": unitarity,
-        "composition": composition,
-        "reversal": reversal,
+        "unitarity": unitarity_defect(u.mat),
+        "composition": float(np.linalg.norm(u.mat - late.mat @ early.mat)),
+        # U(t1 -> t0) is the adjoint of the very product u is: 0.0 by construction
+        "reversal": float(np.linalg.norm(back.mat - u.mat.conj().T)),
     }

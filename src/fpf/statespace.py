@@ -6,15 +6,13 @@ Hermitian generators, and unitaries are thin immutable wrappers around
 complex128 ndarrays whose invariants are enforced at construction; a basis
 is one matrix, one row per element. Matrix exponentials of Hermitian
 generators go through the eigendecomposition, which keeps the result
-unitary to rounding. Each generator computes its eigendecomposition once,
-and the engine's exponentials are plain arrays: `dynamics.propagate`
-multiplies them and checks unitarity once, on the propagator it returns.
+unitary to rounding; `expm_hermitian` forms a stack of them at once, and
+a stack of propagators is checked for unitarity once (`unitaries`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -57,14 +55,6 @@ class HermitianOperator:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    @cached_property
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues and eigenvectors (read-only), computed on first use."""
-        w, v = np.linalg.eigh(self.mat)
-        w.setflags(write=False)
-        v.setflags(write=False)
-        return w, v
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, HermitianOperator):
             return NotImplemented
@@ -77,14 +67,7 @@ class UnitaryMatrix:
 
     def __post_init__(self):
         arr = _frozen_array(self.mat, ndim=2, what="unitary matrix")
-        if arr.shape[0] != arr.shape[1]:
-            raise ValidationError("unitary matrix must be square")
-        residual = unitarity_defect(arr)
-        tol = active_tolerances().unitary
-        if residual > tol:
-            raise ValidationError(
-                f"matrix is not unitary: ||U^H U - I||_F = {residual:.3e} > {tol:.1e}"
-            )
+        _check_unitary(arr[np.newaxis])
         object.__setattr__(self, "mat", arr)
 
     @property
@@ -130,13 +113,38 @@ class Basis:
         return np.array_equal(self.rows, other.rows)
 
 
-def expm_hermitian(h: HermitianOperator, s: float) -> np.ndarray:
-    """exp(-i*s*h) by spectral synthesis from the generator's cached
-    spectrum. The result is a plain array, unitary to rounding; the
-    propagator built from it is checked once, in `dynamics.propagate`."""
-    w, v = h.spectrum
-    phases = np.exp(-1j * s * w)
-    return (v * phases) @ v.conj().T
+def _check_unitary(stack: np.ndarray) -> None:
+    """UnitaryMatrix's rule for each matrix of a finite (K, d, d) stack; the
+    first that fails names the error, its defect as `unitarity_defect` has it."""
+    if stack.shape[1] != stack.shape[2]:
+        raise ValidationError("unitary matrix must be square")
+    tol = active_tolerances().unitary
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge defect is inf or NaN
+        gram = np.swapaxes(stack.conj(), 1, 2) @ stack
+        bad = np.linalg.norm(gram - np.eye(stack.shape[2]), axis=(1, 2)) > tol
+    if bad.any():
+        residual = unitarity_defect(stack[int(np.argmax(bad))])
+        raise ValidationError(f"matrix is not unitary: ||U^H U - I||_F = {residual:.3e} > {tol:.1e}")
+
+
+def unitaries(stack) -> tuple[UnitaryMatrix, ...]:
+    """A (K, d, d) stack as UnitaryMatrix values: one read-only copy,
+    checked once for the whole stack instead of once per matrix."""
+    arr = _frozen_array(stack, ndim=3, what="unitary matrix")
+    _check_unitary(arr)
+    out = tuple(object.__new__(UnitaryMatrix) for _ in arr)  # checked above
+    for u, mat in zip(out, arr):
+        object.__setattr__(u, "mat", mat)
+    return out
+
+
+def expm_hermitian(w: np.ndarray, v: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """exp(-i s_k h_k) for a stack of generators h_k = v_k diag(w_k) v_k^H
+    given by eigenvalues w (S, d), eigenvectors v (S, d, d) and durations
+    s (S,): one exp and one broadcast product, each slice the arithmetic of
+    (v * exp(-i s w)) @ v^H alone. Plain arrays, unitary to rounding."""
+    phases = np.exp(-1j * s[:, np.newaxis] * w)
+    return (v * phases[:, np.newaxis, :]) @ np.swapaxes(v.conj(), 1, 2)
 
 
 def is_unit(v: np.ndarray) -> bool:

@@ -98,7 +98,7 @@ def tolerance_overrides(**overrides: float):
 def _override_context(overrides: dict[str, float]):
     global _active
     previous = _active
-    _active = replace(previous, **overrides)
+    _active = replace(previous, **overrides) if overrides else previous  # none: no copy
     try:
         yield _active
     finally:

@@ -10,7 +10,7 @@ import fpf.errors
 from fpf.cli import main
 from fpf.errors import DomainError, FpfError, ValidationError
 from fpf.scenario import parse_scenario, random_scenario, run, serialize_scenario
-from fpf.tolerances import Tolerances, tolerance_overrides
+from fpf.tolerances import Tolerances, active_tolerances, tolerance_overrides
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -829,6 +829,28 @@ class TestTolerancePrecedence:
             scenario = parse_scenario(text)
             with pytest.raises(fpf.errors.DegenerateNormalizer):
                 run(scenario)
+
+
+class TestOverrideContext:
+    def test_no_overrides_yield_the_active_record(self):
+        with tolerance_overrides() as t:
+            assert t is active_tolerances()
+        with tolerance_overrides(unitary=1e-3) as outer:
+            with tolerance_overrides() as t:
+                assert t is outer is active_tolerances()
+
+    def test_overrides_nest_and_restore(self):
+        base = active_tolerances()
+        with tolerance_overrides(unitary=1e-3) as outer:
+            assert active_tolerances() is outer and outer.unitary == 1e-3
+            with tolerance_overrides(state_norm=1e-5) as inner:
+                assert (inner.unitary, inner.state_norm) == (1e-3, 1e-5)
+            assert active_tolerances() is outer
+            with tolerance_overrides():
+                pass
+            assert active_tolerances() is outer
+        assert active_tolerances() is base
+        assert base == Tolerances()
 
 
 REMOVED_FIELDS = ["density_hermitian", "density_trace", "density_eigen_floor", "expectation_imag"]

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import fpf.dynamics
+import fpf.oracle
 import fpf.statespace
 from fpf.contour import Branch
 from fpf.dynamics import (
@@ -8,10 +10,12 @@ from fpf.dynamics import (
     SchedulePiece,
     compose_check,
     propagate,
+    propagators,
 )
 from fpf.errors import CoverageError, ValidationError
 from fpf.scenario import (
     parse_scenario,
+    random_hermitian,
     random_scenario,
     random_schedule,
     random_state,
@@ -20,7 +24,6 @@ from fpf.scenario import (
 )
 from fpf.statespace import (
     HermitianOperator,
-    UnitaryMatrix,
     expm_hermitian,
     unitarity_defect,
 )
@@ -30,6 +33,12 @@ SZ = HermitianOperator(np.array([[1, 0], [0, -1]], dtype=complex))
 ZERO2 = HermitianOperator(np.zeros((2, 2)))
 
 F, B = Branch.FORWARD, Branch.BACKWARD
+
+
+def spectral(h, s):
+    """exp(-i s h) for one generator: the one-span case of expm_hermitian."""
+    w, v = np.linalg.eigh(h.mat[np.newaxis])
+    return expm_hermitian(w, v, np.array([s]))[0]
 
 
 def constant(h, t0=0.0, t1=1.0):
@@ -93,10 +102,10 @@ class TestPropagate:
             branch_override=(SchedulePiece(0.0, 1.0, SZ),),
         )
         np.testing.assert_allclose(
-            propagate(sched, F, 0.0, 1.0).mat, expm_hermitian(SX, 1.0)
+            propagate(sched, F, 0.0, 1.0).mat, spectral(SX, 1.0)
         )
         np.testing.assert_allclose(
-            propagate(sched, B, 0.0, 1.0).mat, expm_hermitian(SZ, 1.0)
+            propagate(sched, B, 0.0, 1.0).mat, spectral(SZ, 1.0)
         )
 
 
@@ -196,27 +205,93 @@ def count_calls(monkeypatch, owner, name):
 
 
 class TestWorkCounts:
-    """Each generator is diagonalized once per parsed scenario, and each
-    propagator is checked for unitarity once."""
+    """One `run` with P pieces and no branch override diagonalizes the
+    schedule's generators in one stacked eigh, sums the Born/ABL oracle's
+    spans in one series exponential, and checks each stack of engine
+    propagators for unitarity once: one stack for born, abl and a 2-slot
+    chain, and for validate one for U(t0, t1) with U(t1, t0) and one for
+    the two halves."""
 
-    @pytest.mark.parametrize("kind", ["born", "abl", "validate"])
+    KINDS = ["born", "abl", "chain", "validate"]
+    ENGINE_CHECKS = {"born": 1, "abl": 1, "chain": 1, "validate": 2}
+    SERIES_CALLS = {"born": 1, "abl": 1, "chain": 0, "validate": 0}
+
+    @staticmethod
+    def scenario(seed, n_pieces, kind):
+        # the queries of random scenarios touch every piece
+        return parse_scenario(serialize_scenario(random_scenario(seed, 5, n_pieces, kind)))
+
+    @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("n_pieces", [1, 4])
     @pytest.mark.parametrize("seed", range(3))
-    def test_one_eigh_per_piece(self, monkeypatch, seed, n_pieces, kind):
-        # the queries of random scenarios touch every piece
-        scenario = parse_scenario(serialize_scenario(random_scenario(seed, 5, n_pieces, kind)))
+    def test_one_eigh_per_run(self, monkeypatch, seed, n_pieces, kind):
+        scenario = self.scenario(seed, n_pieces, kind)
         calls = count_calls(monkeypatch, fpf.statespace.np.linalg, "eigh")
         run(scenario)
-        assert len(calls) == n_pieces
+        assert len(calls) == 1
+        assert calls[0][0].shape == (n_pieces, 5, 5)
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_one_unitarity_check_per_propagator(self, monkeypatch, seed):
-        rng = np.random.default_rng(seed)
-        sched = random_schedule(rng, 4, 4)
-        ta, tb = sorted(rng.uniform(sched.t_start, sched.t_end, 2))
-        spans = [(sched.t_start, sched.t_end), (tb, ta), (ta, ta)]
-        calls = count_calls(monkeypatch, UnitaryMatrix, "__post_init__")
-        for t_from, t_to in spans:
-            for branch in (F, B):
-                propagate(sched, branch, t_from, t_to)
-        assert len(calls) == 2 * len(spans)
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n_pieces", [1, 4])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_series_exponential_per_oracle(self, monkeypatch, seed, n_pieces, kind):
+        scenario = self.scenario(seed, n_pieces, kind)
+        calls = count_calls(monkeypatch, fpf.oracle, "_expm_series")
+        run(scenario)
+        assert len(calls) == self.SERIES_CALLS[kind]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n_pieces", [1, 4])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_unitarity_check_per_stack(self, monkeypatch, seed, n_pieces, kind):
+        scenario = self.scenario(seed, n_pieces, kind)
+        calls = count_calls(monkeypatch, fpf.dynamics, "unitaries")
+        run(scenario)
+        assert len(calls) == self.ENGINE_CHECKS[kind]
+
+
+def reference_propagators(sched, branch, times):
+    """U(t_k -> t_k+1) by the per-piece route: one eigh per piece, each
+    exponential (v * exp(-i s w)) @ v^H on its own, multiplied onto the
+    identity in time order, latest factor leftmost."""
+    out = []
+    for lo, hi in zip(times, times[1:]):
+        u = np.eye(sched.dim, dtype=np.complex128)
+        for piece in sched.pieces_for(branch):
+            a, b = max(lo, piece.t_start), min(hi, piece.t_end)
+            if b > a:
+                w, v = np.linalg.eigh(piece.hamiltonian.mat)
+                u = ((v * np.exp(-1j * (b - a) * w)) @ v.conj().T) @ u
+        out.append(u)
+    return out
+
+
+def random_override(rng, sched):
+    """Backward pieces of their own over the schedule's interval."""
+    n = int(rng.integers(1, 5))
+    bounds = np.linspace(sched.t_start, sched.t_end, n + 1).tolist()
+    bounds[-1] = sched.t_end
+    return tuple(
+        SchedulePiece(a, b, random_hermitian(rng, sched.dim)) for a, b in zip(bounds, bounds[1:])
+    )
+
+
+@pytest.mark.parametrize("override", [False, True])
+@pytest.mark.parametrize("seed", range(12))
+def test_stacked_propagators_match_the_per_piece_product(seed, override):
+    rng = np.random.default_rng(seed + 700)
+    dim = int(rng.integers(2, 9))
+    sched = random_schedule(rng, dim, int(rng.integers(1, 5)))
+    if override:
+        sched = HamiltonianSchedule(sched.pieces, branch_override=random_override(rng, sched))
+    inner = sorted(rng.uniform(sched.t_start, sched.t_end, int(rng.integers(0, 4))).tolist())
+    times = [sched.t_start, *inner, sched.t_end]
+    for branch in (F, B):
+        want = reference_propagators(sched, branch, times)
+        got = propagators(sched, branch, times)
+        assert len(got) == len(want)
+        for u, ref in zip(got, want):
+            assert np.array_equal(u.mat, ref)
+        for (ta, tb), ref in zip(zip(times, times[1:]), want):
+            assert np.array_equal(propagate(sched, branch, ta, tb).mat, ref)
+            assert np.array_equal(propagate(sched, branch, tb, ta).mat, ref.conj().T)

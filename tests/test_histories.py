@@ -10,7 +10,8 @@ from fpf.errors import (
     TooFewPoints,
     ValidationError,
 )
-from fpf.histories import FixedPoint, build_network, make_history
+from fpf.contour import Branch
+from fpf.histories import FixedPoint, FixedPointNetwork, NetworkEdge, build_network, make_history
 from fpf.statespace import standard_basis
 
 E0, E1 = standard_basis(2).rows
@@ -70,6 +71,23 @@ class TestNetwork:
     def test_nan_layer_time(self, times):
         with pytest.raises(NonMonotoneTimes):
             build_network(times, [standard_basis(2), standard_basis(2)])
+
+    def test_edges_between_keeps_edge_order_and_skips_other_pairs(self):
+        layers = build_network([0.0, 1.0, 2.0], [standard_basis(1)] * 3).layers
+        edges = (
+            NetworkEdge(Branch.FORWARD, (1, 0), (2, 0)),
+            NetworkEdge(Branch.FORWARD, (0, 0), (2, 0)),  # not an adjacent pair
+            NetworkEdge(Branch.BACKWARD, (1, 0), (0, 0)),
+            NetworkEdge(Branch.FORWARD, (0, 0), (1, 0)),
+            NetworkEdge(Branch.BACKWARD, (2, 0), (1, 0)),
+        )
+        net = FixedPointNetwork(layers, edges)
+        # what a scan of every edge for the pair {i, i + 1} finds, in order
+        for i in (-1, 0, 1, 2):
+            want = tuple(e for e in edges if {e.source[0], e.target[0]} == {i, i + 1})
+            assert net.edges_between(i) == want
+        assert net.edges_between(0) == (edges[2], edges[3])
+        assert net.channels_between(1) == ((0, 0),)
 
     @given(st.lists(st.integers(1, 5), min_size=2, max_size=5))
     @settings(max_examples=40, deadline=None)

@@ -20,6 +20,7 @@ from fpf.oracle import (
     contour_line_integral,
     expectation,
     propagator,
+    propagators,
     standard_born,
     tensor_sink_delta_psi,
 )
@@ -331,6 +332,34 @@ class TestTensorSink:
             tensor_sink_delta_psi(sched, make_history(pts))
 
 
+def per_span_series(a):
+    """exp(a) for one matrix by the oracle's arithmetic on a single span:
+    scaling to ||b||_1 <= 0.5, 17 series terms, then squaring."""
+    scale = float(np.linalg.norm(a, 1))
+    squarings = int(np.ceil(np.log2(scale / 0.5))) if scale > 0.5 else 0
+    b = a / (2.0**squarings)
+    term = np.eye(a.shape[0], dtype=np.complex128)
+    total = term.copy()
+    for k in range(1, 18):
+        term = term @ b / k
+        total = total + term
+    for _ in range(squarings):
+        total = total @ total
+    return total
+
+
+def per_span_propagators(sched, branch, times):
+    """U(t_k -> t_k+1) by one series exponential per span, multiplied onto
+    the identity in time order, latest factor leftmost."""
+    out = []
+    for lo, hi in zip(times, times[1:]):
+        u = np.eye(sched.dim, dtype=np.complex128)
+        for h, a, b in _constant_spans(sched, branch, lo, hi):
+            u = per_span_series(-1j * (b - a) * h) @ u
+        out.append(u)
+    return out
+
+
 class TestSeriesPropagator:
     @pytest.mark.parametrize("seed", range(8))
     def test_agrees_with_spectral_route(self, seed):
@@ -343,6 +372,43 @@ class TestSeriesPropagator:
             propagate(sched, F, ta, tb).mat,
             atol=1e-12,
         )
+
+    @pytest.mark.parametrize("override", [False, True])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_stacked_series_matches_the_per_span_loop(self, seed, override):
+        rng = np.random.default_rng(seed + 800)
+        dim = int(rng.integers(2, 9))
+        sched = random_schedule(rng, dim, int(rng.integers(1, 5)))
+        if override:
+            n = int(rng.integers(1, 5))
+            bounds = np.linspace(sched.t_start, sched.t_end, n + 1).tolist()
+            bounds[-1] = sched.t_end
+            backward = tuple(
+                SchedulePiece(a, b, random_hermitian(rng, dim)) for a, b in zip(bounds, bounds[1:])
+            )
+            sched = HamiltonianSchedule(sched.pieces, branch_override=backward)
+        inner = sorted(rng.uniform(sched.t_start, sched.t_end, int(rng.integers(0, 4))).tolist())
+        times = [sched.t_start, *inner, sched.t_end]
+        for branch in (F, Branch.BACKWARD):
+            want = per_span_propagators(sched, branch, times)
+            got = propagators(sched, branch, times)
+            assert len(got) == len(want)
+            for u, ref in zip(got, want):
+                assert np.array_equal(u.mat, ref)
+            for (ta, tb), ref in zip(zip(times, times[1:]), want):
+                assert np.array_equal(propagator(sched, branch, ta, tb).mat, ref)
+                assert np.array_equal(propagator(sched, branch, tb, ta).mat, ref.conj().T)
+
+    def test_an_earlier_segment_names_the_error(self):
+        # on its own, [0, 1e19] is finite but not unitary and [1e19, 4e19]
+        # overflows; the earlier segment's error comes first, as one
+        # propagator per segment would raise it
+        sched = constant(SX, 0.0, 4e19)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InstanceTooLarge, match="overflows"):
+                propagator(sched, F, 1e19, 4e19)
+            with pytest.raises(ValidationError, match="not unitary: .* = 1.414e"):
+                propagators(sched, F, (0.0, 1e19, 4e19))
 
     # 1e20 overflows in the squarings, 1e308 even the scaling factor 2**squarings
     @pytest.mark.parametrize("span", [1e20, 1e308])
@@ -383,9 +449,32 @@ class TestSeriesExponential:
         for _ in range(4):
             h, s = series_case(rng, dim, target)
             for span in (s, -s):
+                w, v = np.linalg.eigh(h.mat[np.newaxis])
                 np.testing.assert_allclose(
-                    _expm_series(-1j * span * h.mat), expm_hermitian(h, span), rtol=0, atol=1e-13
+                    _expm_series((-1j * span * h.mat)[np.newaxis]),
+                    expm_hermitian(w, v, np.array([span])),
+                    rtol=0,
+                    atol=1e-13,
                 )
+
+    @pytest.mark.parametrize("dim", [2, 5, 8])
+    def test_stack_matches_each_span_alone(self, dim):
+        # one stack holding every norm, so its spans take 0 to 9 squarings
+        rng = np.random.default_rng(dim + 30)
+        stack = []
+        for target in self.NORMS:
+            h, s = series_case(rng, dim, target)
+            stack.append(-1j * s * h.mat)
+        got = _expm_series(np.array(stack))
+        for k, a in enumerate(stack):
+            assert np.array_equal(got[k], per_span_series(a))
+
+    @pytest.mark.parametrize("order, message", [((1e20, 1e308), "overflows"), ((1e308, 1e20), "norm")])
+    def test_first_failing_span_names_the_error(self, order, message):
+        spans = [0.5, *order]
+        stack = np.array([-1j * s * SX.mat for s in spans])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InstanceTooLarge, match=message):
+            _expm_series(stack)
 
     @pytest.mark.parametrize("target", [0.25, 3.0, 200.0])
     def test_one_norm_per_call(self, monkeypatch, target):
@@ -398,7 +487,7 @@ class TestSeriesExponential:
             return norm(*args, **kwargs)
 
         monkeypatch.setattr(fpf.oracle.np.linalg, "norm", counted)
-        _expm_series(-1j * s * h.mat)
+        _expm_series((-1j * s * h.mat)[np.newaxis])
         assert len(calls) <= 1
 
 

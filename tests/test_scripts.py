@@ -185,3 +185,32 @@ def test_bench_pairs_keeps_traced_runs_out_of_the_pairs(tmp_path, monkeypatch):
         ("parent", 5, 101.0), ("change", 5, 101.0)]
     assert [r["seed"] for r in doc["runs"]] == [1, 1]
     assert doc["summary"]["w"]["queries_per_s"]["pairs"] == 1
+
+
+def test_bench_pairs_runs_each_side_from_a_copy_without_byte_code(tmp_path, monkeypatch):
+    bench_pairs = _bench_pairs()
+    for side in ("parent", "change"):
+        cache = tmp_path / side / "src" / "pkg" / "__pycache__"
+        cache.mkdir(parents=True)
+        (cache / "mod.cpython-311.pyc").write_bytes(b"stale")
+        (cache.parent / "mod.py").write_text(f"SIDE = {side!r}\n")
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "queries_per_s", "better": "higher"}]}')
+    seen = []
+
+    def fake_bench_once(checkout, workload, seed, trace=False):
+        seen.append((checkout, sorted(p.name for p in checkout.rglob("*"))))
+        assert (checkout / "src" / "pkg" / "mod.py").read_text() == f"SIDE = {checkout.name!r}\n"
+        return {"exit": 0, "correct": True, "attempted": 1, "failed": 0,
+                "metrics": {"queries_per_s": 100.0}}
+
+    monkeypatch.setattr(bench_pairs, "bench_once", fake_bench_once)
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                             "--pairs", "w:1,2", "--traced", "w:3",
+                             "--out", str(tmp_path / "out.json")]) == 0
+    assert len(seen) == 6
+    # one copy per side for the whole sweep, outside the trees, gone afterwards
+    assert len({checkout for checkout, _ in seen}) == 2
+    for checkout, names in seen:
+        assert "__pycache__" not in names and "mod.py" in names
+        assert tmp_path not in checkout.parents and not checkout.exists()
