@@ -10,8 +10,9 @@ dynamics module.
 On a constant-generator span the line integral applies RK4's one-step
 map R^n, with R = I + E and E = R - I kept separate through the binary
 powering; that is n classical RK4 steps, to rounding. The spans of a
-whole contour path are stacked and powered together, so each resolution
-costs O(log n) numpy calls however many spans the path has. It uses
+whole contour path, at both resolutions, are stacked and powered
+together, so the pair costs O(log n) numpy calls however many spans the
+path has. It uses
 sums and products of the generator only, never an exact exponential, so
 its Richardson error estimate still measures RK4's truncation error;
 spans too long for that estimate to hold are refused.
@@ -87,13 +88,18 @@ def _expm_series(a: np.ndarray) -> np.ndarray:
     squarings = [int(np.ceil(np.log2(s / 0.5))) if 0.5 < s <= 2.0**1022 else 0 for s in scales]
     b = a / np.array([2.0**n for n in squarings])[:, np.newaxis, np.newaxis]
     b[[not s <= 2.0**1022 for s in scales]] = 0.0  # summed as zero, then refused below
-    term = total = np.repeat(np.eye(a.shape[1], dtype=np.complex128)[np.newaxis], len(a), axis=0)
+    # summed and squared in place, in buffers made once
+    total = np.repeat(np.eye(a.shape[1], dtype=np.complex128)[np.newaxis], len(a), axis=0)
+    term, spare = total.copy(), np.empty_like(total)
     for k in range(1, 18):
-        term = term @ b / k
-        total = total + term
+        np.divide(np.matmul(term, b, out=spare), k, out=term)
+        total += term
     for n in range(max(squarings, default=0)):
-        which = [i for i, count in enumerate(squarings) if count > n]
-        total[which] = total[which] @ total[which]
+        if n < min(squarings):  # every span still squares: the whole stack at once
+            total, spare = np.matmul(total, total, out=spare), total
+        else:
+            which = [i for i, count in enumerate(squarings) if count > n]
+            total[which] = total[which] @ total[which]
     for s, n, finite in zip(scales, squarings, np.isfinite(total).all(axis=(1, 2))):
         if not s <= 2.0**1022:  # also catches inf and NaN
             raise InstanceTooLarge(f"series exponential of a matrix with norm {s:.3e}")
@@ -154,6 +160,14 @@ def standard_born(u: UnitaryMatrix, psi: np.ndarray, phi: np.ndarray) -> float:
     return float(abs(np.vdot(phi, u.mat @ psi)) ** 2)
 
 
+def born_rule(u: UnitaryMatrix, psi: np.ndarray, outcomes: Basis) -> list[float]:
+    """`standard_born` for every element of a basis, u psi formed once."""
+    if not u.dim == len(psi) == outcomes.dim:
+        raise DimensionMismatch("born_rule arguments disagree in dimension")
+    fwd = u.mat @ psi
+    return [float(abs(np.vdot(a, fwd)) ** 2) for a in outcomes.rows]
+
+
 def abl_rule(
     u1: UnitaryMatrix,
     u2: UnitaryMatrix,
@@ -193,11 +207,14 @@ def expectation(
     return value.real
 
 
-def _rk4_maps(a: np.ndarray, steps: int) -> np.ndarray:
+def _rk4_maps(a: np.ndarray, steps: int, paired: bool = False) -> np.ndarray:
     """E_n with R^n = I + E_n for every step generator A = -i h dt in the
     stack a of shape (S, d, d): RK4's one-step map R = I + E with
     E = A + A^2/2 + A^3/6 + A^4/24 (the method's stability polynomial),
-    raised to the power `steps`.
+    raised to the power `steps`. With `paired`, a holds the generators of
+    `steps` (fine) and then of steps // 2 (coarse): the fine half takes
+    its exponent's lowest bit alone, and the halves then share the
+    powering by steps // 2, each slice the arithmetic of its own call.
 
     The power is taken by binary powering on E alone, never on R:
     (I+E1)(I+E2) = I + (E1 + E2 + E1 E2). Keeping the identity out of the
@@ -209,6 +226,12 @@ def _rk4_maps(a: np.ndarray, steps: int) -> np.ndarray:
     step = a + a2 / 2.0 + (a2 @ a) / 6.0 + (a2 @ a2) / 24.0
     total = np.zeros_like(step)  # E of R^0 = I
     n = steps
+    if paired:  # the fine half's lowest bit, as the loop below takes it
+        fine, fine_total = step[: len(a) // 2], total[: len(a) // 2]
+        if n & 1:
+            fine_total[...] = fine_total + fine + fine_total @ fine
+        fine[...] = 2.0 * fine + fine @ fine
+        n >>= 1
     while n:
         if n & 1:
             total = total + step + total @ step
@@ -276,8 +299,8 @@ def contour_line_integral(
 
     Each constant-generator span of each segment receives the full step
     budget, so halving the budget exactly halves the resolution. The
-    contour plan is built once; each resolution then takes the RK4 maps of
-    all spans in one stacked binary powering (`_rk4_maps`).
+    contour plan is built once; the RK4 maps of all spans at both
+    resolutions then come from one stacked binary powering (`_rk4_maps`).
 
     A span whose ||h||_1 * |dt| at the coarse resolution exceeds
     RK4_STEP_NORM_BOUND (1) raises InstanceTooLarge. Far past it (a long
@@ -293,17 +316,19 @@ def contour_line_integral(
         raise ValidationError("steps_per_segment must be at least 2")
     coarse_steps = steps_per_segment // 2
     generators, durations, segments = _contour_plan(sched, history)
-    # the complex factor first, then the matrix, as _rk4_segment forms it
-    fine_a = (-1j * (durations / steps_per_segment))[:, None, None] * generators
-    coarse_a = (-1j * (durations / coarse_steps))[:, None, None] * generators
-    worst = float(np.max(np.linalg.norm(coarse_a, 1, axis=(1, 2))))
+    # the complex factor first, then the matrix, as _rk4_segment forms it;
+    # the fine spans, then the coarse ones
+    dts = np.concatenate([durations / steps_per_segment, durations / coarse_steps])
+    a = (-1j * dts)[:, None, None] * np.concatenate([generators, generators])
+    worst = float(np.max(np.linalg.norm(a[len(durations) :], 1, axis=(1, 2))))
     if not worst <= RK4_STEP_NORM_BOUND:  # also catches inf and NaN
         raise InstanceTooLarge(
             f"stepped line integral: a span has ||h||_1*|dt| = {worst:.3e} at "
             f"{coarse_steps} steps, above the RK4 oracle's bound {RK4_STEP_NORM_BOUND:g}"
         )
-    fine = _path_weight(_rk4_maps(fine_a, steps_per_segment), segments)
-    coarse = _path_weight(_rk4_maps(coarse_a, coarse_steps), segments)
+    maps = _rk4_maps(a, steps_per_segment, paired=True)
+    fine = _path_weight(maps[: len(durations)], segments)
+    coarse = _path_weight(maps[len(durations) :], segments)
     value = fine.real
     # |fine - coarse| bounds the half-resolution error; reporting it for the
     # returned fine value leaves a ~16x safety margin. Floored at rounding noise.

@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .histories import FixedPoint, build_network, make_history
-from .statespace import Basis, HermitianOperator, is_unit, standard_basis, unitarity_defect
+from .statespace import Basis, HermitianOperator, hermitians, is_unit, standard_basis, unitarity_defect
 from .tolerances import active_tolerances, block_overrides, tolerance_overrides
 
 SCHEMA_VERSION = 1
@@ -171,6 +171,13 @@ def _matrix(value: Any, dim: int, path: str) -> np.ndarray:
 def _parse_pieces(value: Any, dim: int, path: str) -> tuple[SchedulePiece, ...]:
     if not (isinstance(value, list) and value):
         raise SchemaError(f"{path}: expected a nonempty list of schedule pieces")
+    # all matrices at once; if any is faulty, the loop names the first fault
+    mats = [raw.get("matrix") if isinstance(raw, dict) else None for raw in value]
+    whole = _complex_array(mats, (len(mats), dim, dim))
+    try:
+        generators = None if whole is None else hermitians(whole)
+    except ValidationError:
+        generators = None
     pieces = []
     for i, raw in enumerate(value):
         ppath = f"{path}[{i}]"
@@ -178,11 +185,14 @@ def _parse_pieces(value: Any, dim: int, path: str) -> tuple[SchedulePiece, ...]:
             raise SchemaError(f"{ppath}: expected an object")
         t_start = _number(_want(raw, "t_start", ppath), ppath + ".t_start")
         t_end = _number(_want(raw, "t_end", ppath), ppath + ".t_end")
-        mat = _matrix(_want(raw, "matrix", ppath), dim, ppath + ".matrix")
-        try:
-            h = HermitianOperator(mat)
-        except ValidationError as exc:
-            raise ValidationError(f"{ppath}: {exc}") from exc
+        if generators is not None:
+            h = generators[i]
+        else:
+            mat = _matrix(_want(raw, "matrix", ppath), dim, ppath + ".matrix")
+            try:
+                h = HermitianOperator(mat)
+            except ValidationError as exc:
+                raise ValidationError(f"{ppath}: {exc}") from exc
         try:
             pieces.append(SchedulePiece(t_start, t_end, h))
         except ValidationError as exc:
@@ -749,7 +759,7 @@ def run(scenario: Scenario) -> ResultReport:
             t, outcomes = interior[0]
             if snk is None:
                 (u1,) = oracle.propagators(sched, Branch.FORWARD, (src.t, t))
-                report.oracle = [oracle.standard_born(u1, src.state, phi) for phi in outcomes.rows]
+                report.oracle = oracle.born_rule(u1, src.state, outcomes)
             else:
                 u1, u2 = oracle.propagators(sched, Branch.FORWARD, (src.t, t, snk.t))
                 report.oracle = oracle.abl_rule(u1, u2, src.state, outcomes, snk.state)
@@ -802,8 +812,7 @@ def run(scenario: Scenario) -> ResultReport:
 def _validate_checks(scenario: Scenario) -> dict[str, float]:
     sched = scenario.schedule
     t0, t1 = sched.t_start, sched.t_end
-    u, back = propagators(sched, Branch.FORWARD, (t0, t1, t0))
-    early, late = propagators(sched, Branch.FORWARD, (t0, 0.5 * (t0 + t1), t1))
+    u, back, early, late = propagators(sched, Branch.FORWARD, (t0, t1, t0, 0.5 * (t0 + t1), t1))
     return {
         "unitarity": unitarity_defect(u.mat),
         "composition": float(np.linalg.norm(u.mat - late.mat @ early.mat)),

@@ -6,8 +6,9 @@ Hermitian generators, and unitaries are thin immutable wrappers around
 complex128 ndarrays whose invariants are enforced at construction; a basis
 is one matrix, one row per element. Matrix exponentials of Hermitian
 generators go through the eigendecomposition, which keeps the result
-unitary to rounding; `expm_hermitian` forms a stack of them at once, and
-a stack of propagators is checked for unitarity once (`unitaries`).
+unitary to rounding; `expm_hermitian` forms a stack of them at once. A
+stack of propagators is checked for unitarity once (`unitaries`), and a
+stack of generators for Hermiticity once (`hermitians`).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ def _frozen_array(data, *, ndim: int, what: str, order: str = "K") -> np.ndarray
     arr = np.array(data, dtype=np.complex128, copy=True, order=order)
     if arr.ndim != ndim or arr.size == 0:
         raise ValidationError(f"{what} must be a nonempty {ndim}-D complex array")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValidationError(f"{what} contains non-finite entries")
     arr.setflags(write=False)
     return arr
@@ -127,15 +128,43 @@ def _check_unitary(stack: np.ndarray) -> None:
         raise ValidationError(f"matrix is not unitary: ||U^H U - I||_F = {residual:.3e} > {tol:.1e}")
 
 
+def _wrap(cls, arr: np.ndarray) -> tuple:
+    """Each matrix of a checked stack as a cls value, without re-checking it."""
+    out = tuple(object.__new__(cls) for _ in arr)
+    for value, mat in zip(out, arr):
+        object.__setattr__(value, "mat", mat)
+    return out
+
+
 def unitaries(stack) -> tuple[UnitaryMatrix, ...]:
     """A (K, d, d) stack as UnitaryMatrix values: one read-only copy,
     checked once for the whole stack instead of once per matrix."""
     arr = _frozen_array(stack, ndim=3, what="unitary matrix")
     _check_unitary(arr)
-    out = tuple(object.__new__(UnitaryMatrix) for _ in arr)  # checked above
-    for u, mat in zip(out, arr):
-        object.__setattr__(u, "mat", mat)
-    return out
+    return _wrap(UnitaryMatrix, arr)
+
+
+def hermitians(stack) -> tuple[HermitianOperator, ...]:
+    """A finite (P, d, d) stack as HermitianOperator values: one read-only
+    copy and one Hermiticity test for the whole stack. It sums squares in
+    another order than HermitianOperator, so where the two could disagree
+    (a defect past half the bound, a norm near overflow, a tolerance whose
+    square is subnormal) each matrix is judged by HermitianOperator itself,
+    and the first that fails names the error."""
+    arr = _frozen_array(stack, ndim=3, what="Hermitian operator")
+    if arr.shape[1] != arr.shape[2]:
+        raise ValidationError("Hermitian operator must be square")
+    tol = active_tolerances().hermitian
+    with np.errstate(over="ignore", invalid="ignore"):
+        flat = np.concatenate((arr, arr - arr.conj().swapaxes(1, 2))).reshape(2, len(arr), 1, -1)
+        squares = (flat.conj() @ flat.swapaxes(2, 3)).real.reshape(2, -1)
+        norms, defects = squares[0], squares[1]  # squared
+        bounds = tol * tol / 4 * np.maximum(1.0, norms)
+        clear = tol >= 2.0**-500 and (defects <= bounds).all() and norms.max() < 2.0**1000
+    if not clear:
+        for mat in arr:
+            HermitianOperator(mat)
+    return _wrap(HermitianOperator, arr)
 
 
 def expm_hermitian(w: np.ndarray, v: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -943,3 +943,48 @@ class TestLeafFuzz:
                 code, out, err = run_cli(capsys, "validate", str(path))
                 assert (code, out, err) == (2, "", f"SCHEMA_ERROR: {where}{tail}\n")
             parent[index] = pair
+
+
+def _add_two_faults(case, pieces):
+    """Put the faults of a case into schedule pieces, first fault first."""
+    if case == "non_hermitian_then_string_time":
+        pieces[0]["matrix"][0][1] = [5.0, 0.0]
+        pieces[1]["t_start"] = "0.5"
+    elif case == "nan_then_wrong_size":
+        pieces[0]["matrix"][1][0] = [float("nan"), 0.0]
+        pieces[1]["matrix"] = [[[1.0, 0.0]] * 3] * 3
+    elif case == "empty_span_then_non_hermitian":
+        pieces[1]["t_start"] = pieces[1]["t_end"]
+        pieces[2]["matrix"][0][1] = [0.0, 2.0]
+    else:  # a bool leaf in the last piece only
+        pieces[-1]["matrix"][1][1][0] = True
+
+
+class TestScheduleFaultOrder:
+    """A schedule with two faults names the first, as a piece-by-piece
+    parse would, though valid matrices are converted and checked as one
+    stack; the lines are pinned from the per-piece parser."""
+
+    LINES = {
+        "non_hermitian_then_string_time": "VALIDATION_ERROR: hamiltonian.{part}[0]: operator is "
+        "not Hermitian: defect 7.205e+00 exceeds 1.0e-12 * 5.177e+00",
+        "nan_then_wrong_size": "VALIDATION_ERROR: hamiltonian.{part}[0]: Hermitian operator "
+        "contains non-finite entries",
+        "empty_span_then_non_hermitian": "VALIDATION_ERROR: hamiltonian.{part}[1]: piece must "
+        "have t_start < t_end, got [1.1440490406511947, 1.1440490406511947]",
+        "bool_leaf_in_last_piece": "SCHEMA_ERROR: hamiltonian.{part}[2].matrix[1][1][0]: "
+        "expected a number, got bool",
+    }
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("part", ["pieces", "branch_override"])
+    @pytest.mark.parametrize("case", sorted(LINES))
+    def test_first_fault_names_the_error(self, capsys, tmp_path, case, part, command):
+        doc = json.loads(serialize_scenario(random_scenario(0, 2, 3, "abl")))
+        ham = doc["hamiltonian"]
+        ham["branch_override"] = json.loads(json.dumps(ham["pieces"]))
+        _add_two_faults(case, ham[part])
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, command, str(path))
+        assert (code, out, err) == (2, "", self.LINES[case].format(part=part) + "\n")

@@ -7,7 +7,7 @@ import pytest
 import fpf.oracle
 from fpf.contour import Branch, build_path
 from fpf.dynamics import HamiltonianSchedule, SchedulePiece, propagate
-from fpf.errors import InstanceTooLarge, ValidationError, ZeroDenominator
+from fpf.errors import DimensionMismatch, InstanceTooLarge, ValidationError, ZeroDenominator
 from fpf.histories import FixedPoint, make_history
 from fpf.measure import chain_delta_psi
 from fpf.oracle import (
@@ -15,8 +15,10 @@ from fpf.oracle import (
     DensityMatrix,
     _constant_spans,
     _expm_series,
+    _rk4_maps,
     _rk4_segment,
     abl_rule,
+    born_rule,
     contour_line_integral,
     expectation,
     propagator,
@@ -67,6 +69,17 @@ class TestStandardBorn:
         psi = random_state(rng, dim)
         total = sum(standard_born(u, psi, phi) for phi in random_basis(rng, dim).rows)
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_born_rule_is_standard_born_per_element(self, seed):
+        rng = np.random.default_rng(seed + 90)
+        dim = int(rng.integers(2, 9))
+        sched = random_schedule(rng, dim, 3)
+        u = propagator(sched, F, sched.t_start, sched.t_end)
+        psi, basis = random_state(rng, dim), random_basis(rng, dim)
+        assert born_rule(u, psi, basis) == [standard_born(u, psi, phi) for phi in basis.rows]
+        with pytest.raises(DimensionMismatch):
+            born_rule(u, psi, standard_basis(dim + 1))
 
 
 class TestAblRule:
@@ -246,19 +259,32 @@ class TestStackedLineIntegral:
         assert worst <= 1e-15, worst
 
     @pytest.mark.parametrize("slots, pieces", [(0, 1), (1, 4), (3, 2), (8, 3)])
-    def test_one_stacked_power_per_resolution(self, monkeypatch, slots, pieces):
+    def test_one_stacked_power_for_both_resolutions(self, monkeypatch, slots, pieces):
         sched, history = random_chain(np.random.default_rng(slots), slots, pieces, 3)
         n_spans = sum(len(_constant_spans(sched, s.branch, *s.interval)) for s in build_path(history.times))
         calls = []
         maps = fpf.oracle._rk4_maps
 
-        def counted(a, steps):
-            calls.append((a.shape, steps))
-            return maps(a, steps)
+        def counted(a, steps, **kwargs):
+            calls.append((a.shape, steps, kwargs))
+            return maps(a, steps, **kwargs)
 
         monkeypatch.setattr(fpf.oracle, "_rk4_maps", counted)
         contour_line_integral(sched, history, 512)
-        assert calls == [((n_spans, 3, 3), 512), ((n_spans, 3, 3), 256)]
+        assert calls == [((2 * n_spans, 3, 3), 512, {"paired": True})]
+
+    @pytest.mark.parametrize("steps", [512, 64, 33, 3, 2])
+    def test_paired_power_matches_one_call_per_resolution(self, steps):
+        rng = np.random.default_rng(steps)
+        for dim in (1, 3, 8):
+            for n_spans in (1, 5):
+                m = rng.normal(size=(n_spans, dim, dim)) + 1j * rng.normal(size=(n_spans, dim, dim))
+                h = 0.5 * (m + np.swapaxes(m.conj(), 1, 2))
+                s = rng.uniform(-1.0, 1.0, n_spans)[:, None, None]
+                fine, coarse = -1j * (s / steps) * h, -1j * (s / (steps // 2)) * h
+                got = _rk4_maps(np.concatenate([fine, coarse]), steps, paired=True)
+                assert np.array_equal(got[:n_spans], _rk4_maps(fine, steps))
+                assert np.array_equal(got[n_spans:], _rk4_maps(coarse, steps // 2))
 
 
 def _rk4_stepping(h, psi, t_from, t_to, steps):
@@ -463,6 +489,20 @@ class TestSeriesExponential:
         rng = np.random.default_rng(dim + 30)
         stack = []
         for target in self.NORMS:
+            h, s = series_case(rng, dim, target)
+            stack.append(-1j * s * h.mat)
+        got = _expm_series(np.array(stack))
+        for k, a in enumerate(stack):
+            assert np.array_equal(got[k], per_span_series(a))
+
+    # every span squares 3 times, so each squaring takes the whole stack;
+    # then counts 3, 9 and 4: three whole-stack squarings, then by index
+    @pytest.mark.parametrize("targets", [[3.0] * 4, [3.0, 200.0, float(np.nextafter(4.0, 5.0))]])
+    @pytest.mark.parametrize("dim", [2, 5, 8])
+    def test_whole_stack_squaring_matches_each_span_alone(self, dim, targets):
+        rng = np.random.default_rng(dim + 60)
+        stack = []
+        for target in targets:
             h, s = series_case(rng, dim, target)
             stack.append(-1j * s * h.mat)
         got = _expm_series(np.array(stack))

@@ -17,6 +17,7 @@ from fpf.scenario import (
     serialize_scenario,
 )
 from fpf.histories import FixedPoint
+from fpf.statespace import HermitianOperator
 
 QUARTER = math.pi / 4
 ZERO2 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
@@ -291,6 +292,64 @@ class TestBasisRows:
         wrapped.clear()
         run(s)
         assert len(wrapped) == slots
+
+
+class TestStackedGenerators:
+    """A branch's generators are converted and checked as one stack: one
+    `hermitians` call per parsed branch schedule, and no matrix of a valid
+    file goes through HermitianOperator's own check."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        calls = {"stacks": [], "one": 0}
+        stacked, init = scenario_module.hermitians, HermitianOperator.__post_init__
+
+        def counted_stack(stack):
+            calls["stacks"].append(stack.shape)
+            return stacked(stack)
+
+        def counted_one(self):
+            calls["one"] += 1
+            init(self)
+
+        monkeypatch.setattr(scenario_module, "hermitians", counted_stack)
+        monkeypatch.setattr(HermitianOperator, "__post_init__", counted_one)
+        return calls
+
+    @staticmethod
+    def text(n_pieces, kind, override):
+        doc = json.loads(serialize_scenario(random_scenario(n_pieces, 4, n_pieces, kind)))
+        if override:
+            doc["hamiltonian"]["branch_override"] = json.loads(json.dumps(doc["hamiltonian"]["pieces"]))
+        return json.dumps(doc)
+
+    @pytest.mark.parametrize("override", [False, True])
+    @pytest.mark.parametrize("kind", QUERY_KINDS)
+    @pytest.mark.parametrize("n_pieces", [1, 4])
+    def test_one_stack_per_branch_schedule(self, counts, n_pieces, kind, override):
+        text = self.text(n_pieces, kind, override)
+        counts["one"] = 0  # random_scenario checks its own generators
+        s = parse_scenario(text)
+        assert counts["stacks"] == [(n_pieces, 4, 4)] * (1 + override)
+        assert counts["one"] == 0
+        assert s == parse_scenario(text)
+        run(s)
+        assert counts["one"] == 0
+
+    @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.name)
+    def test_golden_files_check_no_single_generator(self, counts, path):
+        parse_scenario(path.read_bytes())
+        assert len(counts["stacks"]) == 1
+        assert counts["one"] == 0
+
+    def test_a_faulty_stack_is_named_piece_by_piece(self, counts):
+        doc = json.loads(self.text(4, "abl", False))
+        doc["hamiltonian"]["pieces"][2]["matrix"][0][1] = [3.0, 0.0]
+        counts["one"] = 0
+        with pytest.raises(ValidationError, match=r"^hamiltonian.pieces\[2\]: operator is not Hermitian"):
+            parse_scenario(json.dumps(doc))
+        # the stack judges pieces 0 to 2 one at a time, and so does the loop
+        assert counts["one"] == 6
 
 
 S = 1 / math.sqrt(2)

@@ -10,8 +10,10 @@ from fpf.statespace import (
     HermitianOperator,
     UnitaryMatrix,
     expm_hermitian,
+    hermitians,
     standard_basis,
 )
+from fpf.tolerances import tolerance_overrides
 
 SQRT2 = np.sqrt(2.0)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -144,3 +146,63 @@ class TestInvariants:
         assert point == FixedPoint(0.5, np.array([1.0 + 0j, 0.0]))
         assert point != FixedPoint(0.5, np.array([0.0, 1.0]))
         assert point != FixedPoint(0.25, np.array([1.0, 0.0]))
+
+
+def message(fn, *args):
+    with pytest.raises(ValidationError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+class TestHermitians:
+    """A stack of generators is checked once, and decides each matrix as
+    HermitianOperator does, the first failing one naming the error."""
+
+    def test_one_read_only_copy(self):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+        stack = (a + np.swapaxes(a.conj(), 1, 2)) / 2
+        got = hermitians(stack)
+        assert [h.mat.shape for h in got] == [(4, 4)] * 3
+        assert all(np.array_equal(h.mat, m) and h == HermitianOperator(m) for h, m in zip(got, stack))
+        assert all(h.mat.base is got[0].mat.base and not h.mat.flags.writeable for h in got)
+
+    @pytest.mark.parametrize("bad", [1, 2])
+    def test_first_failing_matrix_names_the_error(self, bad):
+        stack = np.array([SX, SZ, SX])
+        stack[bad, 0, 1] += 1e-3
+        stack[2, 1, 0] += 1.0
+        assert message(hermitians, stack) == message(HermitianOperator, stack[bad])
+
+    @pytest.mark.parametrize("factor", [0.4, 0.6, 0.99, 1.01, 1.5])
+    def test_near_the_bound_each_matrix_decides(self, factor):
+        # defect ||M - M^H||_F = factor * tol * ||M||_F, on both sides of
+        # half the bound, where the stacked test hands over, and of the bound
+        tol = 1e-6
+        mat = SX * (1 + 0.5j * factor * tol)
+        with tolerance_overrides(hermitian=tol):
+            if factor < 1:
+                assert hermitians(np.array([SZ, mat]))[1] == HermitianOperator(mat)
+            else:
+                assert message(hermitians, np.array([SZ, mat])) == message(HermitianOperator, mat)
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-160, 1e-13, 1e200])
+    def test_extreme_tolerances_decide_as_each_matrix(self, tol):
+        for skew in (0.0, 1e-170, 1e-14, 1e-3):
+            mat = SX + skew * np.array([[0, 1j], [1j, 0]])
+            with tolerance_overrides(hermitian=tol):
+                try:
+                    HermitianOperator(mat)
+                except ValidationError as exc:
+                    assert message(hermitians, np.array([SX, mat])) == str(exc)
+                else:
+                    assert hermitians(np.array([SX, mat]))[1] == HermitianOperator(mat)
+
+    @pytest.mark.parametrize(
+        "entry, text",
+        [(np.nan, "contains non-finite entries"), (1e200, "has a non-finite norm")],
+    )
+    def test_non_finite_matrices(self, entry, text):
+        stack = np.array([SX, SZ])
+        stack[1, 0, 0] = entry
+        assert message(hermitians, stack) == f"Hermitian operator {text}"
