@@ -1,13 +1,14 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 validation failure, 3 domain error, 4 internal
-numerical check failure. Every error prints one machine-readable line
-(CODE: message) on stderr.
+numerical check failure, each error with one machine-readable line (CODE:
+message) on stderr; 1, with nothing on stderr, when stdout closes early.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -105,11 +106,17 @@ def main(argv: list[str] | None = None) -> int:
         # overflow and NaN surface through the engine's finiteness and
         # unitarity checks, which report them as one error line
         with np.errstate(over="ignore", invalid="ignore"):
-            return _command(args)
+            code = _command(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except FpfError as exc:
         message = " ".join(str(exc).split())
         print(f"{exc.code}: {message}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:
+        # the reader left (`| head`): the flush at exit writes to devnull instead
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

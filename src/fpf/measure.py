@@ -84,10 +84,11 @@ def _joint_weights(
     """Raw complex weights of every joint assignment of the slots' states,
     each slot holding its candidate states as the rows of a 2-D array.
 
-    Entry [i_0, ..., i_n] is the product over consecutive slots of the
-    forward amplitude <a_k|U_F|a_{k-1}> and the backward amplitude
-    <a_{k-1}|U_B|a_k>. All segments take one stacked propagator pass, and a
-    second only when a branch override gives the backward branch its own pieces.
+    Flat, in joint order: the entry of joint (i_0, ..., i_n) is the product
+    over consecutive slots of the forward amplitude <a_k|U_F|a_{k-1}> and
+    the backward amplitude <a_{k-1}|U_B|a_k>. All segments take one
+    stacked propagator pass, and a second only when a branch override
+    gives the backward branch its own pieces.
     """
     if len(slots) < 2:
         raise ValidationError("a history weight needs at least two fixed points")
@@ -99,13 +100,13 @@ def _joint_weights(
     times = [t for t, _ in slots]
     forward_us = propagators(sched, Branch.FORWARD, times)
     backward_us = propagators(sched, Branch.BACKWARD, times) if sched.branch_override else forward_us
-    weights = np.ones(len(slots[0][1]), dtype=np.complex128)
+    weights = np.ones((1, len(slots[0][1])), dtype=np.complex128)  # joints so far x states
     for (_, a), (_, b), u_f, u_b in zip(slots, slots[1:], forward_us, backward_us):
         u_f, u_b = u_f.mat, u_b.mat.conj().T  # u_b = U_B(t_b -> t_a)
         forward = b.conj() @ (u_f @ a.T)
         backward = a.conj() @ (u_b @ b.T)
-        weights = weights[..., None] * (forward.T * backward)
-    return weights
+        weights = (weights[..., None] * (forward.T * backward)).reshape(-1, len(b))
+    return weights.ravel()
 
 
 def chain_delta_psi(sched: HamiltonianSchedule, points: Sequence[FixedPoint]) -> complex:

@@ -598,6 +598,8 @@ def random_schedule(
 def random_scenario(seed: int, dim: int, n_pieces: int, kind: str) -> Scenario:
     """Deterministic scenario from a seed: Gaussian Hermitized pieces,
     QR-orthonormalized bases, random unit preparation states."""
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     if not 2 <= dim <= 8:
         raise ValidationError(f"dim must be in [2, 8], got {dim}")
     if not 1 <= n_pieces <= 4:

@@ -6,9 +6,9 @@ Hermitian generators, and unitaries are thin immutable wrappers around
 complex128 ndarrays whose invariants are enforced at construction; a basis
 is one matrix, one row per element. Matrix exponentials of Hermitian
 generators go through the eigendecomposition, which keeps the result
-unitary to rounding; `expm_hermitian` forms a stack of them at once. A
-stack of propagators is checked for unitarity once (`unitaries`), and a
-stack of generators for Hermiticity once (`hermitians`).
+unitary to rounding; `expm_hermitian` forms a stack of them at once.
+Hermiticity and unitarity each have one rule; it decides a whole stack
+(`hermitians`, `unitaries`) at once, and one matrix as a stack of one.
 """
 
 from __future__ import annotations
@@ -31,54 +31,83 @@ def _frozen_array(data, *, ndim: int, what: str, order: str = "K") -> np.ndarray
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class HermitianOperator:
-    mat: np.ndarray
-
-    def __post_init__(self):
-        arr = _frozen_array(self.mat, ndim=2, what="Hermitian operator")
-        if arr.shape[0] != arr.shape[1]:
-            raise ValidationError("Hermitian operator must be square")
-        tols = active_tolerances()
-        with np.errstate(over="ignore"):
-            scale = max(1.0, float(np.linalg.norm(arr)))
-            defect = float(np.linalg.norm(arr - arr.conj().T))
-        if not np.isfinite(scale):
+def _check_hermitian(stack: np.ndarray) -> None:
+    """HermitianOperator's rule, ||M - M^H||_F <= tol * max(1, ||M||_F), for
+    each matrix of a finite square (K, d, d) stack, both norms from one
+    stacked product; the first that fails names the error."""
+    tol = active_tolerances().hermitian
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge norm is inf or NaN
+        flat = np.concatenate((stack, stack - stack.conj().swapaxes(1, 2))).reshape(2, len(stack), 1, -1)
+        norms, defects = np.sqrt((flat.conj() @ flat.swapaxes(2, 3)).real.reshape(2, -1))
+        scales = np.maximum(1.0, norms)
+        bad = ~np.isfinite(scales) | (defects > tol * scales)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if not np.isfinite(scales[k]):
             raise ValidationError("Hermitian operator has a non-finite norm")
-        if defect > tols.hermitian * scale:
-            raise ValidationError(
-                f"operator is not Hermitian: defect {defect:.3e} exceeds "
-                f"{tols.hermitian:.1e} * {scale:.3e}"
-            )
-        object.__setattr__(self, "mat", arr)
+        raise ValidationError(
+            f"operator is not Hermitian: defect {defects[k]:.3e} exceeds {tol:.1e} * {scales[k]:.3e}"
+        )
 
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HermitianOperator):
-            return NotImplemented
-        return np.array_equal(self.mat, other.mat)
+def _check_unitary(stack: np.ndarray) -> None:
+    """UnitaryMatrix's rule for each matrix of a finite square (K, d, d) stack;
+    the first that fails names the error, its defect as `unitarity_defect` has it."""
+    tol = active_tolerances().unitary
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge defect is inf or NaN
+        gram = np.swapaxes(stack.conj(), 1, 2) @ stack
+        bad = np.linalg.norm(gram - np.eye(stack.shape[2]), axis=(1, 2)) > tol
+    if bad.any():
+        residual = unitarity_defect(stack[int(np.argmax(bad))])
+        raise ValidationError(f"matrix is not unitary: ||U^H U - I||_F = {residual:.3e} > {tol:.1e}")
 
 
 @dataclass(frozen=True, eq=False)
-class UnitaryMatrix:
+class _CheckedMatrix:
+    """A read-only complex128 square matrix; a subclass names it (`_what`)
+    and gives the rule (`_check`) that decides a stack of them at once.
+    Subclasses are not decorated again, which would cost import time: they
+    inherit the frozen field."""
+
     mat: np.ndarray
 
+    @classmethod
+    def _checked(cls, data, ndim: int) -> np.ndarray:
+        arr = _frozen_array(data, ndim=ndim, what=cls._what)
+        if arr.shape[-1] != arr.shape[-2]:
+            raise ValidationError(f"{cls._what} must be square")
+        cls._check(arr if ndim == 3 else arr[np.newaxis])
+        return arr
+
+    @classmethod
+    def _stack(cls, stack) -> tuple:
+        arr = cls._checked(stack, 3)
+        out = tuple(object.__new__(cls) for _ in arr)
+        for value, mat in zip(out, arr):
+            object.__setattr__(value, "mat", mat)
+        return out
+
     def __post_init__(self):
-        arr = _frozen_array(self.mat, ndim=2, what="unitary matrix")
-        _check_unitary(arr[np.newaxis])
-        object.__setattr__(self, "mat", arr)
+        object.__setattr__(self, "mat", self._checked(self.mat, 2))
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, UnitaryMatrix):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return np.array_equal(self.mat, other.mat)
+
+
+class HermitianOperator(_CheckedMatrix):
+    _what = "Hermitian operator"
+    _check = staticmethod(_check_hermitian)
+
+
+class UnitaryMatrix(_CheckedMatrix):
+    _what = "unitary matrix"
+    _check = staticmethod(_check_unitary)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,57 +143,15 @@ class Basis:
         return np.array_equal(self.rows, other.rows)
 
 
-def _check_unitary(stack: np.ndarray) -> None:
-    """UnitaryMatrix's rule for each matrix of a finite (K, d, d) stack; the
-    first that fails names the error, its defect as `unitarity_defect` has it."""
-    if stack.shape[1] != stack.shape[2]:
-        raise ValidationError("unitary matrix must be square")
-    tol = active_tolerances().unitary
-    with np.errstate(over="ignore", invalid="ignore"):  # a huge defect is inf or NaN
-        gram = np.swapaxes(stack.conj(), 1, 2) @ stack
-        bad = np.linalg.norm(gram - np.eye(stack.shape[2]), axis=(1, 2)) > tol
-    if bad.any():
-        residual = unitarity_defect(stack[int(np.argmax(bad))])
-        raise ValidationError(f"matrix is not unitary: ||U^H U - I||_F = {residual:.3e} > {tol:.1e}")
-
-
-def _wrap(cls, arr: np.ndarray) -> tuple:
-    """Each matrix of a checked stack as a cls value, without re-checking it."""
-    out = tuple(object.__new__(cls) for _ in arr)
-    for value, mat in zip(out, arr):
-        object.__setattr__(value, "mat", mat)
-    return out
-
-
 def unitaries(stack) -> tuple[UnitaryMatrix, ...]:
     """A (K, d, d) stack as UnitaryMatrix values: one read-only copy,
     checked once for the whole stack instead of once per matrix."""
-    arr = _frozen_array(stack, ndim=3, what="unitary matrix")
-    _check_unitary(arr)
-    return _wrap(UnitaryMatrix, arr)
+    return UnitaryMatrix._stack(stack)
 
 
 def hermitians(stack) -> tuple[HermitianOperator, ...]:
-    """A finite (P, d, d) stack as HermitianOperator values: one read-only
-    copy and one Hermiticity test for the whole stack. It sums squares in
-    another order than HermitianOperator, so where the two could disagree
-    (a defect past half the bound, a norm near overflow, a tolerance whose
-    square is subnormal) each matrix is judged by HermitianOperator itself,
-    and the first that fails names the error."""
-    arr = _frozen_array(stack, ndim=3, what="Hermitian operator")
-    if arr.shape[1] != arr.shape[2]:
-        raise ValidationError("Hermitian operator must be square")
-    tol = active_tolerances().hermitian
-    with np.errstate(over="ignore", invalid="ignore"):
-        flat = np.concatenate((arr, arr - arr.conj().swapaxes(1, 2))).reshape(2, len(arr), 1, -1)
-        squares = (flat.conj() @ flat.swapaxes(2, 3)).real.reshape(2, -1)
-        norms, defects = squares[0], squares[1]  # squared
-        bounds = tol * tol / 4 * np.maximum(1.0, norms)
-        clear = tol >= 2.0**-500 and (defects <= bounds).all() and norms.max() < 2.0**1000
-    if not clear:
-        for mat in arr:
-            HermitianOperator(mat)
-    return _wrap(HermitianOperator, arr)
+    """A (P, d, d) stack as HermitianOperator values, as `unitaries` makes them."""
+    return HermitianOperator._stack(stack)
 
 
 def expm_hermitian(w: np.ndarray, v: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -239,6 +242,56 @@ class TestRandom:
         code, out, _ = run_cli(capsys, "run", str(path))
         assert code == 0
         assert json.loads(out)["max_deviation"] <= 1e-10
+
+    def test_negative_seed_is_a_validation_error(self, capsys):
+        code, out, err = run_cli(capsys, "random", "--seed", "-1")
+        assert code == 2 and out == ""
+        assert err == "VALIDATION_ERROR: seed must be non-negative, got -1\n"
+        with pytest.raises(ValidationError, match="^seed must be non-negative, got -7$"):
+            random_scenario(-7, 2, 1, "born")
+
+
+def _chain_doc(dim, slots, outcomes):
+    """A chain from z:0 back to z:0 through `slots` interior slots over one
+    sigma_x piece (dim 2) or a constant energy (dim 1)."""
+    matrix = [[[0.5, 0.0]]] if dim == 1 else [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+    return {
+        "schema": 1,
+        "dim": dim,
+        "hamiltonian": {"pieces": [{"t_start": 0.0, "t_end": 1.0, "matrix": matrix}]},
+        "fixed_points": [{"time": 0.0, "state": "z:0"}, {"time": 1.0, "state": "z:0"}],
+        "query": {
+            "kind": "chain",
+            "interior": [{"time": (k + 1) / (slots + 1), "outcomes": outcomes} for k in range(slots)],
+            "selection": [0] * slots,
+        },
+    }
+
+
+class TestStructuralExtremes:
+    @pytest.mark.parametrize("slots", [62, 63, 200])
+    def test_many_dim1_slots_make_one_joint(self, capsys, tmp_path, slots):
+        # one numpy axis per slot would stop at 64 axes
+        code, out, err = run_cli(capsys, "run", _write(tmp_path, _chain_doc(1, slots, "z")))
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["labels"] == [[0] * slots]
+        assert doc["measures"] == [1.0] and doc["delta_psi"] == [pytest.approx(1.0, abs=1e-12)]
+
+    def test_closed_stdout_ends_without_a_traceback(self, tmp_path):
+        # 1,024 joints give a report larger than a pipe buffer
+        path = _write(tmp_path, _chain_doc(2, 10, "x"))
+        src = str(Path(fpf.cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fpf.cli", "run", path],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert err == b""  # no traceback, no "Exception ignored"
 
 
 def _born_doc(**changes):

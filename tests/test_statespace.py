@@ -12,6 +12,7 @@ from fpf.statespace import (
     expm_hermitian,
     hermitians,
     standard_basis,
+    unitaries,
 )
 from fpf.tolerances import tolerance_overrides
 
@@ -155,8 +156,9 @@ def message(fn, *args):
 
 
 class TestHermitians:
-    """A stack of generators is checked once, and decides each matrix as
-    HermitianOperator does, the first failing one naming the error."""
+    """A stack of generators is checked once, by the one rule that
+    HermitianOperator applies to a stack of one; the first failing matrix
+    names the error."""
 
     def test_one_read_only_copy(self):
         rng = np.random.default_rng(5)
@@ -176,8 +178,7 @@ class TestHermitians:
 
     @pytest.mark.parametrize("factor", [0.4, 0.6, 0.99, 1.01, 1.5])
     def test_near_the_bound_each_matrix_decides(self, factor):
-        # defect ||M - M^H||_F = factor * tol * ||M||_F, on both sides of
-        # half the bound, where the stacked test hands over, and of the bound
+        # defect ||M - M^H||_F = factor * tol * ||M||_F, on both sides of the bound
         tol = 1e-6
         mat = SX * (1 + 0.5j * factor * tol)
         with tolerance_overrides(hermitian=tol):
@@ -206,3 +207,71 @@ class TestHermitians:
         stack = np.array([SX, SZ])
         stack[1, 0, 0] = entry
         assert message(hermitians, stack) == f"Hermitian operator {text}"
+
+    def test_an_overflowing_norm_is_non_finite_however_it_overflows(self):
+        # complex entries near 1e155 overflow the stacked product to NaN, not inf
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+        stack = (a + np.swapaxes(a.conj(), 1, 2)) * 1e155
+        assert message(hermitians, stack) == "Hermitian operator has a non-finite norm"
+        assert message(HermitianOperator, stack[0]) == "Hermitian operator has a non-finite norm"
+
+
+def random_unitaries(seed, k, dim):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(k, dim, dim)) + 1j * rng.normal(size=(k, dim, dim))
+    return np.linalg.qr(a)[0]
+
+
+class TestUnitaries:
+    """A stack of propagators is checked once, by the one rule that
+    UnitaryMatrix applies to a stack of one; the first failing matrix
+    names the error."""
+
+    def test_one_read_only_copy(self):
+        stack = random_unitaries(5, 3, 4)
+        got = unitaries(stack)
+        assert [u.mat.shape for u in got] == [(4, 4)] * 3
+        assert all(np.array_equal(u.mat, m) and u == UnitaryMatrix(m) for u, m in zip(got, stack))
+        assert all(u.mat.base is got[0].mat.base and not u.mat.flags.writeable for u in got)
+
+    @pytest.mark.parametrize("bad", [1, 2])
+    def test_first_failing_matrix_names_the_error(self, bad):
+        stack = random_unitaries(6, 3, 2)
+        stack[bad] *= 1 + 1e-3
+        stack[2] *= 2.0
+        assert message(unitaries, stack) == message(UnitaryMatrix, stack[bad])
+
+    @pytest.mark.parametrize("factor", [0.4, 0.6, 0.99, 1.01, 1.5])
+    def test_both_sides_of_the_bound(self, factor):
+        # U = diag(1 + e, 1) has ||U^H U - I||_F = (1 + e)^2 - 1 = factor * tol
+        tol = 1e-6
+        mat = np.diag([np.sqrt(1 + factor * tol), 1.0])
+        stack = np.array([SX, mat])
+        with tolerance_overrides(unitary=tol):
+            if factor < 1:
+                assert UnitaryMatrix(mat).mat[0, 0] == mat[0, 0]
+                assert unitaries(stack)[1] == UnitaryMatrix(mat)
+            else:
+                text = f"matrix is not unitary: ||U^H U - I||_F = {factor * tol:.3e} > {tol:.1e}"
+                assert message(UnitaryMatrix, mat) == text
+                assert message(unitaries, stack) == text
+
+
+class TestCheckedMatrices:
+    """HermitianOperator and UnitaryMatrix share construction, dim and
+    equality; only their name and their rule differ."""
+
+    @pytest.mark.parametrize("cls, what", [(HermitianOperator, "Hermitian operator"), (UnitaryMatrix, "unitary matrix")])
+    def test_shape_errors_name_the_type(self, cls, what):
+        assert message(cls, np.ones((2, 3))) == f"{what} must be square"
+        assert message(cls, np.ones(2)) == f"{what} must be a nonempty 2-D complex array"
+        stack = hermitians if cls is HermitianOperator else unitaries
+        assert message(stack, np.ones((2, 2, 3))) == f"{what} must be square"
+        assert message(stack, np.eye(2)) == f"{what} must be a nonempty 3-D complex array"
+
+    def test_equality_is_by_type_and_values(self):
+        assert HermitianOperator(SX) == HermitianOperator(SX.real)
+        assert HermitianOperator(SX) != HermitianOperator(SZ)
+        assert HermitianOperator(SX) != UnitaryMatrix(SX)
+        assert UnitaryMatrix(SX).dim == HermitianOperator(np.eye(3)).dim - 1
