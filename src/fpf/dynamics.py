@@ -118,7 +118,7 @@ def propagators(
     sched: HamiltonianSchedule, branch: Branch, times: Sequence[float]
 ) -> tuple[UnitaryMatrix, ...]:
     """U(t_k -> t_k+1) on the branch for consecutive times in one pass: all
-    span exponentials at once, each segment's factors onto the identity,
+    span exponentials at once, each segment the product of its factors,
     latest leftmost (adjoint going back in time), one unitarity check."""
     sched.require_coverage(*times)
     pieces = sched.pieces_for(branch)
@@ -134,8 +134,8 @@ def propagators(
     factors = expm_hermitian(w[which], v[which], np.array(durations))
     out = []
     for t_a, t_b, start, end in zip(times, times[1:], [0, *ends], ends):
-        u = np.eye(sched.dim, dtype=np.complex128)
-        for factor in factors[start:end]:
+        u = factors[start] if end > start else np.eye(sched.dim, dtype=np.complex128)
+        for factor in factors[start + 1 : end]:
             u = factor @ u
         out.append(u.conj().T if t_b < t_a else u)
     return unitaries(out)

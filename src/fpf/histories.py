@@ -18,12 +18,15 @@ import numpy as np
 from .contour import Branch
 from .errors import (
     DimensionMismatch,
+    InstanceTooLarge,
     NonMonotoneTimes,
     NotNormalized,
     TooFewPoints,
     ValidationError,
 )
 from .statespace import Basis, _frozen_array, is_unit
+
+MAX_EDGES = 1 << 16  # branch lines one network may build, as many as a chain's joints
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,7 +132,8 @@ class FixedPointNetwork:
 def build_network(times: Sequence[float], bases: Sequence[Basis]) -> FixedPointNetwork:
     """Full bipartite forward/backward line sets between adjacent layers:
     one forward line earlier-to-later and one backward line later-to-earlier
-    per node pair, 2*N1*N2 lines in total per adjacent pair."""
+    per node pair, 2*N1*N2 lines in total per adjacent pair, counted before
+    any is built: more than MAX_EDGES raise InstanceTooLarge."""
     ts = [float(t) for t in times]
     if len(ts) != len(bases):
         raise ValidationError(f"{len(ts)} times but {len(bases)} layer bases")
@@ -137,6 +141,9 @@ def build_network(times: Sequence[float], bases: Sequence[Basis]) -> FixedPointN
         raise TooFewPoints("a network needs at least two layers")
     if any(not a < b for a, b in zip(ts, ts[1:])):
         raise NonMonotoneTimes("layer times must be strictly increasing")
+    count = sum(2 * len(a) * len(b) for a, b in zip(bases, bases[1:]))
+    if count > MAX_EDGES:
+        raise InstanceTooLarge(f"{count} network branch lines exceed the limit of {MAX_EDGES}")
     layers = tuple(NetworkLayer(t, basis) for t, basis in zip(ts, bases))
     edges: list[NetworkEdge] = []
     for i in range(len(layers) - 1):

@@ -187,11 +187,16 @@ def chain_measure(
         raise ImpossiblePostSelection(
             "post-selection is unreachable from the preparation through any outcome"
         )
-    joints = list(itertools.product(*(range(len(basis)) for _, basis in interior)))
+    sizes = [len(basis) for _, basis in interior]
+    selected = None
+    if selection is not None:  # the joint's row-major position, by mixed radix
+        selected = 0
+        for idx, n in zip(selection, sizes):
+            selected = selected * n + int(idx)
     return MeasureResult(
         delta_psi=delta,
         normalizer=normalizer,
         measures=delta / normalizer,
-        labels=tuple(joints),
-        selected=None if selection is None else joints.index(tuple(selection)),
+        labels=tuple(itertools.product(*map(range, sizes))),
+        selected=selected,
     )

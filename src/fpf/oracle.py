@@ -113,8 +113,13 @@ def _constant_spans(
 ) -> list[tuple[np.ndarray, float, float]]:
     """Constant-generator spans of [lo, hi] in increasing time order."""
     sched.require_coverage(lo, hi)
+    return _spans_of(sched.pieces_for(branch), lo, hi)
+
+
+def _spans_of(pieces, lo: float, hi: float) -> list[tuple[np.ndarray, float, float]]:
+    """`_constant_spans` over a branch's pieces, its coverage already checked."""
     spans = []
-    for piece in sched.pieces_for(branch):
+    for piece in pieces:
         a, b = max(lo, piece.t_start), min(hi, piece.t_end)
         if b > a:
             spans.append((piece.hamiltonian.mat, a, b))
@@ -125,7 +130,7 @@ def propagators(
     sched: HamiltonianSchedule, branch: Branch, times
 ) -> tuple[UnitaryMatrix, ...]:
     """Branch propagators U(t_k -> t_k+1) for consecutive times from one
-    series over all their spans: each segment's factors onto the identity,
+    series over all their spans: each segment the product of its factors,
     latest leftmost (adjoint going back in time), one unitarity check."""
     pairs = list(zip(times, times[1:]))
     segments = [_constant_spans(sched, branch, min(a, b), max(a, b)) for a, b in pairs]
@@ -139,8 +144,8 @@ def propagators(
         raise
     out = []
     for (t_a, t_b), seg in zip(pairs, segments):
-        u = np.eye(sched.dim, dtype=np.complex128)
-        for _ in seg:
+        u = next(factors) if seg else np.eye(sched.dim, dtype=np.complex128)
+        for _ in seg[1:]:
             u = next(factors) @ u
         out.append(u.conj().T if t_b < t_a else u)
     return unitaries(out)
@@ -211,10 +216,10 @@ def _rk4_maps(a: np.ndarray, steps: int, paired: bool = False) -> np.ndarray:
     """E_n with R^n = I + E_n for every step generator A = -i h dt in the
     stack a of shape (S, d, d): RK4's one-step map R = I + E with
     E = A + A^2/2 + A^3/6 + A^4/24 (the method's stability polynomial),
-    raised to the power `steps`. With `paired`, a holds the generators of
-    `steps` (fine) and then of steps // 2 (coarse): the fine half takes
-    its exponent's lowest bit alone, and the halves then share the
-    powering by steps // 2, each slice the arithmetic of its own call.
+    raised to the power `steps` >= 1. With `paired`, a holds the
+    generators of `steps` (fine) and then of steps // 2 (coarse): the fine
+    half takes its exponent's lowest bit alone, and the halves then share
+    the powering by steps // 2, each slice the arithmetic of its own call.
 
     The power is taken by binary powering on E alone, never on R:
     (I+E1)(I+E2) = I + (E1 + E2 + E1 E2). Keeping the identity out of the
@@ -224,17 +229,18 @@ def _rk4_maps(a: np.ndarray, steps: int, paired: bool = False) -> np.ndarray:
     """
     a2 = a @ a
     step = a + a2 / 2.0 + (a2 @ a) / 6.0 + (a2 @ a2) / 24.0
-    total = np.zeros_like(step)  # E of R^0 = I
+    total = None  # E_0 = 0: the first set bit takes the step as it is
     n = steps
     if paired:  # the fine half's lowest bit, as the loop below takes it
-        fine, fine_total = step[: len(a) // 2], total[: len(a) // 2]
+        fine = step[: len(a) // 2]
         if n & 1:
-            fine_total[...] = fine_total + fine + fine_total @ fine
+            total = np.zeros_like(step)
+            total[: len(a) // 2] = fine
         fine[...] = 2.0 * fine + fine @ fine
         n >>= 1
     while n:
         if n & 1:
-            total = total + step + total @ step
+            total = step.copy() if total is None else total + step + total @ step
         n >>= 1
         if n:
             step = 2.0 * step + step @ step
@@ -264,10 +270,11 @@ def _contour_plan(
     segment its start state, its end state and the indices of its spans.
     Backward segments list their spans latest first, with negative
     durations."""
+    sched.require_coverage(*history.times)
     state_at = {p.t: p.state for p in history.points}
     generators, durations, segments = [], [], []
     for seg in build_path(history.times):
-        spans = _constant_spans(sched, seg.branch, *seg.interval)
+        spans = _spans_of(sched.pieces_for(seg.branch), *seg.interval)
         if seg.t_to < seg.t_from:
             spans = [(h, b, a) for h, a, b in reversed(spans)]
         first = len(generators)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, product
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Sequence
 
@@ -483,20 +483,20 @@ def _float_text(x: float) -> str:
 
 def _write_items(seq: list | tuple, nl: str) -> str:
     """The items of a nonempty list, one per line at indent nl; lists of
-    exact floats and of equal-length int rows (labels) are joined whole."""
+    exact floats are joined whole, and a chain's label rows, the row-major
+    odometer over the slot sizes that the last row spells, from the sizes."""
     sep = "," + nl
     kinds = set(map(type, seq))
     if kinds == {float}:
         text = sep.join(map(float.__repr__, seq))
         if "n" not in text:  # no nan or inf, which json spells NaN and Infinity
             return text
-    elif kinds <= {list, tuple}:
-        widths = set(map(len, seq))
-        leaves = set(map(type, chain.from_iterable(seq)))
-        if len(widths) == 1 and leaves == {int}:  # an int leaf: rows are nonempty
+    elif kinds == {list} and set(map(type, chain.from_iterable(seq))) == {int}:
+        sizes = [i + 1 for i in seq[-1]]
+        if math.prod(sizes) == len(seq) and seq == list(map(list, product(*map(range, sizes)))):
             inner = nl + "  "
-            row = "[" + inner + ("," + inner).join(["%d"] * widths.pop()) + nl + "]"
-            return sep.join([row % tuple(r) for r in seq])
+            rows = map(("," + inner).join, product(*[list(map(str, range(n))) for n in sizes]))
+            return "[" + inner + (nl + "]" + sep + "[" + inner).join(rows) + nl + "]"
     return sep.join([_write(v, nl) for v in seq])
 
 

@@ -56,10 +56,11 @@ def _check_unitary(stack: np.ndarray) -> None:
     tol = active_tolerances().unitary
     with np.errstate(over="ignore", invalid="ignore"):  # a huge defect is inf or NaN
         gram = np.swapaxes(stack.conj(), 1, 2) @ stack
-        bad = np.linalg.norm(gram - np.eye(stack.shape[2]), axis=(1, 2)) > tol
-    if bad.any():
+        bad = ~(np.linalg.norm(gram - np.eye(stack.shape[2]), axis=(1, 2)) <= tol)
+        if not bad.any():
+            return
         residual = unitarity_defect(stack[int(np.argmax(bad))])
-        raise ValidationError(f"matrix is not unitary: ||U^H U - I||_F = {residual:.3e} > {tol:.1e}")
+    raise ValidationError(f"matrix is not unitary: ||U^H U - I||_F = {residual:.3e} > {tol:.1e}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,8 +126,9 @@ class Basis:
             raise ValidationError(
                 f"basis of a {dim}-dimensional space needs {dim} elements, got {rows.shape[0]}"
             )
-        gram = rows.conj() @ rows.T
-        if float(np.max(np.abs(gram - np.eye(dim)))) > active_tolerances().basis_orthonormal:
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge defect is inf or NaN
+            defect = float(np.max(np.abs(rows.conj() @ rows.T - np.eye(dim))))
+        if not defect <= active_tolerances().basis_orthonormal:
             raise ValidationError("basis elements are not orthonormal within tolerance")
         object.__setattr__(self, "rows", rows)
 

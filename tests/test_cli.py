@@ -278,6 +278,21 @@ class TestStructuralExtremes:
         assert doc["labels"] == [[0] * slots]
         assert doc["measures"] == [1.0] and doc["delta_psi"] == [pytest.approx(1.0, abs=1e-12)]
 
+    @pytest.mark.parametrize("layers, want", [(2, 0), (5, 2)])
+    def test_network_edges_are_capped_before_they_are_built(self, capsys, tmp_path, layers, want):
+        # one 100-element basis per layer in a dim-1 scenario: 20,000 lines per layer pair
+        doc = _born_doc(dim=1, fixed_points=[])
+        doc["hamiltonian"]["pieces"][0]["matrix"] = [[[0.5, 0.0]]]
+        doc["bases"] = {"big": [[[float(i == j), 0.0] for j in range(100)] for i in range(100)]}
+        doc["query"] = {"kind": "network", "times": [k / layers for k in range(layers)], "bases": ["big"] * layers}
+        code, out, err = run_cli(capsys, "run", _write(tmp_path, doc))
+        assert code == want
+        if want:
+            assert out == ""
+            assert err == "INSTANCE_TOO_LARGE: 80000 network branch lines exceed the limit of 65536\n"
+        else:
+            assert err == "" and json.loads(out)["edge_count"] == 20_000
+
     def test_closed_stdout_ends_without_a_traceback(self, tmp_path):
         # 1,024 joints give a report larger than a pipe buffer
         path = _write(tmp_path, _chain_doc(2, 10, "x"))
@@ -292,6 +307,38 @@ class TestStructuralExtremes:
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 1
         assert err == b""  # no traceback, no "Exception ignored"
+
+
+# finite rows whose Gram product overflows to NaN
+NAN_GRAM_BASIS = [[[1e200, 1e200], [1e200, -1e200]], [[1e200, 0.0], [-1e200, 0.0]]]
+
+
+def _uses_nan_gram_basis(doc):
+    doc.setdefault("bases", {})["big"] = NAN_GRAM_BASIS
+    query = doc["query"]
+    if query["kind"] == "network":
+        query["bases"][0] = "big"
+    elif query["kind"] == "chain":
+        query["interior"][0]["outcomes"] = "big"
+    else:
+        query["outcomes"] = "big"
+    return doc
+
+
+class TestNanGramBasis:
+    """A basis whose Gram product overflows to NaN fails the orthonormality
+    check (NaN > tol is False, so the check asks for defect <= tol): run and
+    validate both end in one line."""
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize(
+        "name", ["born_sx_quarter", "abl_plus_postselection", "chain_sx_interior", "network_2x3"]
+    )
+    def test_refused_with_one_line(self, capsys, tmp_path, command, name):
+        doc = _uses_nan_gram_basis(json.loads((SCENARIOS / f"{name}.json").read_text()))
+        code, out, err = run_cli(capsys, command, _write(tmp_path, doc))
+        assert code == 2 and out == ""
+        assert err == "VALIDATION_ERROR: bases.big: basis elements are not orthonormal within tolerance\n"
 
 
 def _born_doc(**changes):

@@ -3,15 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fpf.histories
 from fpf.errors import (
     DimensionMismatch,
+    InstanceTooLarge,
     NonMonotoneTimes,
     NotNormalized,
     TooFewPoints,
     ValidationError,
 )
 from fpf.contour import Branch
-from fpf.histories import FixedPoint, FixedPointNetwork, NetworkEdge, build_network, make_history
+from fpf.histories import MAX_EDGES, FixedPoint, FixedPointNetwork, NetworkEdge, build_network, make_history
 from fpf.statespace import standard_basis
 
 E0, E1 = standard_basis(2).rows
@@ -102,3 +104,31 @@ class TestNetwork:
         assert len(net.edges) == total
         # every edge sits in exactly one adjacent pair
         assert sum(len(net.edges_between(i)) for i in range(len(sizes) - 1)) == total
+
+
+class TestEdgeCap:
+    """build_network counts its 2*N1*N2 lines per layer pair before it builds
+    any; every count is even, so 65,538 is the smallest past the cap."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        edges = []
+
+        def counted(*args):
+            edges.append(None)
+            return NetworkEdge(*args)
+
+        monkeypatch.setattr(fpf.histories, "NetworkEdge", counted)
+        return edges
+
+    def test_at_the_cap(self, built):
+        # 2 * (127 * 256 + 256 * 1) = 65,536
+        net = build_network([0.0, 1.0, 2.0], [standard_basis(n) for n in (127, 256, 1)])
+        assert MAX_EDGES == 65_536 == len(net.edges) == len(built)
+
+    def test_past_the_cap_builds_nothing(self, built):
+        # 2 * (127 * 256 + 256 * 1 + 1 * 1) = 65,538
+        bases = [standard_basis(n) for n in (127, 256, 1, 1)]
+        with pytest.raises(InstanceTooLarge, match="^65538 network branch lines exceed the limit of 65536$"):
+            build_network([0.0, 1.0, 2.0, 3.0], bases)
+        assert built == []

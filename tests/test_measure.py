@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpf import oracle
 from fpf.contour import Branch
@@ -378,6 +380,22 @@ class TestWholeTensor:
         assert res.labels[res.selected] == tuple(selection)
         for label, weight in zip(res.labels, res.delta_psi):
             assert abs(weight - ref[label]) <= 1e-12
+
+    @given(st.integers(1, 4).flatmap(
+        lambda dim: st.tuples(st.just(dim), st.lists(st.integers(0, dim - 1), max_size=5 if dim < 4 else 4))
+    ), st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_selected_index_is_the_selection_among_labels(self, shape, seed, numpy_ints):
+        # the index is found by mixed-radix arithmetic, not by searching the
+        # labels, and is a Python int even for a selection of numpy integers
+        dim, selection = shape
+        rng = np.random.default_rng(seed)
+        sched = random_schedule(rng, dim, 1)
+        src, interior, snk = self.random_chain(rng, dim, len(selection), sched)
+        chosen = list(np.array(selection, dtype=np.int64)) if numpy_ints else selection
+        res = chain_measure(sched, (src, snk), interior, chosen)
+        assert res.selected == res.labels.index(tuple(selection))
+        assert type(res.selected) is int
 
     def test_branch_override_chain_matches_raw_weights(self):
         rng = np.random.default_rng(3100)

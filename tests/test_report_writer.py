@@ -1,8 +1,9 @@
 """The report writer against json.dumps(indent=2, sort_keys=True), byte for
 byte: reports of every query kind, random scenarios (a chain of 1024
-joints among them), `fpf random` documents, edge values, and random
-JSON-like trees."""
+joints among them), `fpf random` documents, edge values, label rows and
+lists that nearly are, and random JSON-like trees."""
 
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -74,6 +75,36 @@ def test_chain_of_1024_joints():
     assert report.to_json() == reference(report.to_dict())
 
 
+def chain_of(dim, slots):
+    """A seeded chain of `slots` interior slots over bases of dim elements;
+    dim 1 uses the built-in basis, larger dims the scenario's two random ones."""
+    s = random_scenario(7, dim, 2, "chain") if dim > 1 else parse_scenario(json.dumps({
+        "schema": 1,
+        "dim": 1,
+        "hamiltonian": {"pieces": [{"t_start": 0.0, "t_end": 1.0, "matrix": [[[0.5, 0.0]]]}]},
+        "fixed_points": [{"time": 0.0, "state": "z:0"}, {"time": 1.0, "state": "z:0"}],
+        "query": {"kind": "chain", "interior": [], "selection": []},
+    }))
+    t0, t1 = s.schedule.t_start, s.schedule.t_end
+    names = ["z" if dim == 1 else f"a{k % 2}" for k in range(slots)]
+    interior = tuple((t0 + (t1 - t0) * (k + 1) / (slots + 1), name) for k, name in enumerate(names))
+    selection = tuple((3 * k + 1) % dim for k in range(slots))
+    return replace(s, query=Query(kind="chain", interior=interior, selection=selection))
+
+
+@pytest.mark.parametrize("dim, slots", [(2, 0), (3, 1), (8, 2), (4, 5), (2, 8), (1, 63)])
+def test_chain_labels_are_written_from_the_slot_sizes(dim, slots):
+    report = run(chain_of(dim, slots))
+    labels = [list(joint) for joint in itertools.product(range(dim), repeat=slots)]
+    assert report.extra["labels"] == labels  # [[]] for a chain without slots
+    assert report.extra["selected_index"] == labels.index([(3 * k + 1) % dim for k in range(slots)])
+    assert report.to_json() == reference(report.to_dict())
+    assert report.to_json() == reference(json.loads(json.dumps(report.to_dict())))  # plain lists
+    if slots:  # a report whose labels a caller edited is written as edited
+        report.extra["labels"][0][0] = dim
+        assert report.to_json() == reference(report.to_dict())
+
+
 @pytest.mark.parametrize("kind", QUERY_KINDS)
 @pytest.mark.parametrize("dim, pieces", [(2, 1), (5, 3), (8, 4)])
 def test_serialize_scenario(kind, dim, pieces):
@@ -106,6 +137,17 @@ EDGE_VALUES = [
     [(1, 2), [3, 4]],
     [[[1]], [[2]]],
     [[-1, 10**30], [0, -(10**30)]],
+    [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [1, 2]],
+    [[0], [1], [2]],
+    [[0, 0], [0, 1], [1, 0], [1, True]],
+    [[0, 0], [0, 1.0], [1, 0], [1, 1]],
+    [[0, 0], [0, 1], [1, 1], [1, 0]],
+    [[0, 0], [1, 1], [1, 0], [1, 1]],
+    [[0, 0], [0, 1], [1, 0], [1, 1], [1, 1]],
+    [(0, 0), (0, 1), (1, 0), (1, 1)],
+    [[0], [10**30]],
+    [[-1]],
+    [[-2, -2], [-2, -2], [-2, -2], [-2, -2]],
     [],
     {},
     [[]],
@@ -152,8 +194,11 @@ SCALARS = st.none() | st.booleans() | st.integers() | FLOATS | st.text()
 INT_ROWS = st.integers(0, 4).flatmap(
     lambda k: st.lists(st.lists(st.integers(), min_size=k, max_size=k), max_size=4)
 )
+ODOMETERS = st.lists(st.integers(1, 3), max_size=4).map(
+    lambda sizes: [list(row) for row in itertools.product(*map(range, sizes))]
+)
 TREES = st.recursive(
-    SCALARS | st.lists(st.floats()) | st.lists(st.integers()) | INT_ROWS,
+    SCALARS | st.lists(st.floats()) | st.lists(st.integers()) | INT_ROWS | ODOMETERS,
     lambda children: (
         st.lists(children, max_size=5)
         | st.lists(children, max_size=5).map(tuple)

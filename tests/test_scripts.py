@@ -3,9 +3,12 @@
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -214,3 +217,48 @@ def test_bench_pairs_runs_each_side_from_a_copy_without_byte_code(tmp_path, monk
     for checkout, names in seen:
         assert "__pycache__" not in names and "mod.py" in names
         assert tmp_path not in checkout.parents and not checkout.exists()
+
+
+def _bench_ab(monkeypatch, processes, rounds):
+    """scripts/bench_ab.py, importable by name in the processes it spawns,
+    measuring in `processes` processes of `rounds` rounds each."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    module = importlib.import_module("bench_ab")
+    monkeypatch.setattr(module, "PROCESSES", processes)
+    monkeypatch.setattr(module, "ROUNDS", rounds)
+    return module
+
+
+def test_bench_ab_aa_run_writes_ratios_beside_other_keys(tmp_path, monkeypatch, capsys):
+    bench_ab = _bench_ab(monkeypatch, 2, 3)
+    out = tmp_path / "ab.json"
+    out.write_text('{"runs": []}')
+    assert bench_ab.main(["--parent", str(ROOT), "--change", str(ROOT), "--workload", "chain-oracle",
+                          "--out", str(out), "--key", "aa"]) == 0
+    text = capsys.readouterr().out
+    assert "chain-oracle: change/parent round time" in text, text
+    doc = json.loads(out.read_text())
+    assert doc["runs"] == [] and doc["aa"]["aa"] and doc["aa"]["seed"] == 1
+    row = doc["aa"]["workloads"]["chain-oracle"]
+    assert (row["processes"], row["rounds"], row["files"]) == (2, 3, 28)
+    assert [len(r) for r in row["ratios"]] == [3, 3] and len(row["process_median_ratio"]) == 2
+    lo, hi = row["ci95"]
+    assert lo <= row["median_ratio"] <= hi
+    assert len(row["file_median_ratio"]) == 28
+
+
+def test_bench_ab_stops_when_the_outputs_differ(tmp_path, monkeypatch):
+    # a change tree whose chain reports integrate the oracle at another resolution
+    bench_ab = _bench_ab(monkeypatch, 1, 1)
+    change = tmp_path / "change"
+    shutil.copytree(ROOT / "src", change / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(ROOT / "perfbench", change / "perfbench", ignore=shutil.ignore_patterns("__pycache__"))
+    scenario = change / "src" / "fpf" / "scenario.py"
+    source = scenario.read_text()
+    assert "ORACLE_STEPS = 512" in source
+    scenario.write_text(source.replace("ORACLE_STEPS = 512", "ORACLE_STEPS = 256"))
+    with pytest.raises(SystemExit, match="outputs differ on"):
+        bench_ab.main(["--parent", str(ROOT), "--change", str(change), "--workload", "chain-oracle",
+                       "--out", str(tmp_path / "ab.json")])
+    assert not (tmp_path / "ab.json").exists()
+

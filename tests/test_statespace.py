@@ -77,6 +77,13 @@ class TestCheckBasis:
             with pytest.raises(ValidationError, match=message):
                 Basis(rows)
 
+    def test_gram_overflow_to_nan_is_refused(self):
+        # finite rows whose Gram product overflows: inf - inf is NaN, and NaN > tol is False
+        rows = np.array([[1e200 + 1e200j, 1e200 - 1e200j], [1e200, -1e200]])
+        with np.errstate(all="raise"):  # the check itself raises no floating-point warning
+            with pytest.raises(ValidationError, match="^basis elements are not orthonormal within tolerance$"):
+                Basis(rows)
+
     def test_rows_are_one_read_only_c_contiguous_copy(self):
         q = np.linalg.qr(np.arange(9.0).reshape(3, 3) + np.eye(3))[0]
         basis = Basis(q.T)  # a Fortran-ordered view of q
@@ -256,6 +263,15 @@ class TestUnitaries:
                 text = f"matrix is not unitary: ||U^H U - I||_F = {factor * tol:.3e} > {tol:.1e}"
                 assert message(UnitaryMatrix, mat) == text
                 assert message(unitaries, stack) == text
+
+
+    def test_gram_overflow_to_nan_is_refused(self):
+        # U^H U holds inf + nan j, so ||U^H U - I||_F is NaN
+        mat = np.diag([1e200, 1.0])
+        text = "matrix is not unitary: ||U^H U - I||_F = nan > 1.0e-10"
+        with np.errstate(all="raise"):
+            assert message(UnitaryMatrix, mat) == text
+            assert message(unitaries, np.array([SX, mat])) == text
 
 
 class TestCheckedMatrices:
