@@ -1,17 +1,17 @@
 """Measures of existence from products of conjugate branch amplitudes.
 
-The weight of a history is the product, over consecutive fixed-point
-pairs, of the forward amplitude and the matching backward amplitude. With
-a branch-independent schedule the two are conjugate, so every weight is a
-nonnegative real number; dividing by the sum over the open outcome slots
-yields the measure.
-
-One kernel computes every weight: a chain of time-ordered slots, each
-holding one or more candidate states, from a source to an optional sink.
-The Born rule is the chain with one outcome slot and no sink, the
-pre/post-selection (ABL) rule the chain with one outcome slot and a sink,
-and longer chains generalize both. Chains are enumerated in full, so the
-number of joint outcomes is capped at MAX_JOINTS.
+A chain is a source, time-ordered outcome slots and an optional sink,
+each slot holding its candidate states as the rows of a 2-D array. For
+consecutive slots a at t_a and b at t_b > t_a, one kernel forms the
+segment's amplitudes forward[j, i] = <b_j|U_F(t_a -> t_b)|a_i> on the
+forward branch and backward[i, j] = <a_i|U_B(t_b -> t_a)|b_j> on the
+backward branch, run back in time. M = forward.T * backward (elementwise)
+holds the segment's weights: a history's weight is the product of
+M_k[i_k-1, i_k] along it, and all joint weights sum to 1^T M_1 ... M_n 1.
+With a branch-independent schedule the two amplitudes are conjugate, so
+every weight is a nonnegative real number; dividing by the sum over the
+open outcome slots yields the measure. Chains are enumerated in full, so
+the number of joint outcomes is capped at MAX_JOINTS.
 """
 
 from __future__ import annotations
@@ -66,46 +66,46 @@ class MeasureResult:
         tols = active_tolerances()
         if delta.shape != measures.shape or len(self.labels) != delta.shape[0]:
             raise NumericalCheckFailure("result arrays and labels disagree in length")
-        if abs(float(np.sum(delta)) - self.normalizer) > 1e-9 * max(1.0, abs(self.normalizer)):
+        bound = 1e-9 * max(1.0, abs(self.normalizer))  # each check is "not x <= bound": a NaN fails
+        if not abs(float(np.sum(delta)) - self.normalizer) <= bound:
             raise NumericalCheckFailure("normalizer is not the sum of the weights")
-        if float(np.max(np.abs(measures * self.normalizer - delta))) > 1e-9 * max(
-            1.0, abs(self.normalizer)
-        ):
+        if not float(np.max(np.abs(measures * self.normalizer - delta))) <= bound:
             raise NumericalCheckFailure("measures are not the weights over the normalizer")
-        if abs(float(np.sum(measures)) - 1.0) > tols.measure_sum:
-            raise NumericalCheckFailure(
-                f"measures sum to {float(np.sum(measures))!r}, not 1"
-            )
+        total = float(np.sum(measures))
+        if not abs(total - 1.0) <= tols.measure_sum:
+            raise NumericalCheckFailure(f"measures sum to {total!r}, not 1")
+
+
+def _segment_amplitudes(
+    sched: HamiltonianSchedule, slots: Sequence[tuple[float, np.ndarray]]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per consecutive slot pair (a, b), forward = b* U_F(t_a -> t_b) a^T and
+    backward = a* U_B(t_b -> t_a) b^T, indexed as in the module docstring:
+    one stacked propagator pass, and a second under a branch override."""
+    if any(states.shape[1] != sched.dim for _, states in slots):
+        raise DimensionMismatch(f"slot states must have the schedule's dim {sched.dim}")
+    times = [t for t, _ in slots]
+    forward_us = propagators(sched, Branch.FORWARD, times)
+    backward_us = propagators(sched, Branch.BACKWARD, times) if sched.branch_override else forward_us
+    return [
+        (b.conj() @ (u_f.mat @ a.T), a.conj() @ (u_b.mat.conj().T @ b.T))
+        for (_, a), (_, b), u_f, u_b in zip(slots, slots[1:], forward_us, backward_us)
+    ]
 
 
 def _joint_weights(
     sched: HamiltonianSchedule, slots: Sequence[tuple[float, np.ndarray]]
 ) -> np.ndarray:
     """Raw complex weights of every joint assignment of the slots' states,
-    each slot holding its candidate states as the rows of a 2-D array.
-
-    Flat, in joint order: the entry of joint (i_0, ..., i_n) is the product
-    over consecutive slots of the forward amplitude <a_k|U_F|a_{k-1}> and
-    the backward amplitude <a_{k-1}|U_B|a_k>. All segments take one
-    stacked propagator pass, and a second only when a branch override
-    gives the backward branch its own pieces.
-    """
+    flat in joint order: the products of M_k = forward.T * backward."""
     if len(slots) < 2:
         raise ValidationError("a history weight needs at least two fixed points")
     joints = math.prod(len(states) for _, states in slots)
     if joints > MAX_JOINTS:
         raise InstanceTooLarge(f"{joints} joint outcomes exceed the limit of {MAX_JOINTS}")
-    if any(states.shape[1] != sched.dim for _, states in slots):
-        raise DimensionMismatch(f"slot states must have the schedule's dim {sched.dim}")
-    times = [t for t, _ in slots]
-    forward_us = propagators(sched, Branch.FORWARD, times)
-    backward_us = propagators(sched, Branch.BACKWARD, times) if sched.branch_override else forward_us
     weights = np.ones((1, len(slots[0][1])), dtype=np.complex128)  # joints so far x states
-    for (_, a), (_, b), u_f, u_b in zip(slots, slots[1:], forward_us, backward_us):
-        u_f, u_b = u_f.mat, u_b.mat.conj().T  # u_b = U_B(t_b -> t_a)
-        forward = b.conj() @ (u_f @ a.T)
-        backward = a.conj() @ (u_b @ b.T)
-        weights = (weights[..., None] * (forward.T * backward)).reshape(-1, len(b))
+    for forward, backward in _segment_amplitudes(sched, slots):
+        weights = (weights[..., None] * (forward.T * backward)).reshape(-1, len(forward))
     return weights.ravel()
 
 

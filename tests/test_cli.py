@@ -172,6 +172,19 @@ class TestToleranceOverrides:
         assert code == 2 and out == ""
         _one_error_line(err, "VALIDATION_ERROR")
 
+    def test_measure_sum_override_refuses_rounding(self, capsys, tmp_path):
+        # this file's ABL measures sum to 1 - 2**-53 in floating point
+        _, doc, _ = run_cli(
+            capsys, "random", "--seed", "0", "--dim", "5", "--pieces", "2", "--query", "abl"
+        )
+        path = tmp_path / "abl.json"
+        path.write_text(doc)
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert code == 0 and out and err == ""
+        code, out, err = run_cli(capsys, "run", str(path), "--tol-override", "measure_sum=0")
+        assert (code, out) == (4, "")
+        assert err == "NUMERICAL_CHECK_FAILURE: measures sum to 0.9999999999999999, not 1\n"
+
 
 class TestValidate:
     def test_valid_file(self, capsys):

