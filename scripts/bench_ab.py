@@ -10,9 +10,13 @@ alternating order. Each process runs every file once per side untimed,
 then times ROUNDS rounds: per round, every file once per side, its two
 calls back to back, the side that goes first alternating from file to file
 and from round to round, so that both sides see the machine at nearly the
-same speed. Each call is `cli.main(["run", file])` with stdout and stderr
-captured, and the two sides must print the same stdout and stderr and
-return the same exit code on every call, or the script stops with exit 1.
+same speed. Each round starts with a full garbage collection and runs
+with the collector off, so that no collection, which the same sequence
+of allocations triggers on the same call in every process, lands inside
+a timed call. Each call is `cli.main(["run", file])` with stdout and
+stderr captured, and the two sides must print the same stdout and stderr
+and return the same exit code on every call, or the script stops with
+exit 1.
 
 Per workload it writes every process's per-round time ratios (change over
 parent, so below 1 is faster), each process's median, the median of all
@@ -24,8 +28,9 @@ each, and the interval holds that spread too. Both trees share one process
 and one numpy, so import and start-up are out of reach: this shows
 per-query gains smaller than one `bench_pairs.py` sweep's noise, and does
 not replace it. An A/A run names the same checkout twice, and its interval
-should contain 1.0. PROCESSES, ROUNDS and SEED are the setting whose A/A
-intervals were checked on every workload; the process count matters most,
+should contain 1.0. PROCESSES, ROUNDS and SEED, with the collector off in
+timed rounds, are the setting whose A/A intervals were checked on every
+workload (`BENCH_27.json`); the process count matters most,
 as timing both sides in a single process gave A/A intervals that
 excluded 1.0.
 
@@ -46,6 +51,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import contextlib
+import gc
 import importlib
 import importlib.util
 import io
@@ -105,13 +111,18 @@ def measure(checkouts: dict, order: tuple, files: list[str], rounds: int) -> dic
         expected[path] = outputs[0]
     times = {side: {path: [] for path in files} for side in SIDES}
     for r in range(rounds):
-        for i, path in enumerate(files):
-            for side in SIDES if (r + i) % 2 == 0 else SIDES[::-1]:
-                start = perf_counter()
-                got = call(clis[side], "run", path)
-                times[side][path].append(perf_counter() - start)
-                if got != expected[path]:
-                    return {"error": f"{side} output changed on {path} in round {r}"}
+        gc.collect()  # each round starts without garbage and collects none
+        gc.disable()
+        try:
+            for i, path in enumerate(files):
+                for side in SIDES if (r + i) % 2 == 0 else SIDES[::-1]:
+                    start = perf_counter()
+                    got = call(clis[side], "run", path)
+                    times[side][path].append(perf_counter() - start)
+                    if got != expected[path]:
+                        return {"error": f"{side} output changed on {path} in round {r}"}
+        finally:
+            gc.enable()
     return {"times": times}
 
 

@@ -41,13 +41,30 @@ from .tolerances import Tolerances, active_tolerances
 MAX_JOINTS = 1 << 16  # joint outcomes one chain may enumerate
 
 
+class JointLabels(tuple):
+    """The joint outcomes of slots of the given sizes (each at least 1),
+    as tuples of basis indices in row-major order: an immutable odometer."""
+
+    __slots__ = ()
+
+    def __new__(cls, sizes: Sequence[int]) -> JointLabels:
+        return super().__new__(cls, itertools.product(*map(range, sizes)))
+
+    def __getnewargs__(self) -> tuple:  # copy and pickle rebuild it from its sizes
+        return (self.sizes,)
+
+    @property
+    def sizes(self) -> tuple[int, ...]:  # the last row's indices, plus one
+        return tuple(i + 1 for i in self[-1])
+
+
 @dataclass(frozen=True, eq=False)
 class MeasureResult:
     """Unnormalized weights and normalized measures over an outcome set.
 
     labels identifies each joint outcome by its tuple of basis indices,
-    one per outcome slot; selected marks the queried outcome when the
-    caller asked about a single one.
+    one per outcome slot (JointLabels from chain_measure); selected marks
+    the queried outcome when the caller asked about a single one.
     """
 
     delta_psi: np.ndarray
@@ -168,14 +185,17 @@ def chain_measure(
         slots.append((snk.t, snk.state[None]))
     if any(a >= b for (a, _), (b, _) in zip(slots, slots[1:])):
         raise ValidationError("slot times must increase strictly from source to sink")
+    selected = None
     if selection is not None:
         if len(selection) != len(interior):
             raise ValidationError(
                 f"selection has {len(selection)} entries for {len(interior)} interior slots"
             )
+        selected = 0  # the joint's row-major position, by mixed radix
         for k, (idx, (_, basis)) in enumerate(zip(selection, interior)):
             if not 0 <= idx < len(basis):
                 raise ValidationError(f"selection[{k}]={idx} out of range for its basis")
+            selected = selected * len(basis) + int(idx)
     tols = active_tolerances()
     delta = _real_weight(_joint_weights(sched, slots), tols)
     normalizer = float(np.sum(delta))
@@ -187,16 +207,10 @@ def chain_measure(
         raise ImpossiblePostSelection(
             "post-selection is unreachable from the preparation through any outcome"
         )
-    sizes = [len(basis) for _, basis in interior]
-    selected = None
-    if selection is not None:  # the joint's row-major position, by mixed radix
-        selected = 0
-        for idx, n in zip(selection, sizes):
-            selected = selected * n + int(idx)
     return MeasureResult(
         delta_psi=delta,
         normalizer=normalizer,
         measures=delta / normalizer,
-        labels=tuple(itertools.product(*map(range, sizes))),
+        labels=JointLabels([len(basis) for _, basis in interior]),
         selected=selected,
     )

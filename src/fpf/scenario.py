@@ -21,12 +21,7 @@ import numpy as np
 from . import measure, oracle
 from .contour import Branch
 from .dynamics import HamiltonianSchedule, SchedulePiece, propagators
-from .errors import (
-    SchemaError,
-    ScenarioSyntaxError,
-    NumericalCheckFailure,
-    ValidationError,
-)
+from .errors import NumericalCheckFailure, ScenarioSyntaxError, SchemaError, ValidationError
 from .histories import FixedPoint, build_network, make_history
 from .statespace import Basis, HermitianOperator, hermitians, is_unit, standard_basis, unitarity_defect
 from .tolerances import active_tolerances, block_overrides, tolerance_overrides
@@ -483,20 +478,16 @@ def _float_text(x: float) -> str:
 
 def _write_items(seq: list | tuple, nl: str) -> str:
     """The items of a nonempty list, one per line at indent nl; lists of
-    exact floats are joined whole, and a chain's label rows, the row-major
-    odometer over the slot sizes that the last row spells, from the sizes."""
+    exact floats are joined whole, and JointLabels spelt from their sizes."""
     sep = "," + nl
-    kinds = set(map(type, seq))
-    if kinds == {float}:
+    if type(seq) is measure.JointLabels:  # a chain without slots has one row, []
+        inner, sizes = nl + "  ", seq.sizes
+        rows = map(("," + inner).join, product(*[list(map(str, range(n))) for n in sizes]))
+        return "[" + inner + (nl + "]" + sep + "[" + inner).join(rows) + nl + "]" if sizes else "[]"
+    if set(map(type, seq)) == {float}:
         text = sep.join(map(float.__repr__, seq))
         if "n" not in text:  # no nan or inf, which json spells NaN and Infinity
             return text
-    elif kinds == {list} and set(map(type, chain.from_iterable(seq))) == {int}:
-        sizes = [i + 1 for i in seq[-1]]
-        if math.prod(sizes) == len(seq) and seq == list(map(list, product(*map(range, sizes)))):
-            inner = nl + "  "
-            rows = map(("," + inner).join, product(*[list(map(str, range(n))) for n in sizes]))
-            return "[" + inner + (nl + "]" + sep + "[" + inner).join(rows) + nl + "]"
     return sep.join([_write(v, nl) for v in seq])
 
 
@@ -693,8 +684,10 @@ class ResultReport:
         lines = [f"query: {self.query.get('kind', '?')}"]
         if self.measures is not None:
             labels = self.extra.get("labels")
-            # per-outcome oracle column only when the oracle is per-outcome
-            oracle_vals = self.oracle if self.oracle and len(self.oracle) == len(self.measures) else None
+            if type(labels) is measure.JointLabels:
+                labels = [list(row) for row in labels]  # rows print as lists, [0, 1]
+            # born and abl oracles are per outcome; a chain's is its selected weight
+            oracle_vals = self.oracle if self.query.get("kind") in ("born", "abl") else None
             header = f"{'outcome':<12} {'delta_psi':>18} {'measure':>18}"
             lines.append(header + (f" {'oracle':>18}" if oracle_vals else ""))
             for i, (d, mval) in enumerate(zip(self.delta_psi, self.measures)):
@@ -752,7 +745,7 @@ def run(scenario: Scenario) -> ResultReport:
                 report.oracle = [value]
                 report.max_deviation = abs(report.delta_psi[result.selected] - value)
                 report.extra = {
-                    "labels": [list(lbl) for lbl in result.labels],
+                    "labels": result.labels,
                     "selected_index": result.selected,
                     "selected_measure": float(result.measures[result.selected]),
                     "oracle_error_estimate": estimate,

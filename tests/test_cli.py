@@ -94,6 +94,23 @@ class TestRun:
         assert code == 0
         assert "outcome" in out and "measure" in out
 
+    @pytest.mark.parametrize("slots", [0, 3])
+    def test_one_joint_chain_table_prints_its_oracle_line(self, capsys, tmp_path, slots):
+        # one joint and one oracle value, which is still the selected raw
+        # weight, not a per-outcome column: no slots, or dim-1 slots
+        if slots:
+            doc = _chain_doc(1, slots, "z")
+        else:
+            doc = json.loads((SCENARIOS / "chain_sx_interior.json").read_text())
+            doc["query"] = {"kind": "chain", "interior": [], "selection": []}
+        path = _write(tmp_path, doc)
+        code, out, err = run_cli(capsys, "run", path, "--format", "table")
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert lines[1].split() == ["outcome", "delta_psi", "measure"]
+        assert lines[2].startswith(f"{[0] * slots} ") and lines[2].split()[-1] == "1.000000000000"
+        assert f"oracle: {json.loads(run_cli(capsys, 'run', path)[1])['oracle']}" in lines
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "run", "no_such_file.json")
         assert code == 2

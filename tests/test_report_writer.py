@@ -3,6 +3,10 @@ byte: reports of every query kind, random scenarios (a chain of 1024
 joints among them), `fpf random` documents, edge values, label rows and
 lists that nearly are, and random JSON-like trees."""
 
+import contextlib
+import copy
+import hashlib
+import io
 import itertools
 import json
 import math
@@ -14,9 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpf.cli import main
+from fpf.measure import JointLabels
 from fpf.scenario import (
     QUERY_KINDS,
     Query,
+    ResultReport,
     _write,
     parse_scenario,
     random_scenario,
@@ -95,14 +102,53 @@ def chain_of(dim, slots):
 @pytest.mark.parametrize("dim, slots", [(2, 0), (3, 1), (8, 2), (4, 5), (2, 8), (1, 63)])
 def test_chain_labels_are_written_from_the_slot_sizes(dim, slots):
     report = run(chain_of(dim, slots))
-    labels = [list(joint) for joint in itertools.product(range(dim), repeat=slots)]
-    assert report.extra["labels"] == labels  # [[]] for a chain without slots
-    assert report.extra["selected_index"] == labels.index([(3 * k + 1) % dim for k in range(slots)])
+    labels = tuple(itertools.product(range(dim), repeat=slots))
+    assert report.extra["labels"] == labels  # ((),) for a chain without slots
+    assert report.extra["selected_index"] == labels.index(tuple((3 * k + 1) % dim for k in range(slots)))
     assert report.to_json() == reference(report.to_dict())
     assert report.to_json() == reference(json.loads(json.dumps(report.to_dict())))  # plain lists
-    if slots:  # a report whose labels a caller edited is written as edited
+    if slots:  # the rows cannot be edited; a caller's own list of rows is written as it stands
+        with pytest.raises(TypeError):
+            report.extra["labels"][0][0] = dim
+        report.extra["labels"] = [list(row) for row in labels]
         report.extra["labels"][0][0] = dim
         assert report.to_json() == reference(report.to_dict())
+
+
+# SHA-256 and length of `fpf run --format table` on chain_of(dim, slots)
+CHAIN_TABLES = {
+    (3, 2): ("02053d0e3a18fc51dcbc9cfd0f18fab70ce26b8b989772f2d571727aa5e8e089", 706),
+    (2, 3): ("e66e17e5ccdff2918f3c5729c2c7c13c9c89324287399ce265ac83222c30e746", 654),
+}
+
+
+@pytest.mark.parametrize("dim, slots", sorted(CHAIN_TABLES))
+def test_chain_table_prints_label_rows_as_lists(tmp_path, dim, slots):
+    path = tmp_path / "chain.json"
+    path.write_text(serialize_scenario(chain_of(dim, slots)))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["run", str(path), "--format", "table"]) == 0
+    text = out.getvalue()
+    rows = text.splitlines()[2:2 + dim**slots]
+    assert [row[:12].rstrip() for row in rows] == [
+        str(list(joint)) for joint in itertools.product(range(dim), repeat=slots)
+    ]
+    assert (hashlib.sha256(text.encode()).hexdigest(), len(text)) == CHAIN_TABLES[dim, slots]
+
+
+SIZES = st.lists(st.integers(1, 8), max_size=8).filter(lambda sizes: math.prod(sizes) <= 4096)
+
+
+@given(SIZES)
+@settings(max_examples=60, deadline=None)
+def test_joint_labels_are_the_odometer_and_write_as_json_does(sizes):
+    labels = JointLabels(sizes)
+    assert labels == tuple(itertools.product(*map(range, sizes)))
+    assert labels.sizes == tuple(sizes)
+    assert copy.deepcopy(labels) == labels and type(copy.deepcopy(labels)) is JointLabels
+    report = ResultReport(query={"kind": "chain"}, extra={"labels": labels})
+    assert report.to_json() == reference(report.to_dict())
 
 
 @pytest.mark.parametrize("kind", QUERY_KINDS)

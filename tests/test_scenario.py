@@ -191,7 +191,7 @@ class TestRunReports:
     def test_chain_report_marks_selection(self):
         report = run(random_scenario(23, 2, 2, "chain"))
         sel = report.extra["selected_index"]
-        assert report.extra["labels"][sel] == list(
+        assert report.extra["labels"][sel] == tuple(
             random_scenario(23, 2, 2, "chain").query.selection
         )
         assert abs(report.delta_psi[sel] - report.oracle[0]) <= report.extra[

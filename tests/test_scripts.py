@@ -1,5 +1,6 @@
 """Smoke tests: the scripts under scripts/ run and say what they should."""
 
+import gc
 import importlib.util
 import json
 import os
@@ -262,6 +263,26 @@ def test_bench_ab_aa_run_writes_ratios_beside_other_keys(tmp_path, monkeypatch, 
     lo, hi = row["ci95"]
     assert lo <= row["median_ratio"] <= hi
     assert len(row["file_median_ratio"]) == 28
+
+
+def test_bench_ab_collects_garbage_between_rounds_only(monkeypatch):
+    # each round starts with a collection and runs with the collector off
+    bench_ab = _bench_ab(monkeypatch, 1, 2)
+    events = []
+    monkeypatch.setattr(gc, "collect", lambda: events.append("collect"))
+
+    class FakeCli:
+        @staticmethod
+        def main(argv):
+            events.append(gc.isenabled())
+            return 0
+
+    monkeypatch.setattr(bench_ab, "load_cli", lambda checkout, side: FakeCli)
+    got = bench_ab.measure(dict.fromkeys(bench_ab.SIDES), bench_ab.SIDES, ["a.json", "b.json"], 2)
+    assert set(got) == {"times"} and gc.isenabled()
+    warm_up, timed = events[:4], events[4:]
+    assert warm_up == [True] * 4
+    assert timed == ["collect", False, False, False, False] * 2
 
 
 def test_bench_ab_stops_when_the_outputs_differ(tmp_path, monkeypatch):
