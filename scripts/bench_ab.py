@@ -10,10 +10,14 @@ alternating order. Each process runs every file once per side untimed,
 then times ROUNDS rounds: per round, every file once per side, its two
 calls back to back, the side that goes first alternating from file to file
 and from round to round, so that both sides see the machine at nearly the
-same speed. Each round starts with a full garbage collection and runs
-with the collector off, so that no collection, which the same sequence
-of allocations triggers on the same call in every process, lands inside
-a timed call. Each call is `cli.main(["run", file])` with stdout and
+same speed. ROUNDS is even, so that each side goes first on each file in
+as many rounds as the other: with an odd file count (13 on `chain-wide`)
+one side goes first on one file more in even rounds than in odd ones, and
+15 rounds weighted the two kinds of round unequally (A/A medians of 0.967
+and 1.034 on `chain-wide`). Each round starts with a full garbage
+collection and runs with the collector off, so that no collection, which
+the same sequence of allocations triggers on the same call in every
+process, lands inside a timed call. Each call is `cli.main(["run", file])` with stdout and
 stderr captured, and the two sides must print the same stdout and stderr
 and return the same exit code on every call, or the script stops with
 exit 1.
@@ -30,7 +34,7 @@ per-query gains smaller than one `bench_pairs.py` sweep's noise, and does
 not replace it. An A/A run names the same checkout twice, and its interval
 should contain 1.0. PROCESSES, ROUNDS and SEED, with the collector off in
 timed rounds, are the setting whose A/A intervals were checked on every
-workload (`BENCH_27.json`); the process count matters most,
+workload (`BENCH_28.json`); the process count matters most,
 as timing both sides in a single process gave A/A intervals that
 excluded 1.0.
 
@@ -67,7 +71,7 @@ import numpy as np
 
 SIDES = ("parent", "change")
 PROCESSES = 6  # measuring processes, one after another
-ROUNDS = 15  # timed rounds per process
+ROUNDS = 16  # timed rounds per process; even, see above
 SEED = 1  # the workload files' seed
 RESAMPLES = 2000  # bootstrap resamples
 

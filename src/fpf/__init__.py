@@ -8,7 +8,7 @@ textbook oracles.
 """
 
 from .contour import Branch, PathSegment, build_path
-from .dynamics import HamiltonianSchedule, SchedulePiece, compose_check, propagate
+from .dynamics import HamiltonianSchedule, SchedulePiece, propagate
 from .errors import (
     CoverageError,
     DegenerateNormalizer,

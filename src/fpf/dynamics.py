@@ -147,13 +147,3 @@ def propagate(
     """U(t_from -> t_to) on the given branch: the one-segment case of `propagators`."""
     return propagators(sched, branch, (t_from, t_to))[0]
 
-
-def compose_check(
-    sched: HamiltonianSchedule, branch: Branch, t1: float, t2: float, t3: float
-) -> float:
-    """Residual of the group property: ||U(t3,t1) - U(t3,t2) U(t2,t1)||_F."""
-    if not t1 <= t2 <= t3:
-        raise ValidationError("compose_check requires t1 <= t2 <= t3")
-    whole = propagate(sched, branch, t1, t3).mat
-    early, late = propagators(sched, branch, (t1, t2, t3))
-    return float(np.linalg.norm(whole - late.mat @ early.mat))

@@ -67,14 +67,6 @@ class QuantumHistory:
         object.__setattr__(self, "points", pts)
 
     @property
-    def n_points(self) -> int:
-        return len(self.points)
-
-    @property
-    def dim(self) -> int:
-        return len(self.points[0].state)
-
-    @property
     def times(self) -> tuple[float, ...]:
         return tuple(p.t for p in self.points)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain, product
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Sequence
@@ -23,7 +24,15 @@ from .contour import Branch
 from .dynamics import HamiltonianSchedule, SchedulePiece, propagators
 from .errors import NumericalCheckFailure, ScenarioSyntaxError, SchemaError, ValidationError
 from .histories import FixedPoint, build_network, make_history
-from .statespace import Basis, HermitianOperator, hermitians, is_unit, standard_basis, unitarity_defect
+from .statespace import (
+    Basis,
+    HermitianOperator,
+    expm_hermitian,
+    hermitians,
+    is_unit,
+    standard_basis,
+    unitarity_defect,
+)
 from .tolerances import active_tolerances, block_overrides, tolerance_overrides
 
 SCHEMA_VERSION = 1
@@ -223,11 +232,13 @@ def _parse_point(
         if name == "x" and key in _X_ALIASES:
             index = _X_ALIASES[key]
         else:
-            try:
+            try:  # ASCII digits only: int() alone also takes " 1", "-0", "1_0" and other digits
+                if not (key.isascii() and key.isdigit()):
+                    raise ValueError
                 index = int(key)
-            except ValueError:
+            except ValueError:  # also raised past int()'s digit limit
                 raise SchemaError(f"{path}: bad basis element {key!r}") from None
-        if not 0 <= index < len(basis):
+        if index >= len(basis):
             raise ValidationError(f"{path}: element {index} out of range for {name!r}")
         return FixedPoint(t, basis.rows[index])
     amps = _vector(value, dim, path)
@@ -808,9 +819,12 @@ def _validate_checks(scenario: Scenario) -> dict[str, float]:
     sched = scenario.schedule
     t0, t1 = sched.t_start, sched.t_end
     u, back, early, late = propagators(sched, Branch.FORWARD, (t0, t1, t0, 0.5 * (t0 + t1), t1))
+    # U(t1 -> t0) built apart from `propagators`, which forms it as the adjoint
+    # of u: exp(+i d_k h_k) per piece, earliest leftmost, so the latest is undone first
+    w, v = sched._spectrum(Branch.FORWARD)
+    undo = reduce(np.matmul, expm_hermitian(w, v, np.array([p.t_start - p.t_end for p in sched.pieces])))
     return {
         "unitarity": unitarity_defect(u.mat),
         "composition": float(np.linalg.norm(u.mat - late.mat @ early.mat)),
-        # U(t1 -> t0) is the adjoint of the very product u is: 0.0 by construction
-        "reversal": float(np.linalg.norm(back.mat - u.mat.conj().T)),
+        "reversal": float(np.linalg.norm(back.mat - undo)),
     }

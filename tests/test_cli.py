@@ -10,6 +10,7 @@ import pytest
 
 import fpf.cli
 import fpf.errors
+import fpf.scenario
 from fpf.cli import main
 from fpf.errors import DomainError, FpfError, ValidationError
 from fpf.scenario import parse_scenario, random_scenario, run, serialize_scenario
@@ -216,6 +217,24 @@ class TestValidate:
         assert code == 2
         assert err.startswith("SCHEMA_ERROR:")
 
+    def test_wrong_time_reversal_fails_the_reversal_check(self, capsys, tmp_path, monkeypatch):
+        # validate's U(t1 -> t0) comes from the engine; with the engine
+        # handing out U(t0 -> t1) for a reversed pair, only reversal can see it
+        _, doc, _ = run_cli(capsys, "random", "--seed", "0", "--dim", "4", "--pieces", "3", "--query", "validate")
+        path = _write(tmp_path, json.loads(doc))
+        code, out, err = run_cli(capsys, "run", path)
+        checks = json.loads(out)["checks"]
+        assert (code, err) == (0, "") and checks["reversal"] <= 1e-10
+        engine = fpf.scenario.propagators
+
+        def forward_only(sched, branch, times):
+            return tuple(engine(sched, branch, sorted(pair))[0] for pair in zip(times, times[1:]))
+
+        monkeypatch.setattr(fpf.scenario, "propagators", forward_only)
+        code, out, err = run_cli(capsys, "run", path)
+        assert (code, out) == (4, "")
+        assert err.startswith("NUMERICAL_CHECK_FAILURE: propagator law residual ")
+
 
 class TestNetwork:
     def test_network_counts(self, capsys):
@@ -339,6 +358,36 @@ class TestStructuralExtremes:
         assert err == b""  # no traceback, no "Exception ignored"
 
 
+# counts each class that `dataclasses.dataclass` decorates while fpf.cli imports
+COUNT_DATACLASSES = """
+import dataclasses
+real, decorated = dataclasses.dataclass, []
+
+def counting(cls=None, /, **kwargs):
+    if cls is None:
+        return lambda c: counting(c, **kwargs)
+    decorated.append(f"{cls.__module__}.{cls.__qualname__}")
+    return real(cls, **kwargs)
+
+dataclasses.dataclass = counting
+import fpf.cli
+print("\\n".join(decorated))
+"""
+
+
+def test_import_runs_15_dataclass_decorations():
+    # each decoration costs start-up time in every `fpf` process
+    src = str(Path(fpf.cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", COUNT_DATACLASSES], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    decorated = proc.stdout.split()
+    assert len(decorated) == 15, decorated
+    assert "fpf.oracle.DensityMatrix" not in decorated
+
+
 # finite rows whose Gram product overflows to NaN
 NAN_GRAM_BASIS = [[[1e200, 1e200], [1e200, -1e200]], [[1e200, 0.0], [-1e200, 0.0]]]
 
@@ -401,6 +450,42 @@ def _one_error_line(err, code):
     lines = err.splitlines()
     assert len(lines) == 1, err
     assert lines[0].startswith(f"{code}:"), err
+
+
+STATE = "fixed_points[0].state"
+BAD_ELEMENT = "SCHEMA_ERROR: " + STATE + ": bad basis element {!r}"
+
+
+STATE_NAMES = [
+    ("z", f"SCHEMA_ERROR: {STATE}: state names look like 'basis:element'"),
+    ("z:", f"SCHEMA_ERROR: {STATE}: state names look like 'basis:element'"),
+    ("w:0", f"VALIDATION_ERROR: {STATE}: unknown basis 'w'"),
+    ("w3:0", f"VALIDATION_ERROR: {STATE}: basis 'w3' has dim 3, not 2"),
+    *[(f"z:{key}", BAD_ELEMENT.format(key)) for key in [" 1", "1 ", "١", "-0", "-1", "+1", "1_0", "1.0", "one"]],
+    ("z:+", BAD_ELEMENT.format("+")),
+    ("z:" + "1" * 5000, BAD_ELEMENT.format("1" * 5000)),  # past int()'s digit limit
+    ("z:2", f"VALIDATION_ERROR: {STATE}: element 2 out of range for 'z'"),
+    ("z:1", (0.0, 1.0)),
+    ("z:01", (0.0, 1.0)),
+    ("x:+", (2**-0.5, 2**-0.5)),
+    ("x:-", (2**-0.5, -(2**-0.5))),
+    ("x:1", (2**-0.5, -(2**-0.5))),
+]
+
+
+@pytest.mark.parametrize("state, want", STATE_NAMES, ids=[state[:8] for state, _ in STATE_NAMES])
+def test_state_names(capsys, tmp_path, state, want):
+    """A named state is 'basis:element', the element in ASCII decimal digits
+    or, in the x basis, '+' or '-'; each other spelling ends in one line."""
+    doc = json.loads((SCENARIOS / "born_sx_quarter.json").read_text())
+    doc["bases"] = {"w3": [[[float(i == j), 0.0] for j in range(3)] for i in range(3)]}
+    doc["fixed_points"][0]["state"] = state
+    code, out, err = run_cli(capsys, "run", _write(tmp_path, doc))
+    if isinstance(want, str):
+        assert (code, out, err) == (2, "", want + "\n")
+    else:
+        assert (code, err) == (0, "")
+        assert parse_scenario(json.dumps(doc)).fixed_points[0].state.tolist() == pytest.approx(list(want))
 
 
 class TestInputRobustness:

@@ -22,7 +22,7 @@ E0, E1 = standard_basis(2).rows
 class TestMakeHistory:
     def test_minimal_pair(self):
         h = make_history([FixedPoint(0.0, E0), FixedPoint(1.0, E1)])
-        assert h.n_points == 2
+        assert len(h.points) == 2
         assert h.times == (0.0, 1.0)
 
     def test_single_point_rejected(self):

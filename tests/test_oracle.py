@@ -12,21 +12,18 @@ from fpf.histories import FixedPoint, make_history
 from fpf.measure import chain_delta_psi
 from fpf.oracle import (
     RK4_STEP_NORM_BOUND,
-    DensityMatrix,
     _constant_spans,
     _expm_series,
     _rk4_maps,
-    _rk4_segment,
     abl_rule,
     born_rule,
     contour_line_integral,
-    expectation,
     propagator,
     propagators,
     standard_born,
-    tensor_sink_delta_psi,
 )
 from fpf.scenario import random_basis, random_hermitian, random_schedule, random_state
+from oracles import _rk4_segment
 from fpf.statespace import (
     HermitianOperator,
     UnitaryMatrix,
@@ -37,7 +34,6 @@ from fpf.statespace import (
 SQRT2 = np.sqrt(2.0)
 QUARTER = float(np.pi / 4)
 SX = HermitianOperator(np.array([[0, 1], [1, 0]], dtype=complex))
-SZ = HermitianOperator(np.array([[1, 0], [0, -1]], dtype=complex))
 ZERO2 = HermitianOperator(np.zeros((2, 2)))
 E0, E1 = standard_basis(2).rows
 PLUS = np.array([1, 1], dtype=complex) / SQRT2
@@ -94,41 +90,6 @@ class TestAblRule:
     def test_zero_denominator(self):
         with pytest.raises(ZeroDenominator):
             abl_rule(UnitaryMatrix(np.eye(2)), UnitaryMatrix(np.eye(2)), E0, standard_basis(2), E1)
-
-
-class TestExpectation:
-    def test_projector_on_initial_state(self):
-        rho = DensityMatrix.from_state(E0)
-        assert expectation(rho, constant(ZERO2), 0.0, 1.0, SZ) == pytest.approx(1.0)
-
-    def test_identity_observable_is_trace(self):
-        rng = np.random.default_rng(5)
-        rho = DensityMatrix.from_state(random_state(rng, 2))
-        sched = random_schedule(rng, 2, 2)
-        obs = HermitianOperator(np.eye(2))
-        assert expectation(rho, sched, sched.t_start, sched.t_end, obs) == pytest.approx(1.0)
-
-    def test_quarter_rotation_kills_z_polarization(self):
-        rho = DensityMatrix.from_state(E0)
-        sched = constant(SX, 0.0, QUARTER)
-        assert expectation(rho, sched, 0.0, QUARTER, SZ) == pytest.approx(0.0, abs=1e-13)
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_projector_observable_links_to_born(self, seed):
-        rng = np.random.default_rng(seed + 50)
-        dim = int(rng.integers(2, 7))
-        sched = random_schedule(rng, dim, 2)
-        psi, phi = random_state(rng, dim), random_state(rng, dim)
-        proj = HermitianOperator(np.outer(phi, phi.conj()))
-        got = expectation(DensityMatrix.from_state(psi), sched, sched.t_start, sched.t_end, proj)
-        want = standard_born(propagator(sched, F, sched.t_start, sched.t_end), psi, phi)
-        assert got == pytest.approx(want, abs=1e-12)
-
-    def test_density_matrix_validation(self):
-        with pytest.raises(ValidationError):
-            DensityMatrix(np.array([[0.5, 0], [0, 0.6]], dtype=complex))
-        with pytest.raises(ValidationError):
-            DensityMatrix(np.array([[1.5, 0], [0, -0.5]], dtype=complex))
 
 
 class TestLineIntegral:
@@ -318,46 +279,6 @@ class TestRK4Map:
             assert np.max(np.abs(got - want)) <= 1e-13, (dim, np.max(np.abs(got - want)))
 
 
-class TestTensorSink:
-    def test_free_equal_states_weight_one(self):
-        h = make_history([FixedPoint(0.0, E0), FixedPoint(1.0, E0)])
-        # the unpropagated term drops out exactly by time-label orthogonality
-        assert tensor_sink_delta_psi(constant(ZERO2), h) == 1.0
-
-    def test_sigma_x_pair(self):
-        sched = constant(SX, 0.0, QUARTER)
-        h = make_history([FixedPoint(0.0, E0), FixedPoint(QUARTER, E1)])
-        got = tensor_sink_delta_psi(sched, h)
-        assert got == pytest.approx(0.5, abs=1e-13)
-        assert got == pytest.approx(
-            chain_delta_psi(sched, h.points).real, abs=1e-12
-        )
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_triple_matches_factorized_chain(self, seed):
-        rng = np.random.default_rng(seed + 900)
-        sched = random_schedule(rng, 2, int(rng.integers(1, 4)))
-        t0, t1 = sched.t_start, sched.t_end
-        pts = [
-            FixedPoint(t0, random_state(rng, 2)),
-            FixedPoint(float(rng.uniform(t0 + 0.05, t1 - 0.05)), random_state(rng, 2)),
-            FixedPoint(t1, random_state(rng, 2)),
-        ]
-        got = tensor_sink_delta_psi(sched, make_history(pts))
-        want = chain_delta_psi(sched, pts).real
-        assert got == pytest.approx(want, abs=1e-12)
-
-    def test_size_guard(self):
-        rng = np.random.default_rng(1)
-        sched = random_schedule(rng, 3, 1)
-        pts = [
-            FixedPoint(sched.t_start, random_state(rng, 3)),
-            FixedPoint(sched.t_end, random_state(rng, 3)),
-        ]
-        with pytest.raises(InstanceTooLarge):
-            tensor_sink_delta_psi(sched, make_history(pts))
-
-
 def per_span_series(a):
     """exp(a) for one matrix by the oracle's arithmetic on a single span:
     scaling to ||b||_1 <= 0.5, 17 series terms, then squaring."""
@@ -535,30 +456,30 @@ class TestIndependence:
     # eigh and expm would turn the RK4 line integral into an exact exponential
     # and leave its Richardson estimate measuring nothing
     ENGINE_NAMES = {"propagate", "apply", "compose_check", "expm_hermitian", "eigh", "expm"}
+    # the library's oracles and the ones only the tests use
+    SOURCES = (Path(fpf.oracle.__file__), Path(__file__).with_name("oracles.py"))
 
     def test_oracle_shares_no_propagator_code(self):
-        import fpf.oracle
-
-        tree = ast.parse(Path(fpf.oracle.__file__).read_text())
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                module = (node.module or "").removeprefix("fpf.")
-                names = {alias.name for alias in node.names}
-                assert module != "measure" and not (module in ("", "fpf") and "measure" in names)
-                assert not names & self.ENGINE_NAMES, names & self.ENGINE_NAMES
-            elif isinstance(node, ast.Import):
-                assert all(alias.name != "fpf.measure" for alias in node.names)
-            elif isinstance(node, ast.Name):
-                assert node.id not in self.ENGINE_NAMES, node.id
-            elif isinstance(node, ast.Attribute):
-                assert node.attr not in self.ENGINE_NAMES, node.attr
+        for source in self.SOURCES:
+            tree = ast.parse(source.read_text())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    module = (node.module or "").removeprefix("fpf.")
+                    names = {alias.name for alias in node.names}
+                    assert module != "measure" and not (module in ("", "fpf") and "measure" in names)
+                    assert not names & self.ENGINE_NAMES, names & self.ENGINE_NAMES
+                elif isinstance(node, ast.Import):
+                    assert all(alias.name != "fpf.measure" for alias in node.names)
+                elif isinstance(node, ast.Name):
+                    assert node.id not in self.ENGINE_NAMES, node.id
+                elif isinstance(node, ast.Attribute):
+                    assert node.attr not in self.ENGINE_NAMES, node.attr
 
     def test_oracle_imports_no_scipy(self):
-        import fpf.oracle
-
-        tree = ast.parse(Path(fpf.oracle.__file__).read_text())
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                assert (node.module or "").split(".")[0] != "scipy", node.module
-            elif isinstance(node, ast.Import):
-                assert all(alias.name.split(".")[0] != "scipy" for alias in node.names)
+        for source in self.SOURCES:
+            tree = ast.parse(source.read_text())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    assert (node.module or "").split(".")[0] != "scipy", node.module
+                elif isinstance(node, ast.Import):
+                    assert all(alias.name.split(".")[0] != "scipy" for alias in node.names)
