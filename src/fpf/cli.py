@@ -27,7 +27,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(f"{self.prog}: {message}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = _Parser(
         prog="fpf",
         description="Evaluate contour-time history measures from scenario files.",
@@ -53,11 +53,11 @@ def _build_parser() -> argparse.ArgumentParser:
     rand_p.add_argument("--dim", type=int, default=2)
     rand_p.add_argument("--pieces", type=int, default=1)
     rand_p.add_argument("--query", choices=QUERY_KINDS, default="born")
-    return parser
+    return parser, sub.choices
 
 
-# argparse keeps no per-call state on the parser, so one serves every call
-_PARSER = _build_parser()
+# argparse keeps no per-call state on a parser, so one serves every call
+_PARSER, _COMMANDS = _build_parser()
 
 
 def _parse_overrides(pairs: list[str]) -> dict[str, float]:
@@ -94,15 +94,19 @@ def _command(args: argparse.Namespace) -> int:
         parse_scenario(_read(args.file))
         print(f"VALID: {args.file}")
         return 0
-    if args.command == "random":
-        print(serialize_scenario(random_scenario(args.seed, args.dim, args.pieces, args.query)))
-        return 0
-    raise AssertionError(f"unhandled command {args.command!r}")
+    print(serialize_scenario(random_scenario(args.seed, args.dim, args.pieces, args.query)))  # random
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        if argv and argv[0] in _COMMANDS:  # one argparse pass: the rest go to the command's parser
+            args, extras = _COMMANDS[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+            if extras:  # reported as the top level reports them
+                _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
+        else:
+            args = _PARSER.parse_args(argv)
         # overflow and NaN surface through the engine's finiteness and
         # unitarity checks, which report them as one error line
         with np.errstate(over="ignore", invalid="ignore"):

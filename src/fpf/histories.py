@@ -24,7 +24,7 @@ from .errors import (
     TooFewPoints,
     ValidationError,
 )
-from .statespace import Basis, _frozen_array, is_unit
+from .statespace import Basis, _flat_norm, _frozen_array, is_unit
 
 MAX_EDGES = 1 << 16  # branch lines one network may build, as many as a chain's joints
 
@@ -62,8 +62,7 @@ class QuantumHistory:
             raise DimensionMismatch("history states have differing dimensions")
         for p in pts:
             if not is_unit(p.state):
-                norm = float(np.linalg.norm(p.state))
-                raise NotNormalized(f"fixed point at t={p.t} has norm {norm}")
+                raise NotNormalized(f"fixed point at t={p.t} has norm {float(_flat_norm(p.state))}")
         object.__setattr__(self, "points", pts)
 
     @property

@@ -84,11 +84,11 @@ class MeasureResult:
         if delta.shape != measures.shape or len(self.labels) != delta.shape[0]:
             raise NumericalCheckFailure("result arrays and labels disagree in length")
         bound = 1e-9 * max(1.0, abs(self.normalizer))  # each check is "not x <= bound": a NaN fails
-        if not abs(float(np.sum(delta)) - self.normalizer) <= bound:
+        if not abs(float(delta.sum()) - self.normalizer) <= bound:
             raise NumericalCheckFailure("normalizer is not the sum of the weights")
-        if not float(np.max(np.abs(measures * self.normalizer - delta))) <= bound:
+        if not float(np.abs(measures * self.normalizer - delta).max()) <= bound:
             raise NumericalCheckFailure("measures are not the weights over the normalizer")
-        total = float(np.sum(measures))
+        total = float(measures.sum())
         if not abs(total - 1.0) <= tols.measure_sum:
             raise NumericalCheckFailure(f"measures sum to {total!r}, not 1")
 
@@ -198,7 +198,7 @@ def chain_measure(
             selected = selected * len(basis) + int(idx)
     tols = active_tolerances()
     delta = _real_weight(_joint_weights(sched, slots), tols)
-    normalizer = float(np.sum(delta))
+    normalizer = float(delta.sum())
     if normalizer <= tols.degenerate_normalizer:
         if snk is None:
             raise DegenerateNormalizer(

@@ -12,13 +12,14 @@ map R^n, with R = I + E and E = R - I kept separate through the binary
 powering; that is n classical RK4 steps, to rounding. The spans of a
 whole contour path, at both resolutions, are stacked and powered
 together, so the pair costs O(log n) numpy calls however many spans the
-path has. It uses
-sums and products of the generator only, never an exact exponential, so
-its Richardson error estimate still measures RK4's truncation error;
-spans too long for that estimate to hold are refused.
+path has. It uses sums and products of the generator only, never an exact
+exponential, so its Richardson error estimate still measures RK4's
+truncation error; spans too long for that estimate to hold are refused.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -28,6 +29,12 @@ from .errors import DimensionMismatch, InstanceTooLarge, ValidationError, ZeroDe
 from .histories import QuantumHistory
 from .statespace import Basis, UnitaryMatrix, unitaries
 from .tolerances import active_tolerances
+
+
+def _squarings(s: float) -> int:
+    """The fewest n with s / 2**n <= 0.5, for s > 0.5, exactly: s = m * 2**e with 0.5 <= m < 1."""
+    m, e = math.frexp(s)
+    return e + (m != 0.5)
 
 
 def _expm_series(a: np.ndarray) -> np.ndarray:
@@ -43,8 +50,8 @@ def _expm_series(a: np.ndarray) -> np.ndarray:
     0.5/19 of the one before, that tail is below (19/18.5) * 0.5^18 / 18!
     < 1e-21 per span. That is far below rounding in a sum whose leading
     term is I, so a fixed 17 terms need no per-term stopping test."""
-    scales = np.linalg.norm(a, 1, axis=(1, 2)).tolist()
-    squarings = [int(np.ceil(np.log2(s / 0.5))) if 0.5 < s <= 2.0**1022 else 0 for s in scales]
+    scales = abs(a).sum(axis=1).max(axis=1).tolist()  # 1-norms, as numpy's norm forms them
+    squarings = [_squarings(s) if 0.5 < s <= 2.0**1022 else 0 for s in scales]
     b = a / np.array([2.0**n for n in squarings])[:, np.newaxis, np.newaxis]
     b[[not s <= 2.0**1022 for s in scales]] = 0.0  # summed as zero, then refused below
     # summed and squared in place, in buffers made once
@@ -258,7 +265,7 @@ def contour_line_integral(
     # the fine spans, then the coarse ones
     dts = np.concatenate([durations / steps_per_segment, durations / coarse_steps])
     a = (-1j * dts)[:, None, None] * np.concatenate([generators, generators])
-    worst = float(np.max(np.linalg.norm(a[len(durations) :], 1, axis=(1, 2))))
+    worst = float(abs(a[len(durations) :]).sum(axis=1).max())  # the largest span 1-norm
     if not worst <= RK4_STEP_NORM_BOUND:  # also catches inf and NaN
         raise InstanceTooLarge(
             f"stepped line integral: a span has ||h||_1*|dt| = {worst:.3e} at "

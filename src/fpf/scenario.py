@@ -27,6 +27,7 @@ from .histories import FixedPoint, build_network, make_history
 from .statespace import (
     Basis,
     HermitianOperator,
+    _flat_norm,
     expm_hermitian,
     hermitians,
     is_unit,
@@ -247,8 +248,7 @@ def _parse_point(
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
     if not is_unit(point.state):
-        norm = float(np.linalg.norm(point.state))
-        raise ValidationError(f"{path}: state norm is {norm!r}, not 1")
+        raise ValidationError(f"{path}: state norm is {float(_flat_norm(point.state))!r}, not 1")
     return point
 
 
@@ -581,7 +581,7 @@ def random_basis(rng: np.random.Generator, dim: int) -> Basis:
 
 def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
+    return v / _flat_norm(v)
 
 
 def random_schedule(
@@ -825,6 +825,6 @@ def _validate_checks(scenario: Scenario) -> dict[str, float]:
     undo = reduce(np.matmul, expm_hermitian(w, v, np.array([p.t_start - p.t_end for p in sched.pieces])))
     return {
         "unitarity": unitarity_defect(u.mat),
-        "composition": float(np.linalg.norm(u.mat - late.mat @ early.mat)),
-        "reversal": float(np.linalg.norm(back.mat - undo)),
+        "composition": float(_flat_norm(u.mat - late.mat @ early.mat)),
+        "reversal": float(_flat_norm(back.mat - undo)),
     }

@@ -10,7 +10,7 @@ check written as `residual > tol`.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields, replace
 
 from .errors import SchemaError, ValidationError
@@ -86,19 +86,17 @@ def block_overrides(block) -> dict[str, float]:
 
 
 def tolerance_overrides(**overrides: float):
-    """Context manager temporarily replacing selected tolerance fields.
-
-    Unknown field names and out-of-range values raise ValueError eagerly,
-    before entry.
-    """
-    return _override_context(checked_overrides(overrides))
+    """Context manager temporarily replacing selected tolerance fields;
+    unknown field names and out-of-range values raise ValueError eagerly,
+    before entry."""
+    return _override_context(checked_overrides(overrides)) if overrides else nullcontext(_active)
 
 
 @contextmanager
 def _override_context(overrides: dict[str, float]):
     global _active
     previous = _active
-    _active = replace(previous, **overrides) if overrides else previous  # none: no copy
+    _active = replace(previous, **overrides)
     try:
         yield _active
     finally:

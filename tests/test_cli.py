@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ import warnings
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fpf.cli
@@ -809,27 +811,78 @@ class TestOutOfSchemaValues:
 
 
 class TestUsageErrors:
+    F = str(SCENARIOS / "born_sx_quarter.json")
+    COMMANDS = "(choose from 'run', 'validate', 'random')"
+
+    # each argv's exact stderr line, the same whether argv reaches argparse
+    # whole or after its command name
     @pytest.mark.parametrize(
-        "argv",
+        "argv, line",
         [
-            [],
-            ["bogus"],
-            ["run"],
-            ["run", "f", "--format", "xml"],
-            ["random", "--seed", "x"],
-            ["network", "f"],  # network files run through `fpf run`
+            ([], "fpf: the following arguments are required: command"),
+            (["bogus"], f"fpf: argument command: invalid choice: 'bogus' {COMMANDS}"),
+            (["run"], "fpf run: the following arguments are required: file"),
+            (["validate"], "fpf validate: the following arguments are required: file"),
+            (["random"], "fpf random: the following arguments are required: --seed"),
+            (["run", F, "--bogus"], "fpf: unrecognized arguments: --bogus"),
+            (["run", F, "extra"], "fpf: unrecognized arguments: extra"),
+            (["run", F, "--", "x", "-y"], "fpf: unrecognized arguments: x -y"),
+            (["validate", F, "x"], "fpf: unrecognized arguments: x"),
+            (["--bogus", "run", F], "fpf: unrecognized arguments: --bogus"),
+            (["run", F, "--format", "xml"], "fpf run: argument --format: invalid choice: 'xml' (choose from 'json', 'table')"),
+            (["run", F, "--tol-override"], "fpf run: argument --tol-override: expected one argument"),
+            (["random", "--seed", "x"], "fpf random: argument --seed: invalid int value: 'x'"),
+            (["network", "f"], f"fpf: argument command: invalid choice: 'network' {COMMANDS}"),
         ],
     )
-    def test_one_error_line(self, capsys, argv):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2 and out == ""
-        _one_error_line(err, "VALIDATION_ERROR")
+    def test_one_error_line(self, capsys, argv, line):
+        assert run_cli(capsys, *argv) == (2, "", f"VALIDATION_ERROR: {line}\n")
 
-    def test_help_still_exits_zero(self, capsys):
+    def test_option_prefix_is_matched(self, capsys):
+        # argparse reads --form as --format
+        table = run_cli(capsys, "run", self.F, "--format", "table")
+        assert table[0] == 0 and table[1].startswith("query: born")
+        assert run_cli(capsys, "run", "--form", "table", self.F) == table
+
+    @pytest.mark.parametrize("argv, usage", [(["--help"], "usage: fpf "), (["run", "-h"], "usage: fpf run ")])
+    def test_help_still_exits_zero(self, capsys, argv, usage):
         with pytest.raises(SystemExit) as exc:
-            main(["--help"])
+            main(argv)
         assert exc.value.code == 0
-        assert "usage: fpf" in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert out.startswith(usage) and err == ""
+
+
+class TestFixedWork:
+    """What one `fpf` call costs around the physics, pinned as call counts,
+    which repeat exactly from run to run: one argparse pass, and no call of
+    numpy's Python-level norm, max or sum wrappers."""
+
+    def test_counts(self, capsys, monkeypatch, tmp_path):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "norm", counted("norm", np.linalg.norm))
+        monkeypatch.setattr(np, "max", counted("max", np.max))
+        monkeypatch.setattr(np, "sum", counted("sum", np.sum))
+        parse = counted("parse_known_args", argparse.ArgumentParser.parse_known_args)
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", parse)
+        validate = tmp_path / "validate.json"
+        commands = [["random", "--seed", "3", "--dim", "3", "--pieces", "2", "--query", "validate"]]
+        commands += [["run", str(f)] for f in sorted(SCENARIOS.glob("*.json"))] + [["run", str(validate)]]
+        assert len(commands) >= 7
+        for argv in commands:
+            calls.clear()
+            code, out, _ = run_cli(capsys, *argv)
+            if argv[0] == "random":
+                validate.write_text(out)
+            assert code in (0, 3) and calls == ["parse_known_args"], (argv, calls)
 
 
 class TestDecodeOnce:

@@ -15,6 +15,7 @@ from fpf.oracle import (
     _constant_spans,
     _expm_series,
     _rk4_maps,
+    _squarings,
     abl_rule,
     born_rule,
     contour_line_integral,
@@ -234,6 +235,20 @@ class TestStackedLineIntegral:
         contour_line_integral(sched, history, 512)
         assert calls == [((2 * n_spans, 3, 3), 512, {"paired": True})]
 
+    @pytest.mark.parametrize("slots, pieces, dim", [(0, 1, 2), (1, 4, 3), (3, 2, 5), (8, 3, 8)])
+    def test_step_norm_guard_reads_numpys_one_norm(self, monkeypatch, slots, pieces, dim):
+        # the guard accepts at the largest coarse-span np.linalg.norm(a, 1)
+        # and refuses one float below it: so it reads that float
+        sched, history = random_chain(np.random.default_rng(slots + 40), slots, pieces, dim)
+        generators, durations, _ = fpf.oracle._contour_plan(sched, history)
+        coarse = (-1j * (durations / 32))[:, None, None] * generators
+        worst = float(np.linalg.norm(coarse, 1, axis=(1, 2)).max())
+        monkeypatch.setattr(fpf.oracle, "RK4_STEP_NORM_BOUND", worst)
+        contour_line_integral(sched, history, 64)
+        monkeypatch.setattr(fpf.oracle, "RK4_STEP_NORM_BOUND", float(np.nextafter(worst, 0.0)))
+        with pytest.raises(InstanceTooLarge, match="stepped line integral"):
+            contour_line_integral(sched, history, 64)
+
     @pytest.mark.parametrize("steps", [512, 64, 33, 3, 2])
     def test_paired_power_matches_one_call_per_resolution(self, steps):
         rng = np.random.default_rng(steps)
@@ -283,7 +298,9 @@ def per_span_series(a):
     """exp(a) for one matrix by the oracle's arithmetic on a single span:
     scaling to ||b||_1 <= 0.5, 17 series terms, then squaring."""
     scale = float(np.linalg.norm(a, 1))
-    squarings = int(np.ceil(np.log2(scale / 0.5))) if scale > 0.5 else 0
+    squarings = 0
+    while scale / 2.0**squarings > 0.5:
+        squarings += 1
     b = a / (2.0**squarings)
     term = np.eye(a.shape[0], dtype=np.complex128)
     total = term.copy()
@@ -417,8 +434,16 @@ class TestSeriesExponential:
             assert np.array_equal(got[k], per_span_series(a))
 
     # every span squares 3 times, so each squaring takes the whole stack;
-    # then counts 3, 9 and 4: three whole-stack squarings, then by index
-    @pytest.mark.parametrize("targets", [[3.0] * 4, [3.0, 200.0, float(np.nextafter(4.0, 5.0))]])
+    # then counts 3, 9 and 4: three whole-stack squarings, then by index;
+    # then norms one ulp above 8 and 64, where ceil(log2(norm / 0.5)) was one short
+    @pytest.mark.parametrize(
+        "targets",
+        [
+            [3.0] * 4,
+            [3.0, 200.0, float(np.nextafter(4.0, 5.0))],
+            [float(np.nextafter(8.0, 9.0)), float(np.nextafter(64.0, 65.0)), 8.0],
+        ],
+    )
     @pytest.mark.parametrize("dim", [2, 5, 8])
     def test_whole_stack_squaring_matches_each_span_alone(self, dim, targets):
         rng = np.random.default_rng(dim + 60)
@@ -436,6 +461,39 @@ class TestSeriesExponential:
         stack = np.array([-1j * s * SX.mat for s in spans])
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InstanceTooLarge, match=message):
             _expm_series(stack)
+
+    def test_squaring_count_is_exact_at_powers_of_two(self):
+        # the fewest n with s / 2**n <= 0.5, at 2**k and the floats on
+        # either side; one ulp above 2**k, ceil(log2(s / 0.5)) gave k + 1
+        # instead of k + 2 for every k from 3 to 1021
+        for k in range(-1, 1023):
+            power = 2.0**k
+            for s in (float(np.nextafter(power, 0.0)), power, float(np.nextafter(power, np.inf))):
+                if 0.5 < s <= 2.0**1022:
+                    n = _squarings(s)
+                    assert s / 2.0**n <= 0.5 < s / 2.0 ** (n - 1), s
+            if 0.5 <= power <= 2.0**1021:
+                assert _squarings(float(np.nextafter(power, np.inf))) == k + 2
+
+    def test_squaring_count_between_powers_of_two(self):
+        rng = np.random.default_rng(7)
+        for s in np.exp(rng.uniform(np.log(0.5), np.log(2.0**1022), size=2000)):
+            n = _squarings(float(s))
+            assert s / 2.0**n <= 0.5 < s / 2.0 ** (n - 1)
+
+    def test_scales_are_numpys_one_norms(self, monkeypatch):
+        # the scale of every span that squares, bit for bit as np.linalg.norm(a, 1) has it
+        rng = np.random.default_rng(3)
+        stack = np.array(
+            [-1j * s * random_hermitian(rng, 4).mat for s in np.exp(rng.uniform(-3.0, 6.0, size=40))]
+        )
+        seen = []
+        monkeypatch.setattr(fpf.oracle, "_squarings", lambda s: seen.append(s) or _squarings(s))
+        _expm_series(stack)
+        want = [s for s in np.linalg.norm(stack, 1, axis=(1, 2)).tolist() if s > 0.5]
+        assert len(want) > 20 and [np.float64(s).tobytes() for s in seen] == [
+            np.float64(s).tobytes() for s in want
+        ]
 
     @pytest.mark.parametrize("target", [0.25, 3.0, 200.0])
     def test_one_norm_per_call(self, monkeypatch, target):

@@ -9,8 +9,10 @@ from fpf.statespace import (
     Basis,
     HermitianOperator,
     UnitaryMatrix,
+    _flat_norm,
     expm_hermitian,
     hermitians,
+    is_unit,
     standard_basis,
     unitaries,
 )
@@ -291,3 +293,87 @@ class TestCheckedMatrices:
         assert HermitianOperator(SX) != HermitianOperator(SZ)
         assert HermitianOperator(SX) != UnitaryMatrix(SX)
         assert UnitaryMatrix(SX).dim == HermitianOperator(np.eye(3)).dim - 1
+
+
+def bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def below(x: float) -> float:
+    return float(np.nextafter(x, -np.inf))
+
+
+class TestNormsAsNumpyFormsThem:
+    """The checks reduce ndarrays directly instead of calling np.linalg.norm;
+    each reduction gives np.linalg.norm's result bit for bit."""
+
+    @staticmethod
+    def arrays():
+        rng = np.random.default_rng(11)
+        tiny = np.nextafter(0.0, 1.0)  # the smallest subnormal
+        for shape in [(1,), (7,), (3, 3), (8, 8), (2, 5)]:
+            real = rng.normal(size=shape)
+            cases = [
+                real,
+                real + 1j * rng.normal(size=shape),
+                np.zeros(shape),
+                np.zeros(shape, dtype=complex),
+                real * tiny,
+                (real + 1j * real[::-1]) * 1e-310,
+                real * 1e200,
+                (real - 1j * real) * 1e200,
+            ]
+            for special in (np.inf, -np.inf, np.nan, complex(np.inf, 1.0), complex(1.0, np.nan)):
+                bad = (real + 0j) if isinstance(special, complex) else real.copy()
+                bad.flat[len(bad.flat) // 2] = special
+                cases.append(bad)
+            cases.append(rng.normal(size=(2,) + shape)[1])  # a view into a larger array
+            cases.append((real + 1j * real).T)  # a non-contiguous layout
+            yield from cases
+
+    def test_flat_norm(self):
+        count = 0
+        for a in self.arrays():
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert bits(_flat_norm(a)) == bits(np.linalg.norm(a)), a
+            count += 1
+        assert count == 5 * 15
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 8])
+    def test_unitarity_defects(self, dim):
+        # per matrix, the stacked check accepts at its np.linalg.norm defect
+        # and refuses one float below it: so its defect is that float
+        stack = random_unitaries(dim, 6, dim)
+        noise = np.random.default_rng(dim).normal(size=stack.shape)
+        stack = stack + noise * np.array([0.0, 1e-15, 1e-12, 1e-10, 1e-6, 1e-2])[:, None, None]
+        defects = np.linalg.norm(np.swapaxes(stack.conj(), 1, 2) @ stack - np.eye(dim), axis=(1, 2))
+        for mat, defect in zip(stack, defects):
+            with tolerance_overrides(unitary=float(defect)):
+                unitaries(mat[np.newaxis])
+            if defect > 0:
+                with tolerance_overrides(unitary=below(defect)):
+                    assert message(unitaries, mat[np.newaxis]).startswith("matrix is not unitary")
+        with tolerance_overrides(unitary=float(defects.max())):
+            unitaries(stack)
+        with tolerance_overrides(unitary=below(defects.max())):
+            assert message(unitaries, stack).startswith("matrix is not unitary")
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 8])
+    def test_is_unit_at_the_edge(self, dim):
+        tol = 1e-12
+        rng = np.random.default_rng(dim + 100)
+        verdicts = set()
+        for target in (1.0 - tol, 1.0 + tol):
+            v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            v = v * (target / np.linalg.norm(v))
+            for ulps in range(-3, 4):  # nudge the norm across the edge, an ulp at a time
+                w = v * (1.0 + ulps * np.finfo(float).eps)
+                gap = abs(float(np.linalg.norm(w)) - 1.0)
+                with tolerance_overrides(state_norm=tol):
+                    assert is_unit(w) == (gap <= tol)
+                    verdicts.add(is_unit(w))
+                with tolerance_overrides(state_norm=gap):
+                    assert is_unit(w)
+                with tolerance_overrides(state_norm=below(gap)):
+                    assert not is_unit(w)
+        assert verdicts == {True, False}
