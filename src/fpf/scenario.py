@@ -123,54 +123,38 @@ def _number(value: Any, path: str) -> float:
 _LEAF_TYPES = {int, float}
 
 
-def _complex_array(value: Any, shape: tuple[int, ...]) -> np.ndarray | None:
-    """value as a complex128 array of `shape` when it is exactly that
-    nesting of lists ending in [re, im] pairs of int or float leaves
-    (bools excluded), else None. The leaves go through one numpy
-    conversion, and the float64 pairs are viewed as complex128, so every
-    value, signed zeros included, is the one `_complex_pair` would give."""
+def _complex_array(value: Any, shape: tuple[int, ...], path: str) -> np.ndarray:
+    """value as a complex128 array of `shape`: that nesting of lists
+    ending in [re, im] pairs of numbers (bools excluded). When it is exactly
+    lists and int or float leaves, the leaves go through one numpy
+    conversion and the float64 pairs are viewed as complex128, so signed
+    zeros are kept; anything else goes to `_entries`, which names the
+    first faulty entry below path."""
     level = [value]
     for size in (*shape, 2):
         if set(map(type, level)) != {list} or set(map(len, level)) != {size}:
-            return None
+            break
         level = list(chain.from_iterable(level))
-    if not set(map(type, level)) <= _LEAF_TYPES:
-        return None
-    try:
-        pairs = np.array(level, dtype=np.float64)
-    except OverflowError:  # an integer beyond float range
-        return None
-    return pairs.view(np.complex128).reshape(shape)
+    else:  # exactly that nesting of lists
+        if set(map(type, level)) <= _LEAF_TYPES:
+            try:
+                return np.array(level, dtype=np.float64).view(np.complex128).reshape(shape)
+            except OverflowError:  # an integer beyond float range
+                pass
+    return np.array(_entries(value, shape, path), dtype=np.complex128)
 
 
-# The per-entry path below runs only when _complex_array refuses its input;
-# its job is the message naming the faulty entry.
-
-
-def _complex_pair(value: Any, path: str) -> complex:
-    if not (isinstance(value, list) and len(value) == 2):
-        raise SchemaError(f"{path}: complex values are [re, im] pairs")
-    return complex(_real(value[0], path + "[0]"), _real(value[1], path + "[1]"))
-
-
-def _vector_entries(value: Any, dim: int, path: str) -> np.ndarray:
-    if not (isinstance(value, list) and len(value) == dim):
-        raise SchemaError(f"{path}: expected a length-{dim} vector")
-    return np.array([_complex_pair(v, f"{path}[{i}]") for i, v in enumerate(value)])
-
-
-def _vector(value: Any, dim: int, path: str) -> np.ndarray:
-    whole = _complex_array(value, (dim,))
-    return _vector_entries(value, dim, path) if whole is None else whole
-
-
-def _matrix(value: Any, dim: int, path: str) -> np.ndarray:
-    whole = _complex_array(value, (dim, dim))
-    if whole is not None:
-        return whole
-    if not (isinstance(value, list) and len(value) == dim):
-        raise SchemaError(f"{path}: expected a {dim}x{dim} matrix")
-    return np.array([_vector_entries(row, dim, f"{path}[{i}]") for i, row in enumerate(value)])
+def _entries(value: Any, shape: tuple[int, ...], path: str) -> Any:
+    """value as nested lists of complex, entry by entry; the first fault
+    in reading order raises SchemaError naming its entry."""
+    if not shape:
+        if not (isinstance(value, list) and len(value) == 2):
+            raise SchemaError(f"{path}: complex values are [re, im] pairs")
+        return complex(_real(value[0], path + "[0]"), _real(value[1], path + "[1]"))
+    if not (isinstance(value, list) and len(value) == shape[0]):
+        what = f"length-{shape[0]} vector" if len(shape) == 1 else f"{shape[0]}x{shape[1]} matrix"
+        raise SchemaError(f"{path}: expected a {what}")
+    return [_entries(v, shape[1:], f"{path}[{i}]") for i, v in enumerate(value)]
 
 
 def _parse_pieces(value: Any, dim: int, path: str) -> tuple[SchedulePiece, ...]:
@@ -178,9 +162,8 @@ def _parse_pieces(value: Any, dim: int, path: str) -> tuple[SchedulePiece, ...]:
         raise SchemaError(f"{path}: expected a nonempty list of schedule pieces")
     # all matrices at once; if any is faulty, the loop names the first fault
     mats = [raw.get("matrix") if isinstance(raw, dict) else None for raw in value]
-    whole = _complex_array(mats, (len(mats), dim, dim))
     try:
-        generators = None if whole is None else hermitians(whole)
+        generators = hermitians(_complex_array(mats, (len(mats), dim, dim), path))
     except ValidationError:
         generators = None
     pieces = []
@@ -193,7 +176,7 @@ def _parse_pieces(value: Any, dim: int, path: str) -> tuple[SchedulePiece, ...]:
         if generators is not None:
             h = generators[i]
         else:
-            mat = _matrix(_want(raw, "matrix", ppath), dim, ppath + ".matrix")
+            mat = _complex_array(_want(raw, "matrix", ppath), (dim, dim), ppath + ".matrix")
             try:
                 h = HermitianOperator(mat)
             except ValidationError as exc:
@@ -242,7 +225,7 @@ def _parse_point(
         if index >= len(basis):
             raise ValidationError(f"{path}: element {index} out of range for {name!r}")
         return FixedPoint(t, basis.rows[index])
-    amps = _vector(value, dim, path)
+    amps = _complex_array(value, (dim,), path)
     try:
         point = FixedPoint(t, amps)
     except ValidationError as exc:
@@ -353,10 +336,7 @@ def parse_scenario(source: Any, overrides: dict[str, float] | None = None) -> Sc
                 raise SchemaError(f"{bpath}: name shadows a built-in basis")
             if not (isinstance(value, list) and value):
                 raise SchemaError(f"{bpath}: expected a nonempty list of vectors")
-            size = len(value)
-            rows = _complex_array(value, (size, size))
-            if rows is None:
-                rows = [_vector_entries(v, size, f"{bpath}[{i}]") for i, v in enumerate(value)]
+            rows = _complex_array(value, (len(value), len(value)), bpath)
             try:
                 bases[name] = Basis(rows)
             except ValidationError as exc:
@@ -502,12 +482,9 @@ def _write_items(seq: list | tuple, nl: str) -> str:
     return sep.join([_write(v, nl) for v in seq])
 
 
-def _dump_complex(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
-def _dump_matrix(mat: np.ndarray) -> list[list[list[float]]]:
-    return [[_dump_complex(z) for z in row] for row in mat]
+def _dump_array(a: np.ndarray) -> list:
+    """A complex array as nested lists ending in [re, im] pairs of floats."""
+    return np.stack((a.real, a.imag), axis=-1).tolist()
 
 
 def _dump_pieces(pieces: Sequence[SchedulePiece]) -> list[dict]:
@@ -515,7 +492,7 @@ def _dump_pieces(pieces: Sequence[SchedulePiece]) -> list[dict]:
         {
             "t_start": float(p.t_start),
             "t_end": float(p.t_end),
-            "matrix": _dump_matrix(p.hamiltonian.mat),
+            "matrix": _dump_array(p.hamiltonian.mat),
         }
         for p in pieces
     ]
@@ -551,14 +528,8 @@ def serialize_scenario(s: Scenario) -> str:
                 else _dump_pieces(s.schedule.branch_override)
             ),
         },
-        "fixed_points": [
-            {"time": float(p.t), "state": [_dump_complex(z) for z in p.state]}
-            for p in s.fixed_points
-        ],
-        "bases": {
-            name: [[_dump_complex(z) for z in row] for row in basis.rows]
-            for name, basis in sorted(s.bases.items())
-        },
+        "fixed_points": [{"time": float(p.t), "state": _dump_array(p.state)} for p in s.fixed_points],
+        "bases": {name: _dump_array(basis.rows) for name, basis in sorted(s.bases.items())},
         "query": _dump_query(s.query),
         "tolerances": dict(sorted(s.tolerance_overrides.items())),
     }

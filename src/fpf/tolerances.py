@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager, nullcontext
+from contextvars import ContextVar
 from dataclasses import dataclass, fields, replace
 
 from .errors import SchemaError, ValidationError
@@ -31,11 +32,9 @@ class Tolerances:
 
 _FIELD_NAMES = frozenset(f.name for f in fields(Tolerances))
 
-_active = Tolerances()
-
-
-def active_tolerances() -> Tolerances:
-    return _active
+# the tolerances in effect, per thread and per asyncio task
+_active: ContextVar[Tolerances] = ContextVar("tolerances", default=Tolerances())
+active_tolerances = _active.get
 
 
 def tolerance_value(name: str, value) -> float:
@@ -89,15 +88,13 @@ def tolerance_overrides(**overrides: float):
     """Context manager temporarily replacing selected tolerance fields;
     unknown field names and out-of-range values raise ValueError eagerly,
     before entry."""
-    return _override_context(checked_overrides(overrides)) if overrides else nullcontext(_active)
+    return _override_context(checked_overrides(overrides)) if overrides else nullcontext(_active.get())
 
 
 @contextmanager
 def _override_context(overrides: dict[str, float]):
-    global _active
-    previous = _active
-    _active = replace(previous, **overrides)
+    token = _active.set(replace(_active.get(), **overrides))
     try:
-        yield _active
+        yield _active.get()
     finally:
-        _active = previous
+        _active.reset(token)

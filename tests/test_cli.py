@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -932,6 +933,10 @@ def _huge_state(doc):
     doc["fixed_points"][0]["state"] = [[HUGE, 0.0], [0.0, 0.0]]
 
 
+def _huge_basis(doc):
+    doc["bases"] = {"m": [[[HUGE, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
+
+
 def _huge_tolerance(doc):
     doc["tolerances"] = {"unitary": HUGE}
 
@@ -945,6 +950,7 @@ class TestHugeIntegers:
             (_huge_t_end, "SCHEMA_ERROR", "hamiltonian.pieces[0].t_end:"),
             (_huge_query_time, "SCHEMA_ERROR", "query.time:"),
             (_huge_state, "SCHEMA_ERROR", "fixed_points[0].state[0][0]:"),
+            (_huge_basis, "SCHEMA_ERROR", "bases.m[0][0][0]: integer beyond float range"),
             (_huge_tolerance, "VALIDATION_ERROR", "tolerances.unitary:"),
         ],
     )
@@ -1119,6 +1125,30 @@ class TestOverrideContext:
             assert active_tolerances() is outer
         assert active_tolerances() is base
         assert base == Tolerances()
+
+    def test_an_override_holds_in_its_own_thread_only(self):
+        # one thread reads while another is inside an override
+        entered, read = threading.Event(), threading.Event()
+        seen = []
+
+        def overriding():
+            with tolerance_overrides(hermitian=1.0):
+                entered.set()
+                read.wait(10)
+                seen.append(active_tolerances().hermitian)
+
+        def reading():
+            assert entered.wait(10)
+            seen.append(active_tolerances().hermitian)
+            read.set()
+
+        threads = [threading.Thread(target=overriding), threading.Thread(target=reading)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert seen == [1e-12, 1.0]
+        assert active_tolerances() == Tolerances()
 
 
 REMOVED_FIELDS = ["density_hermitian", "density_trace", "density_eigen_floor", "expectation_imag"]

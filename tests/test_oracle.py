@@ -495,19 +495,20 @@ class TestSeriesExponential:
             np.float64(s).tobytes() for s in want
         ]
 
-    @pytest.mark.parametrize("target", [0.25, 3.0, 200.0])
-    def test_one_norm_per_call(self, monkeypatch, target):
-        h, s = series_case(np.random.default_rng(0), 4, target)
-        calls = []
+    # single spans that square 0, 3 and 9 times, then one stack of every norm
+    @pytest.mark.parametrize("targets", [[0.25], [3.0], [200.0], NORMS], ids=["0.25", "3", "200", "mixed"])
+    def test_one_squaring_count_per_scaled_span(self, monkeypatch, targets):
+        # the 1-norms come from one stacked reduction, with no np.linalg.norm
+        # call, and each span with a norm in (0.5, 2**1022] gets one count
+        rng = np.random.default_rng(0)
+        stack = np.array([-1j * s * h.mat for h, s in (series_case(rng, 4, t) for t in targets)])
+        norms, counted = [], []
         norm = fpf.oracle.np.linalg.norm
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return norm(*args, **kwargs)
-
-        monkeypatch.setattr(fpf.oracle.np.linalg, "norm", counted)
-        _expm_series((-1j * s * h.mat)[np.newaxis])
-        assert len(calls) <= 1
+        monkeypatch.setattr(fpf.oracle.np.linalg, "norm", lambda *a, **k: norms.append(a) or norm(*a, **k))
+        monkeypatch.setattr(fpf.oracle, "_squarings", lambda s: counted.append(s) or _squarings(s))
+        _expm_series(stack)
+        assert norms == []
+        assert counted == [t for t in targets if 0.5 < t <= 2.0**1022]
 
 
 class TestIndependence:

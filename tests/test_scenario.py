@@ -2,6 +2,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -361,8 +362,7 @@ class TestWholeArrayConversion:
         def refuse(*args):
             raise AssertionError("valid input reached the per-entry path")
 
-        monkeypatch.setattr(scenario_module, "_vector_entries", refuse)
-        monkeypatch.setattr(scenario_module, "_complex_pair", refuse)
+        monkeypatch.setattr(scenario_module, "_entries", refuse)
 
     @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.name)
     def test_golden_files_skip_the_per_entry_path(self, no_per_entry_path, path):
@@ -376,6 +376,19 @@ class TestWholeArrayConversion:
     def test_decoded_document_parses_like_its_text(self):
         text = serialize_scenario(random_scenario(2, 4, 3, "chain"))
         assert parse_scenario(json.loads(text)) == parse_scenario(text)
+
+    @pytest.mark.parametrize("kind", QUERY_KINDS)
+    def test_float64_leaves_take_the_per_entry_path(self, monkeypatch, kind):
+        # np.float64 leaves fail the exact-type scan, so every array of this
+        # document is read entry by entry, and must read as the text does
+        text = serialize_scenario(random_scenario(5, 3, 2, kind))
+        doc = json.loads(text, parse_float=np.float64)
+        walked = []
+        entries = scenario_module._entries
+        monkeypatch.setattr(scenario_module, "_entries", lambda *a: walked.append(a[2]) or entries(*a))
+        s = parse_scenario(doc)
+        assert s == parse_scenario(text) and serialize_scenario(s) == text
+        assert "hamiltonian.pieces" in walked
 
     def test_signed_zeros_and_basis_orientation_round_trip(self):
         # -0.0 in real and imaginary parts of a matrix, a state and a basis
