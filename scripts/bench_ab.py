@@ -88,9 +88,13 @@ def load_module(path: Path, name: str, package: bool = False):
 
 
 def load_cli(checkout: Path, side: str):
-    """`fpf.cli` of a checkout, loaded as the package `fpf_<side>`."""
-    load_module(checkout / "src" / "fpf", f"fpf_{side}", package=True)
-    return importlib.import_module(f"fpf_{side}.cli")
+    """`fpf.cli` of a checkout, loaded as the package `fpf_<side>`, afresh
+    when a process loads a side twice."""
+    package = f"fpf_{side}"
+    for name in [name for name in sys.modules if name.partition(".")[0] == package]:
+        del sys.modules[name]
+    load_module(checkout / "src" / "fpf", package, package=True)
+    return importlib.import_module(f"{package}.cli")
 
 
 def call(cli, *argv: str) -> tuple[int, str, str]:

@@ -18,6 +18,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Sequence
 
 import numpy as np
+import orjson
 
 from . import measure, oracle
 from .contour import Branch
@@ -278,9 +279,56 @@ def _parse_query(raw: Any, path: str) -> Query:
     return Query(kind="validate")
 
 
+# orjson has no nesting limit (it crashes on a million levels), and json
+# refuses nesting past the recursion limit (1,000) less its caller's stack
+# depth. orjson reads only text with fewer opening brackets than this, so
+# the two agree for any caller under about 290 frames deep; a benchmark
+# file holds at most 667 (a dim-8 network of 4 pieces and 5 layers)
+_ORJSON_MAX_OPENINGS = 700
+_INT64_MIN, _UINT64_END = -(2.0**63), 2.0**64
+
+
+def _fast_document(text: bytes | str) -> Any:
+    """orjson's document for text where `parse_scenario` reads it as it
+    reads json's, else None. orjson refuses what json reads as NaN,
+    infinity, beyond float range or lone surrogates, and reads integer
+    literals outside [-2**63, 2**64) as floats. Array entries and times
+    become floats either way, so that is seen only in the fields whose
+    message or type check tells an int from a float: schema, dim,
+    query.kind, query.selection and tolerances."""
+    opening = (b"[", b"{") if isinstance(text, bytes) else ("[", "{")
+    if text.count(opening[0]) + text.count(opening[1]) >= _ORJSON_MAX_OPENINGS:
+        return None
+    try:
+        doc = orjson.loads(text)
+    except orjson.JSONDecodeError:
+        return None
+    if type(doc) is not dict:
+        return doc
+    query = doc.get("query")
+    query = query if type(query) is dict else {}
+    stack = [doc.get("schema"), doc.get("dim"), doc.get("tolerances")]
+    stack += [query.get("kind"), query.get("selection")]
+    while stack:  # every value within them, at any depth
+        value = stack.pop()
+        if type(value) is float:
+            if not _INT64_MIN < value < _UINT64_END:  # strict: -2**63 - 1 rounds to -2.0**63
+                return None
+        elif type(value) is list:
+            stack.extend(value)
+        elif type(value) is dict:
+            stack.extend(value.values())
+    return doc
+
+
 def decode_scenario(text: bytes | str) -> Any:
-    """The JSON document in scenario text. Bytes that are not UTF-8 and
-    text that is not JSON raise ScenarioSyntaxError."""
+    """The JSON document in scenario text: orjson's where `parse_scenario`
+    reads it as json's (`_fast_document`; elsewhere in it an integer
+    outside [-2**63, 2**64) may be a float), else json's. Bytes that are
+    not UTF-8 and text that is not JSON raise ScenarioSyntaxError."""
+    doc = _fast_document(text)
+    if doc is not None:
+        return doc
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
@@ -645,6 +693,7 @@ class ResultReport:
     max_deviation: float | None = None
     errors: list[str] = field(default_factory=list)
     extra: dict = field(default_factory=dict)
+    oracle_bound: float | None = None  # the largest max_deviation `run` accepts; not written
 
     def to_dict(self) -> dict:
         doc = {
@@ -721,18 +770,21 @@ def run(scenario: Scenario) -> ResultReport:
                     *(FixedPoint(t, basis.rows[k]) for (t, basis), k in zip(interior, q.selection)),
                     snk,
                 )
-                value, estimate = oracle.contour_line_integral(
+                value, estimate, truncation = oracle.contour_line_integral(
                     sched, make_history(points), ORACLE_STEPS
                 )
+                weight = report.delta_psi[result.selected]
                 report.oracle = [value]
-                report.max_deviation = abs(report.delta_psi[result.selected] - value)
+                report.max_deviation = abs(weight - value)
                 report.extra = {
                     "labels": result.labels,
                     "selected_index": result.selected,
                     "selected_measure": float(result.measures[result.selected]),
                     "oracle_error_estimate": estimate,
                 }
-                return report
+                # the oracle's truncation, and rounding relative to the weight
+                agreement = active_tolerances().oracle_agreement * max(1.0, abs(weight))
+                return _check_agreement(report, truncation + agreement)
             t, outcomes = interior[0]
             if snk is None:
                 (u1,) = oracle.propagators(sched, Branch.FORWARD, (src.t, t))
@@ -741,7 +793,10 @@ def run(scenario: Scenario) -> ResultReport:
                 u1, u2 = oracle.propagators(sched, Branch.FORWARD, (src.t, t, snk.t))
                 report.oracle = oracle.abl_rule(u1, u2, src.state, outcomes, snk.state)
             report.max_deviation = max(abs(m - r) for m, r in zip(report.measures, report.oracle))
-            return report
+            bound = active_tolerances().oracle_agreement
+            if snk is None:  # the Born oracle does not normalize a preparation state_norm let through
+                bound += abs(1.0 - math.fsum(report.oracle))
+            return _check_agreement(report, bound)
         if q.kind == "network":
             layer_bases = [scenario.resolve_basis(n) for n in q.layer_bases]
             net = build_network(q.times, layer_bases)
@@ -764,7 +819,7 @@ def run(scenario: Scenario) -> ResultReport:
                 expected.append(float(2 * n1 * n2))
                 deviations.append(abs(edges - 2 * n1 * n2))
                 deviations.append(abs(channels - n1 * n2))
-            return ResultReport(
+            report = ResultReport(
                 query=echo,
                 oracle=expected,
                 max_deviation=float(max(deviations)),
@@ -776,6 +831,7 @@ def run(scenario: Scenario) -> ResultReport:
                     "adjacent_pairs": pairs,
                 },
             )
+            return _check_agreement(report, active_tolerances().oracle_agreement)
         # validate: propagator-law residuals over the covered interval
         checks = _validate_checks(scenario)
         worst = max(checks.values())
@@ -784,6 +840,18 @@ def run(scenario: Scenario) -> ResultReport:
                 f"propagator law residual {worst:.3e} exceeds tolerance"
             )
         return ResultReport(query=echo, extra={"checks": checks})
+
+
+def _check_agreement(report: ResultReport, bound: float) -> ResultReport:
+    """report, holding bound, if its engine and oracle agree within it (a
+    NaN deviation does not); else NumericalCheckFailure."""
+    report.oracle_bound = bound
+    if not report.max_deviation <= bound:
+        raise NumericalCheckFailure(
+            f"engine and oracle differ by {report.max_deviation:.3e}, "
+            f"above {bound:.1e} ({report.query['kind']})"
+        )
+    return report
 
 
 def _validate_checks(scenario: Scenario) -> dict[str, float]:

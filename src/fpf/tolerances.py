@@ -28,6 +28,7 @@ class Tolerances:
     negativity: float = 1e-12          # Re dPsi below -this aborts the query
     degenerate_normalizer: float = 1e-14
     measure_sum: float = 1e-10         # | sum(measures) - 1 |
+    oracle_agreement: float = 1e-12    # |engine - oracle|, x max(1, |weight|) for chains
 
 
 _FIELD_NAMES = frozenset(f.name for f in fields(Tolerances))

@@ -9,6 +9,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 
 import fpf.cli
@@ -887,9 +888,13 @@ class TestFixedWork:
 
 
 class TestDecodeOnce:
+    """A valid file is decoded once, by orjson; a file that orjson refuses
+    (a NaN literal, here) is decoded once more, by json."""
+
     @pytest.mark.parametrize("command", ["run", "validate"])
-    def test_file_is_decoded_once(self, capsys, monkeypatch, command):
-        loads, parse = json.loads, fpf.cli.parse_scenario
+    @pytest.mark.parametrize("nan", [False, True], ids=["valid", "nan-literal"])
+    def test_file_is_decoded_once(self, capsys, monkeypatch, tmp_path, command, nan):
+        loads, fast_loads, parse = json.loads, orjson.loads, fpf.cli.parse_scenario
         calls = []
 
         def counted(fn):
@@ -899,11 +904,17 @@ class TestDecodeOnce:
 
             return wrapper
 
+        path = SCENARIOS / "chain_sx_interior.json"
+        if nan:
+            doc = json.loads(path.read_text())
+            doc["hamiltonian"]["pieces"][0]["matrix"][0][0] = [float("nan"), 0.0]
+            path = Path(_write(tmp_path, doc))
         monkeypatch.setattr(json, "loads", counted(loads))
+        monkeypatch.setattr(orjson, "loads", counted(fast_loads))
         monkeypatch.setattr(fpf.cli, "parse_scenario", counted(parse))
-        code, _, err = run_cli(capsys, command, str(SCENARIOS / "chain_sx_interior.json"))
-        assert code == 0 and err == ""
-        assert calls.count(loads) == 1 and calls.count(parse) == 1
+        code, _, err = run_cli(capsys, command, str(path))
+        assert (code, err == "") == ((2, False) if nan else (0, True))
+        assert (calls.count(fast_loads), calls.count(loads), calls.count(parse)) == (1, int(nan), 1)
 
     @pytest.mark.parametrize("flag", ["nope=1", "unitary=nan", "hermitian=-1"])
     def test_bad_flag_on_malformed_file_is_reported_first(self, capsys, tmp_path, flag):
@@ -1158,9 +1169,9 @@ class TestRemovedToleranceFields:
     """The density-matrix and expectation bounds are oracle constants, not
     tolerances: each channel refuses their names."""
 
-    def test_nine_fields(self):
+    def test_ten_fields(self):
         names = {f.name for f in fields(Tolerances)}
-        assert len(names) == 9 and not names & set(REMOVED_FIELDS)
+        assert len(names) == 10 and not names & set(REMOVED_FIELDS)
 
     @pytest.mark.parametrize("name", REMOVED_FIELDS)
     @pytest.mark.parametrize("command", ["run", "validate"])

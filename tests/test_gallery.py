@@ -34,8 +34,8 @@ def _three_box():
 CLOSED_FORMS = {"abl_sigma_y": _abl_sigma_y, "three_box": _three_box}
 
 
-def _run(capsys, name):
-    code = main(["run", str(GALLERY / f"{name}.json")])
+def _run(capsys, name, *options):
+    code = main(["run", str(GALLERY / f"{name}.json"), *options])
     out, err = capsys.readouterr()
     assert code == 0 and err == ""
     return json.loads(out)
@@ -57,7 +57,8 @@ def test_run_gives_the_closed_form(capsys, name):
 
 def test_sigma_y_sees_a_transposed_propagator(capsys, monkeypatch):
     # sigma_y's propagator is not symmetric, so an engine that applies U^T
-    # for U moves P(0) away from its closed form (to about 0.164)
+    # for U moves P(0) away from its closed form (to about 0.164); the
+    # loosened oracle_agreement lets the answer past the oracle's gate
     propagators = fpf.measure.propagators
 
     def transposed(*args):
@@ -65,4 +66,5 @@ def test_sigma_y_sees_a_transposed_propagator(capsys, monkeypatch):
 
     monkeypatch.setattr(fpf.measure, "propagators", transposed)
     _, measures = _abl_sigma_y()
-    assert abs(_run(capsys, "abl_sigma_y")["measures"][0] - measures[0]) > 0.5
+    report = _run(capsys, "abl_sigma_y", "--tol-override", "oracle_agreement=1")
+    assert abs(report["measures"][0] - measures[0]) > 0.5

@@ -337,7 +337,7 @@ class TestLineIntegralAgreement:
         times = np.linspace(t0, t1, n_points)
         pts = [FixedPoint(float(t), random_state(rng, 2)) for t in times]
         closed = chain_delta_psi(sched, pts).real
-        value, estimate = oracle.contour_line_integral(sched, make_history(pts), 256)
+        value, estimate, _ = oracle.contour_line_integral(sched, make_history(pts), 256)
         assert abs(value - closed) <= estimate
 
 

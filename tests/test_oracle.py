@@ -96,14 +96,14 @@ class TestAblRule:
 class TestLineIntegral:
     def test_free_evolution_exact(self):
         h = make_history([FixedPoint(0.0, E0), FixedPoint(1.0, E0)])
-        value, estimate = contour_line_integral(constant(ZERO2), h, 4)
+        value, estimate, _ = contour_line_integral(constant(ZERO2), h, 4)
         assert value == 1.0
         assert estimate < 1e-13
 
     def test_sigma_x_quarter_converges(self):
         sched = constant(SX, 0.0, QUARTER)
         h = make_history([FixedPoint(0.0, E0), FixedPoint(QUARTER, E1)])
-        value, estimate = contour_line_integral(sched, h, 256)
+        value, estimate, _ = contour_line_integral(sched, h, 256)
         assert abs(value - 0.5) <= estimate
 
     def test_observed_order_at_least_3_5(self):
@@ -112,7 +112,7 @@ class TestLineIntegral:
         closed = chain_delta_psi(sched, h.points).real
         errors = []
         for steps in (8, 16, 32):
-            value, _ = contour_line_integral(sched, h, steps)
+            value, _, _ = contour_line_integral(sched, h, steps)
             errors.append(abs(value - closed))
         orders = [np.log2(a / b) for a, b in zip(errors, errors[1:])]
         assert min(orders) >= 3.5
@@ -133,7 +133,7 @@ class TestLineIntegral:
             FixedPoint(t1, random_state(rng, 2)),
         ]
         closed = chain_delta_psi(sched, pts).real
-        value, estimate = contour_line_integral(sched, make_history(pts), 512)
+        value, estimate, _ = contour_line_integral(sched, make_history(pts), 512)
         assert abs(value - closed) <= estimate
         assert estimate <= 1e-6
 

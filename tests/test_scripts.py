@@ -52,7 +52,14 @@ def test_convergence_study_reports_refused_step_counts():
 
 def test_oracle_sweep_runs_chains():
     out = run_script("oracle_sweep.py", "--seeds", "20", "--kinds", "chain")
-    assert "chain: worst deviation" in out, out
+    assert "chain: worst deviation" in out and "worst ratio to bound" in out, out
+
+
+def test_convergence_study_near_the_bound_stays_inside_the_gate():
+    out = run_script("convergence_study.py", "--near-bound", "40")
+    last = out.splitlines()[-1].split()
+    # "worst ratios R to the estimate and G to the gate's bound over N chains, F false alarms"
+    assert last[:2] == ["worst", "ratios"] and float(last[7]) < 1 and last[-3:] == ["0", "false", "alarms"], out
 
 
 def test_trace_targets_resolve_in_fpf():
@@ -300,3 +307,44 @@ def test_bench_ab_stops_when_the_outputs_differ(tmp_path, monkeypatch):
                        "--out", str(tmp_path / "ab.json")])
     assert not (tmp_path / "ab.json").exists()
 
+
+def _byte_sweep(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    return importlib.import_module("byte_sweep")
+
+
+SMALL_SWEEP = ["--random-seeds", "0", "--bench-seeds", "--out"]
+
+
+def test_byte_sweep_aa_run_finds_no_difference(tmp_path, monkeypatch):
+    byte_sweep = _byte_sweep(monkeypatch)
+    out = tmp_path / "sweep.json"
+    out.write_text('{"runs": []}')
+    argv = ["--parent", str(ROOT), "--change", str(ROOT), "--root-depths", "10", *SMALL_SWEEP, str(out)]
+    assert byte_sweep.main(argv) == 0
+    doc = json.loads(out.read_text())
+    row = doc["byte_sweep"]
+    assert doc["runs"] == [] and row["aa"] and row["bases"] == 7
+    assert row["differences"] == 0 and row["first_differences"] == []
+    classes = {name.split(":")[0] for name in row["classes"]}
+    assert classes == {"base", "big-int", "non-finite", "surrogate", "bom", "invalid-utf8", "trailing",
+                       "duplicate-key", "deep-ignored", "roots", "root-deep"}
+    assert row["commands"] == sum(c["commands"] for c in row["classes"].values()) > 500
+    assert row["classes"]["root-deep"]["exit_codes"] == {"2": 6}
+
+
+def test_byte_sweep_names_the_commands_that_differ(tmp_path, monkeypatch):
+    # a change tree that reads every integer orjson turns into a float
+    byte_sweep = _byte_sweep(monkeypatch)
+    change = tmp_path / "change"
+    for part in ("src", "perfbench", "scenarios"):
+        shutil.copytree(ROOT / part, change / part, ignore=shutil.ignore_patterns("__pycache__"))
+    scenario = change / "src" / "fpf" / "scenario.py"
+    source = scenario.read_text()
+    assert "if not _INT64_MIN < value < _UINT64_END:" in source
+    scenario.write_text(source.replace("if not _INT64_MIN < value < _UINT64_END:", "if False:"))
+    out = tmp_path / "sweep.json"
+    assert byte_sweep.main(["--parent", str(ROOT), "--change", str(change), "--root-depths", *SMALL_SWEEP, str(out)]) == 1
+    row = json.loads(out.read_text())["byte_sweep"]
+    assert row["differences"] > 0 and len(row["first_differences"]) == byte_sweep.MAX_SHOWN
+    assert {d["class"] for d in row["first_differences"]} <= {f"big-int:{site}" for site in byte_sweep.SITES}
