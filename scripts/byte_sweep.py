@@ -14,7 +14,8 @@ Base documents:
   written by the change checkout's `perfbench/workloads.py`, which is
   only read.
 
-Fault copies of every base document, one class at a time (`fault_copies`):
+Fault copies of every base document, one class at a time (`fault_copies`,
+then `query_copies`):
 - `big-int`: 13 integer literals around and beyond [-2**63, 2**64) and
   beyond float range, at one of SITES (chosen by the base's index), the
   five fields where a reader could tell an int from a float among them;
@@ -24,7 +25,10 @@ Fault copies of every base document, one class at a time (`fault_copies`):
 - `bom`, `invalid-utf8`, `trailing` (bytes after the document) and
   `duplicate-key` (both the earlier and the later key winning);
 - `deep-ignored`: nesting of one of IGNORED_DEPTHS levels in an ignored
-  key, around the orjson bound and json's recursion limit.
+  key, around the orjson bound and json's recursion limit;
+- `query`: each of QUERY_FAULTS that applies to the query's kind, each
+  breaking one query check (`query:<fault>`), and every pair of them
+  (`query:pairs`), which pins the check that is reported first.
 Then `roots`: documents that are not scenario objects (ROOT_TEXTS), and
 `root-deep`: root nesting of ROOT_DEPTHS levels, as lists and as objects.
 A root-deep document's commands run in a child process per side, so that
@@ -49,6 +53,7 @@ import subprocess
 import sys
 import tempfile
 from collections import Counter
+from itertools import chain, combinations
 from pathlib import Path
 from typing import Iterator
 
@@ -114,6 +119,83 @@ def _with(text: str, site: str, value) -> bytes:
     doc = json.loads(text)
     SITES[site](doc, value)
     return json.dumps(doc, indent=1).encode()
+
+
+def _slot(doc: dict, i: int) -> dict:
+    """Outcome slot i: a born or abl query itself, else the chain's interior[i]."""
+    query = doc["query"]
+    return query if query["kind"] in ("born", "abl") else query["interior"][i]
+
+
+def _past_the_end(doc: dict) -> float:
+    return doc["hamiltonian"]["pieces"][-1]["t_end"] + 1.0
+
+
+def _swap_times(slots: list) -> None:
+    slots[0]["time"], slots[1]["time"] = slots[1]["time"], slots[0]["time"]
+
+
+def _outcomes_of_another_dim(doc: dict) -> None:
+    dim = doc["dim"] + 1
+    wide = [[[float(i == j), 0.0] for j in range(dim)] for i in range(dim)]
+    doc["bases"] = {**(doc.get("bases") or {}), "wide": wide}
+    _slot(doc, 0)["outcomes"] = "wide"
+
+
+def _set(items: list, i: int, value) -> None:
+    items[i] = value
+
+
+SLOTTED = ("born", "abl", "chain")
+# fault: (the query kinds it applies to, how it breaks one query check); a
+# chain without the slots or selection entries a fault needs raises IndexError
+QUERY_FAULTS = {
+    "points+1": (SLOTTED, lambda doc: doc["fixed_points"].append(doc["fixed_points"][-1])),
+    "points-1": (SLOTTED, lambda doc: doc["fixed_points"].pop()),
+    "uncovered": (SLOTTED, lambda doc: _slot(doc, -1).update(time=_past_the_end(doc))),
+    "uncovered-layer": (("network",), lambda doc: _set(doc["query"]["times"], -1, _past_the_end(doc))),
+    "at-preparation": (("born", "chain"), lambda doc: _slot(doc, 0).update(time=doc["fixed_points"][0]["time"])),
+    "at-post-selection": (("abl",), lambda doc: _slot(doc, 0).update(time=doc["fixed_points"][1]["time"])),
+    "unordered": (("chain",), lambda doc: _swap_times(doc["query"]["interior"])),
+    "unordered-layers": (("network",), lambda doc: doc["query"]["times"].reverse()),
+    "unknown-outcomes": (SLOTTED, lambda doc: _slot(doc, 0).update(outcomes="nope")),
+    "outcomes-dim": (SLOTTED, _outcomes_of_another_dim),
+    "selection-length": (("chain",), lambda doc: doc["query"]["selection"].append(0)),
+    "selection-range": (("chain",), lambda doc: _set(doc["query"]["selection"], 0, doc["dim"])),
+    "selection-negative": (("chain",), lambda doc: _set(doc["query"]["selection"], 0, -1)),
+    "layer-count": (("network",), lambda doc: doc["query"]["bases"].pop()),
+    "unknown-layer": (("network",), lambda doc: _set(doc["query"]["bases"], 0, "nope")),
+}
+
+
+def _query_fault(text: str, *faults: str) -> bytes | None:
+    """The document with each of faults applied in turn, or None where one
+    does not apply to it."""
+    doc = json.loads(text)
+    for fault in faults:
+        kinds, change = QUERY_FAULTS[fault]
+        if doc["query"]["kind"] not in kinds:
+            return None
+        try:
+            change(doc)
+        except IndexError:
+            return None
+    return json.dumps(doc, indent=1).encode()
+
+
+def query_copies(text: str) -> Iterator[tuple[str, bytes]]:
+    """Each fault of QUERY_FAULTS that applies to the document, then each
+    pair of them, applied in the first order that applies both, that makes a
+    document neither makes alone (nor undoes)."""
+    singles = {fault: _query_fault(text, fault) for fault in QUERY_FAULTS}
+    singles = {fault: data for fault, data in singles.items() if data is not None}
+    for fault, data in singles.items():
+        yield f"query:{fault}", data
+    unchanged = _query_fault(text)
+    for pair in combinations(singles, 2):
+        data = _query_fault(text, *pair) or _query_fault(text, *pair[::-1])
+        if data not in (None, singles[pair[0]], singles[pair[1]], unchanged):
+            yield "query:pairs", data
 
 
 def fault_copies(text: str, index: int) -> Iterator[tuple[str, bytes]]:
@@ -242,7 +324,7 @@ def sweep(checkouts: dict, random_seeds: int, bench_seeds: list[int], root_depth
         bases = base_documents(checkouts, clis, random_seeds, bench_seeds)
         for index, (name, text) in enumerate(bases):
             each_command("base", name, text.encode())
-            for cls, data in fault_copies(text, index):
+            for cls, data in chain(fault_copies(text, index), query_copies(text)):
                 each_command(cls, name, data)
         for text in ROOT_TEXTS:
             each_command("roots", repr(text), text.encode())

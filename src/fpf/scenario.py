@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import partial, reduce
 from itertools import chain, product
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 import orjson
@@ -74,23 +74,21 @@ class Scenario:
         return found
 
 
-def builtin_basis(name: str, dim: int) -> Basis | None:
-    if name == "z":
-        return standard_basis(dim)
-    if name == "x" and dim == 2:
-        return Basis(np.array([[1.0, 1.0], [1.0, -1.0]]) / _SQRT2)
-    return None
-
-
 def resolve_basis(
     name: str, dim: int, bases: dict[str, Basis], builtins: dict[str, Basis | None]
 ) -> Basis | None:
-    """The scenario's own basis `name`, else the built-in one, which is
-    built on first lookup and kept in `builtins`."""
+    """The scenario's own basis `name`, else the built-in one ("z" in any
+    dim, "x" in dim 2), which is built on first lookup and kept in
+    `builtins`; None where there is neither."""
     if name in bases:
         return bases[name]
     if name not in builtins:
-        builtins[name] = builtin_basis(name, dim)
+        basis = None
+        if name == "z":
+            basis = standard_basis(dim)
+        elif name == "x" and dim == 2:
+            basis = Basis(np.array([[1.0, 1.0], [1.0, -1.0]]) / _SQRT2)
+        builtins[name] = basis
     return builtins[name]
 
 
@@ -189,27 +187,27 @@ def _parse_pieces(value: Any, dim: int, path: str) -> tuple[SchedulePiece, ...]:
     return tuple(pieces)
 
 
+def _check_covered(schedule: HamiltonianSchedule, t: float, path: str) -> None:
+    if not schedule.covers(t):
+        raise ValidationError(
+            f"{path}: {t} is outside schedule coverage "
+            f"[{schedule.t_start}, {schedule.t_end}]"
+        )
+
+
 def _parse_point(
-    item: Any,
-    schedule: HamiltonianSchedule,
-    bases: dict[str, Basis],
-    builtins: dict[str, Basis | None],
-    path: str,
+    item: Any, schedule: HamiltonianSchedule, lookup: Callable[[str], Basis | None], path: str
 ) -> FixedPoint:
     if not isinstance(item, dict):
         raise SchemaError(f"{path}: expected an object")
     t = _number(_want(item, "time", path), path + ".time")
-    if not schedule.covers(t):
-        raise ValidationError(
-            f"{path}.time: {t} is outside schedule coverage "
-            f"[{schedule.t_start}, {schedule.t_end}]"
-        )
+    _check_covered(schedule, t, path + ".time")
     value, dim, path = _want(item, "state", path), schedule.dim, path + ".state"
     if isinstance(value, str):
         name, _, key = value.partition(":")
         if not key:
             raise SchemaError(f"{path}: state names look like 'basis:element'")
-        basis = resolve_basis(name, dim, bases, builtins)
+        basis = lookup(name)
         if basis is None:
             raise ValidationError(f"{path}: unknown basis {name!r}")
         if basis.dim != dim:
@@ -247,35 +245,86 @@ def _parse_slot(raw: Any, path: str) -> tuple[float, str]:
     return t, outcomes
 
 
-def _parse_query(raw: Any, path: str) -> Query:
+def _outcome_basis(name: str, dim: int, lookup: Callable[[str], Basis | None]) -> Basis:
+    basis = lookup(name) if name else None
+    if basis is None:
+        raise ValidationError(f"query references unknown basis {name!r}")
+    if basis.dim != dim:
+        raise ValidationError(
+            f"outcome basis {name!r} has dim {basis.dim}, scenario has dim {dim}"
+        )
+    return basis
+
+
+def _parse_query(
+    raw: Any,
+    schedule: HamiltonianSchedule,
+    fixed_points: Sequence[FixedPoint],
+    lookup: Callable[[str], Basis | None],
+    path: str,
+) -> Query:
+    """The query at path, read and then checked against the schedule, the
+    fixed points and the bases that lookup finds."""
     if not isinstance(raw, dict):
         raise SchemaError(f"{path}: expected an object")
     kind = _want(raw, "kind", path)
     if kind not in QUERY_KINDS:
         raise SchemaError(f"{path}.kind: {kind!r} is not one of {list(QUERY_KINDS)}")
     if kind in ("born", "abl"):
-        return Query(kind, *_parse_slot(raw, path))
+        t, outcomes = _parse_slot(raw, path)
+        if kind == "born" and len(fixed_points) != 1:
+            raise ValidationError("born queries need exactly one fixed point (the preparation)")
+        if kind == "abl" and len(fixed_points) != 2:
+            raise ValidationError("abl queries need exactly two fixed points (pre and post)")
+        _check_covered(schedule, t, path + ".time")
+        if kind == "born" and not fixed_points[0].t < t:
+            raise ValidationError("query.time must follow the preparation time")
+        if kind == "abl" and not fixed_points[0].t < t < fixed_points[1].t:
+            raise ValidationError("query.time must lie strictly between the selections")
+        _outcome_basis(outcomes, schedule.dim, lookup)
+        return Query(kind, t, outcomes)
     if kind == "chain":
         interior_raw = _want(raw, "interior", path)
         if not isinstance(interior_raw, list):
             raise SchemaError(f"{path}.interior: expected a list")
-        interior = [_parse_slot(x, f"{path}.interior[{i}]") for i, x in enumerate(interior_raw)]
-        selection_raw = _want(raw, "selection", path)
+        interior = tuple(_parse_slot(x, f"{path}.interior[{i}]") for i, x in enumerate(interior_raw))
+        selection = _want(raw, "selection", path)
         if not (
-            isinstance(selection_raw, list)
-            and all(isinstance(s, int) and not isinstance(s, bool) for s in selection_raw)
+            isinstance(selection, list)
+            and all(isinstance(s, int) and not isinstance(s, bool) for s in selection)
         ):
             raise SchemaError(f"{path}.selection: expected a list of integers")
-        return Query(kind=kind, interior=tuple(interior), selection=tuple(selection_raw))
+        if len(fixed_points) != 2:
+            raise ValidationError("chain queries need exactly two fixed points (the endpoints)")
+        times = [fixed_points[0].t, *(t for t, _ in interior), fixed_points[1].t]
+        if any(not a < b for a, b in zip(times, times[1:])):
+            raise ValidationError("interior times must increase strictly between the endpoints")
+        # the slots lie strictly between covered endpoints, so they are covered
+        slot_bases = [_outcome_basis(name, schedule.dim, lookup) for _, name in interior]
+        if len(selection) != len(interior):
+            raise ValidationError("selection length must match the number of interior slots")
+        for i, (idx, basis) in enumerate(zip(selection, slot_bases)):
+            if not 0 <= idx < len(basis):
+                raise ValidationError(f"{path}.selection[{i}]: index {idx} out of range")
+        return Query(kind=kind, interior=interior, selection=tuple(selection))
     if kind == "network":
         times_raw = _want(raw, "times", path)
         if not isinstance(times_raw, list):
             raise SchemaError(f"{path}.times: expected a list")
-        layer_raw = _want(raw, "bases", path)
-        if not (isinstance(layer_raw, list) and all(isinstance(b, str) for b in layer_raw)):
+        layer_bases = _want(raw, "bases", path)
+        if not (isinstance(layer_bases, list) and all(isinstance(b, str) for b in layer_bases)):
             raise SchemaError(f"{path}.bases: expected a list of basis names")
         times = tuple(_number(t, f"{path}.times[{i}]") for i, t in enumerate(times_raw))
-        return Query(kind=kind, times=times, layer_bases=tuple(layer_raw))
+        if len(times) < 2 or len(times) != len(layer_bases):
+            raise ValidationError("network queries need matching times and bases, two or more")
+        if any(not a < b for a, b in zip(times, times[1:])):
+            raise ValidationError("network layer times must be strictly increasing")
+        for i, t in enumerate(times):
+            _check_covered(schedule, t, f"{path}.times[{i}]")
+        for name in layer_bases:
+            if lookup(name) is None:
+                raise ValidationError(f"{path}.bases: unknown basis {name!r}")
+        return Query(kind=kind, times=times, layer_bases=tuple(layer_bases))
     return Query(kind="validate")
 
 
@@ -394,83 +443,19 @@ def parse_scenario(source: Any, overrides: dict[str, float] | None = None) -> Sc
         if not isinstance(fps_raw, list):
             raise SchemaError("scenario.fixed_points: expected a list")
         builtins: dict[str, Basis | None] = {}
-        fixed_points = [
-            _parse_point(item, schedule, bases, builtins, f"fixed_points[{i}]")
-            for i, item in enumerate(fps_raw)
-        ]
-
-        query = _parse_query(_want(raw, "query", "scenario"), "query")
-
-        scenario = Scenario(
+        lookup = partial(resolve_basis, dim=dim, bases=bases, builtins=builtins)
+        fixed_points = tuple(
+            _parse_point(item, schedule, lookup, f"fixed_points[{i}]") for i, item in enumerate(fps_raw)
+        )
+        query = _parse_query(_want(raw, "query", "scenario"), schedule, fixed_points, lookup, "query")
+        return Scenario(
             dim=dim,
             schedule=schedule,
-            fixed_points=tuple(fixed_points),
+            fixed_points=fixed_points,
             bases=bases,
             query=query,
             tolerance_overrides=overrides,
             builtins=builtins,
-        )
-        _check_query(scenario)
-        return scenario
-
-
-def _check_query(s: Scenario) -> None:
-    q = s.query
-    if q.kind == "born":
-        if len(s.fixed_points) != 1:
-            raise ValidationError("born queries need exactly one fixed point (the preparation)")
-        _check_covered(s, q.time, "query.time")
-        if not s.fixed_points[0].t < q.time:
-            raise ValidationError("query.time must follow the preparation time")
-        _check_outcome_basis(s, q.outcomes)
-    elif q.kind == "abl":
-        if len(s.fixed_points) != 2:
-            raise ValidationError("abl queries need exactly two fixed points (pre and post)")
-        _check_covered(s, q.time, "query.time")
-        if not s.fixed_points[0].t < q.time < s.fixed_points[1].t:
-            raise ValidationError("query.time must lie strictly between the selections")
-        _check_outcome_basis(s, q.outcomes)
-    elif q.kind == "chain":
-        if len(s.fixed_points) != 2:
-            raise ValidationError("chain queries need exactly two fixed points (the endpoints)")
-        times = [s.fixed_points[0].t, *(t for t, _ in q.interior), s.fixed_points[1].t]
-        if any(not a < b for a, b in zip(times, times[1:])):
-            raise ValidationError("interior times must increase strictly between the endpoints")
-        for i, (t, name) in enumerate(q.interior):
-            _check_covered(s, t, f"query.interior[{i}].time")
-            _check_outcome_basis(s, name)
-        if len(q.selection) != len(q.interior):
-            raise ValidationError("selection length must match the number of interior slots")
-        for i, (idx, (_, name)) in enumerate(zip(q.selection, q.interior)):
-            if not 0 <= idx < len(s.resolve_basis(name)):
-                raise ValidationError(f"query.selection[{i}]: index {idx} out of range")
-    elif q.kind == "network":
-        if len(q.times) < 2 or len(q.times) != len(q.layer_bases):
-            raise ValidationError("network queries need matching times and bases, two or more")
-        if any(not a < b for a, b in zip(q.times, q.times[1:])):
-            raise ValidationError("network layer times must be strictly increasing")
-        for i, t in enumerate(q.times):
-            _check_covered(s, t, f"query.times[{i}]")
-        for name in q.layer_bases:
-            if resolve_basis(name, s.dim, s.bases, s.builtins) is None:
-                raise ValidationError(f"query.bases: unknown basis {name!r}")
-
-
-def _check_covered(s: Scenario, t: float | None, path: str) -> None:
-    if t is None or not s.schedule.covers(t):
-        raise ValidationError(
-            f"{path}: {t} is outside schedule coverage "
-            f"[{s.schedule.t_start}, {s.schedule.t_end}]"
-        )
-
-
-def _check_outcome_basis(s: Scenario, name: str | None) -> None:
-    basis = resolve_basis(name, s.dim, s.bases, s.builtins) if name else None
-    if basis is None:
-        raise ValidationError(f"query references unknown basis {name!r}")
-    if basis.dim != s.dim:
-        raise ValidationError(
-            f"outcome basis {name!r} has dim {basis.dim}, scenario has dim {s.dim}"
         )
 
 
@@ -691,7 +676,6 @@ class ResultReport:
     measures: list[float] | None = None
     oracle: list[float] | None = None
     max_deviation: float | None = None
-    errors: list[str] = field(default_factory=list)
     extra: dict = field(default_factory=dict)
     oracle_bound: float | None = None  # the largest max_deviation `run` accepts; not written
 
@@ -703,7 +687,7 @@ class ResultReport:
             "measures": self.measures,
             "oracle": self.oracle,
             "max_deviation": self.max_deviation,
-            "errors": self.errors,
+            "errors": [],
         }
         doc.update(self.extra)
         return doc
@@ -735,8 +719,6 @@ class ResultReport:
                 lines.append(f"{key}: {value}")
         if self.max_deviation is not None:
             lines.append(f"max_deviation: {self.max_deviation:.3e}")
-        if self.errors:
-            lines.extend(f"error: {e}" for e in self.errors)
         return "\n".join(lines)
 
 

@@ -492,6 +492,49 @@ def test_state_names(capsys, tmp_path, state, want):
         assert parse_scenario(json.dumps(doc)).fixed_points[0].state.tolist() == pytest.approx(list(want))
 
 
+def _split_schedule(doc):
+    """The one piece cut in two at its middle, with a gap of 0.1 between."""
+    (piece,) = doc["hamiltonian"]["pieces"]
+    middle = piece["t_end"] / 2
+    doc["hamiltonian"]["pieces"] = [{**piece, "t_end": middle}, {**piece, "t_start": middle + 0.1}]
+
+
+def _post_selected_at_the_end(doc):
+    doc["fixed_points"].append({"time": doc["query"]["time"], "state": "z:0"})
+    doc["query"]["kind"] = "abl"
+
+
+def _outcomes_of_dim_3(doc):
+    doc["bases"] = {"m3": [[[float(i == j), 0.0] for j in range(3)] for i in range(3)]}
+    doc["query"]["outcomes"] = "m3"
+
+
+QUERY_LINES = [
+    (
+        "gap",
+        _split_schedule,
+        "hamiltonian: schedule pieces must be contiguous: piece ending at 0.39269908169872414 "
+        "is followed by one starting at 0.4926990816987241",
+    ),
+    (
+        "abl-one-point",
+        lambda doc: doc["query"].update(kind="abl"),
+        "abl queries need exactly two fixed points (pre and post)",
+    ),
+    ("abl-at-post", _post_selected_at_the_end, "query.time must lie strictly between the selections"),
+    ("unknown-outcomes", lambda doc: doc["query"].update(outcomes="nope"), "query references unknown basis 'nope'"),
+    ("outcomes-dim", _outcomes_of_dim_3, "outcome basis 'm3' has dim 3, scenario has dim 2"),
+]
+
+
+@pytest.mark.parametrize("change, message", [case[1:] for case in QUERY_LINES], ids=[case[0] for case in QUERY_LINES])
+def test_query_and_schedule_lines(capsys, tmp_path, change, message):
+    doc = json.loads((SCENARIOS / "born_sx_quarter.json").read_text())
+    change(doc)
+    code, out, err = run_cli(capsys, "run", _write(tmp_path, doc))
+    assert (code, out, err) == (2, "", f"VALIDATION_ERROR: {message}\n")
+
+
 class TestInputRobustness:
     @pytest.mark.parametrize("command", ["run", "validate"])
     def test_file_tolerances_govern_both_commands(self, capsys, tmp_path, command):

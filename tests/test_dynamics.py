@@ -11,7 +11,7 @@ from fpf.dynamics import (
     propagate,
     propagators,
 )
-from fpf.errors import CoverageError, ValidationError
+from fpf.errors import CoverageError, DimensionMismatch, ValidationError
 from fpf.scenario import (
     parse_scenario,
     random_hermitian,
@@ -61,6 +61,21 @@ class TestScheduleValidation:
                 (SchedulePiece(0.0, 1.0, SX),),
                 branch_override=(SchedulePiece(0.0, 2.0, SZ),),
             )
+
+    @pytest.mark.parametrize(
+        "pieces, override, error",
+        [
+            ((), None, ValidationError),
+            ((SchedulePiece(0.0, 1.0, SX), SchedulePiece(1.0, 2.0, HermitianOperator(np.eye(3)))), None,
+             DimensionMismatch),
+            ((SchedulePiece(0.0, 1.0, SX),), (SchedulePiece(0.0, 1.0, HermitianOperator(np.eye(3))),),
+             DimensionMismatch),
+        ],
+        ids=["no-pieces", "mixed-dims", "override-dim"],
+    )
+    def test_malformed_schedule_rejected(self, pieces, override, error):
+        with pytest.raises(error):
+            HamiltonianSchedule(pieces, override)
 
     def test_contiguous_two_pieces_ok(self):
         sched = HamiltonianSchedule(

@@ -69,6 +69,10 @@ class TestNetwork:
         with pytest.raises(NonMonotoneTimes):
             build_network([1.0, 0.0], [standard_basis(2), standard_basis(2)])
 
+    def test_single_layer(self):
+        with pytest.raises(TooFewPoints):
+            build_network([0.0], [standard_basis(2)])
+
     @pytest.mark.parametrize("times", [[float("nan"), 1.0], [0.0, float("nan")]])
     def test_nan_layer_time(self, times):
         with pytest.raises(NonMonotoneTimes):

@@ -255,6 +255,18 @@ class TestChainMeasure:
         with pytest.raises(ValidationError):
             chain_measure(FREE, (pre, post), [(0.5, standard_basis(2))], [])
 
+    @pytest.mark.parametrize(
+        "endpoints, interior, error",
+        [
+            ((FixedPoint(0.0, E0), None), [(0.5, standard_basis(3))], DimensionMismatch),
+            ((FixedPoint(0.0, E0), None), [], ValidationError),
+        ],
+        ids=["slot-dim", "one-point"],
+    )
+    def test_malformed_slots_rejected(self, endpoints, interior, error):
+        with pytest.raises(error):
+            chain_measure(FREE, endpoints, interior, None)
+
 
 class TestRealness:
     @pytest.mark.parametrize("seed", range(15))

@@ -77,6 +77,8 @@ class TestStandardBorn:
         assert born_rule(u, psi, basis) == [standard_born(u, psi, phi) for phi in basis.rows]
         with pytest.raises(DimensionMismatch):
             born_rule(u, psi, standard_basis(dim + 1))
+        with pytest.raises(DimensionMismatch):
+            standard_born(u, psi, standard_basis(dim + 1).rows[0])
 
 
 class TestAblRule:
@@ -87,6 +89,13 @@ class TestAblRule:
     def test_symmetric_case(self):
         probs = abl_rule(UnitaryMatrix(np.eye(2)), UnitaryMatrix(np.eye(2)), PLUS, standard_basis(2), PLUS)
         np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-15)
+
+    @pytest.mark.parametrize("wrong", ["psi", "outcomes", "phi"])
+    def test_dimension_mismatch(self, wrong):
+        args = {"psi": E0, "outcomes": standard_basis(2), "phi": PLUS}
+        args[wrong] = standard_basis(3) if wrong == "outcomes" else standard_basis(3).rows[0]
+        with pytest.raises(DimensionMismatch):
+            abl_rule(UnitaryMatrix(np.eye(2)), UnitaryMatrix(np.eye(2)), args["psi"], args["outcomes"], args["phi"])
 
     def test_zero_denominator(self):
         with pytest.raises(ZeroDenominator):

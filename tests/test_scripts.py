@@ -328,9 +328,13 @@ def test_byte_sweep_aa_run_finds_no_difference(tmp_path, monkeypatch):
     assert row["differences"] == 0 and row["first_differences"] == []
     classes = {name.split(":")[0] for name in row["classes"]}
     assert classes == {"base", "big-int", "non-finite", "surrogate", "bom", "invalid-utf8", "trailing",
-                       "duplicate-key", "deep-ignored", "roots", "root-deep"}
+                       "duplicate-key", "deep-ignored", "query", "roots", "root-deep"}
     assert row["commands"] == sum(c["commands"] for c in row["classes"].values()) > 500
     assert row["classes"]["root-deep"]["exit_codes"] == {"2": 6}
+    query = {name.split(":")[1]: c for name, c in row["classes"].items() if name.startswith("query:")}
+    # every fault but "unordered", as no chain among these files has two slots
+    assert set(query) == set(byte_sweep.QUERY_FAULTS) - {"unordered"} | {"pairs"}
+    assert all(c["exit_codes"] == {"2": c["commands"]} for c in query.values())
 
 
 def test_byte_sweep_names_the_commands_that_differ(tmp_path, monkeypatch):
@@ -348,3 +352,18 @@ def test_byte_sweep_names_the_commands_that_differ(tmp_path, monkeypatch):
     row = json.loads(out.read_text())["byte_sweep"]
     assert row["differences"] > 0 and len(row["first_differences"]) == byte_sweep.MAX_SHOWN
     assert {d["class"] for d in row["first_differences"]} <= {f"big-int:{site}" for site in byte_sweep.SITES}
+
+
+def test_unreached_lists_the_raises_a_test_file_never_runs(tmp_path):
+    out = tmp_path / "unreached.json"
+    stdout = run_script("unreached.py", "--out", str(out), "-q", "-p", "no:cacheprovider",
+                        str(ROOT / "tests" / "test_contour.py"))
+    doc = json.loads(out.read_text())
+    assert doc["pytest_exit_code"] == 0
+    files = {row["file"] for row in doc["unreached"]}
+    assert "src/fpf/contour.py" not in files and "src/fpf/scenario.py" in files
+    assert {row["source"].partition(" ")[0] for row in doc["unreached"]} == {"raise"}
+    assert doc["raises"] > len(doc["unreached"])
+    assert stdout.splitlines()[-len(doc["unreached"]) - 1].startswith(
+        f"{len(doc['unreached'])} of {doc['raises']} raise statements"
+    )
