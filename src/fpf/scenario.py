@@ -48,12 +48,10 @@ _X_ALIASES = {"+": 0, "-": 1}
 @dataclass(frozen=True)
 class Query:
     kind: str
-    time: float | None = None
-    outcomes: str | None = None
-    interior: tuple[tuple[float, str], ...] = ()
-    selection: tuple[int, ...] = ()
-    times: tuple[float, ...] = ()
-    layer_bases: tuple[str, ...] = ()
+    # (time, basis name) pairs: a born or abl query's one outcome slot, a
+    # chain's interior slots, a network's layers
+    slots: tuple[tuple[float, str], ...] = ()
+    selection: tuple[int, ...] = ()  # a chain's selected outcome per slot
 
 
 @dataclass(frozen=True)
@@ -246,7 +244,7 @@ def _parse_slot(raw: Any, path: str) -> tuple[float, str]:
 
 
 def _outcome_basis(name: str, dim: int, lookup: Callable[[str], Basis | None]) -> Basis:
-    basis = lookup(name) if name else None
+    basis = lookup(name)
     if basis is None:
         raise ValidationError(f"query references unknown basis {name!r}")
     if basis.dim != dim:
@@ -282,7 +280,7 @@ def _parse_query(
         if kind == "abl" and not fixed_points[0].t < t < fixed_points[1].t:
             raise ValidationError("query.time must lie strictly between the selections")
         _outcome_basis(outcomes, schedule.dim, lookup)
-        return Query(kind, t, outcomes)
+        return Query(kind, ((t, outcomes),))
     if kind == "chain":
         interior_raw = _want(raw, "interior", path)
         if not isinstance(interior_raw, list):
@@ -306,7 +304,7 @@ def _parse_query(
         for i, (idx, basis) in enumerate(zip(selection, slot_bases)):
             if not 0 <= idx < len(basis):
                 raise ValidationError(f"{path}.selection[{i}]: index {idx} out of range")
-        return Query(kind=kind, interior=interior, selection=tuple(selection))
+        return Query(kind, interior, tuple(selection))
     if kind == "network":
         times_raw = _want(raw, "times", path)
         if not isinstance(times_raw, list):
@@ -324,8 +322,8 @@ def _parse_query(
         for name in layer_bases:
             if lookup(name) is None:
                 raise ValidationError(f"{path}.bases: unknown basis {name!r}")
-        return Query(kind=kind, times=times, layer_bases=tuple(layer_bases))
-    return Query(kind="validate")
+        return Query(kind, tuple(zip(times, layer_bases)))
+    return Query(kind)
 
 
 # orjson has no nesting limit (it crashes on a million levels), and json
@@ -533,18 +531,19 @@ def _dump_pieces(pieces: Sequence[SchedulePiece]) -> list[dict]:
 
 def _dump_query(q: Query) -> dict:
     if q.kind in ("born", "abl"):
-        return {"kind": q.kind, "time": float(q.time), "outcomes": q.outcomes}
+        ((t, name),) = q.slots
+        return {"kind": q.kind, "time": float(t), "outcomes": name}
     if q.kind == "chain":
         return {
             "kind": "chain",
-            "interior": [{"time": float(t), "outcomes": name} for t, name in q.interior],
+            "interior": [{"time": float(t), "outcomes": name} for t, name in q.slots],
             "selection": [int(i) for i in q.selection],
         }
     if q.kind == "network":
         return {
             "kind": "network",
-            "times": [float(t) for t in q.times],
-            "bases": list(q.layer_bases),
+            "times": [float(t) for t, _ in q.slots],
+            "bases": [name for _, name in q.slots],
         }
     return {"kind": "validate"}
 
@@ -621,7 +620,7 @@ def random_scenario(seed: int, dim: int, n_pieces: int, kind: str) -> Scenario:
     if kind == "born":
         fixed_points = (FixedPoint(t0, random_state(rng, dim)),)
         bases["m"] = random_basis(rng, dim)
-        query = Query(kind="born", time=t1, outcomes="m")
+        query = Query("born", ((t1, "m"),))
     elif kind == "abl":
         fixed_points = (
             FixedPoint(t0, random_state(rng, dim)),
@@ -629,32 +628,25 @@ def random_scenario(seed: int, dim: int, n_pieces: int, kind: str) -> Scenario:
         )
         bases["a"] = random_basis(rng, dim)
         t_mid = t0 + (t1 - t0) * float(rng.uniform(0.25, 0.75))
-        query = Query(kind="abl", time=t_mid, outcomes="a")
+        query = Query("abl", ((t_mid, "a"),))
     elif kind == "chain":
         fixed_points = (
             FixedPoint(t0, random_state(rng, dim)),
             FixedPoint(t1, random_state(rng, dim)),
         )
         fractions = (float(rng.uniform(0.15, 0.45)), float(rng.uniform(0.55, 0.85)))
-        interior = []
-        for i, frac in enumerate(fractions):
-            name = f"a{i}"
-            bases[name] = random_basis(rng, dim)
-            interior.append((t0 + (t1 - t0) * frac, name))
-        selection = tuple(int(k) for k in rng.integers(0, dim, size=len(interior)))
-        query = Query(kind="chain", interior=tuple(interior), selection=selection)
+        bases.update((f"a{i}", random_basis(rng, dim)) for i in range(len(fractions)))
+        slots = tuple((t0 + (t1 - t0) * frac, name) for frac, name in zip(fractions, bases))
+        selection = tuple(int(k) for k in rng.integers(0, dim, size=len(slots)))
+        query = Query("chain", slots, selection)
     elif kind == "network":
         sizes = [int(n) for n in rng.integers(1, 6, size=3)]
-        names = []
-        for i, size in enumerate(sizes):
-            name = f"n{i}"
-            bases[name] = random_basis(rng, size)
-            names.append(name)
-        times = tuple(float(t) for t in np.linspace(t0, t1, len(sizes)))
-        query = Query(kind="network", times=times, layer_bases=tuple(names))
+        bases.update((f"n{i}", random_basis(rng, size)) for i, size in enumerate(sizes))
+        times = [float(t) for t in np.linspace(t0, t1, len(sizes))]
+        query = Query("network", tuple(zip(times, bases)))
     else:
         fixed_points = (FixedPoint(t0, random_state(rng, dim)),)
-        query = Query(kind="validate")
+        query = Query("validate")
 
     return Scenario(
         dim=dim,
@@ -726,62 +718,21 @@ def run(scenario: Scenario) -> ResultReport:
     """Execute a scenario's query under the tolerance overrides it keeps,
     and attach the oracle comparison."""
     with tolerance_overrides(**scenario.tolerance_overrides):
-        q = scenario.query
-        echo = _dump_query(q)
-        sched = scenario.schedule
-        if q.kind in ("born", "abl", "chain"):
-            # born: source and one slot; abl: source, one slot, sink; chain:
-            # source, any slots, sink
-            src, snk = (*scenario.fixed_points, None)[:2]
-            if q.kind == "chain":
-                interior = [(t, scenario.resolve_basis(name)) for t, name in q.interior]
-                selection = q.selection
-            else:
-                interior = [(q.time, scenario.resolve_basis(q.outcomes))]
-                selection = None
-            result = measure.chain_measure(sched, (src, snk), interior, selection)
-            report = ResultReport(
-                query=echo,
-                delta_psi=result.delta_psi.tolist(),
-                normalizer=float(result.normalizer),
-                measures=result.measures.tolist(),
-            )
-            if q.kind == "chain":
-                points = (
-                    src,
-                    *(FixedPoint(t, basis.rows[k]) for (t, basis), k in zip(interior, q.selection)),
-                    snk,
+        q, sched = scenario.query, scenario.schedule
+        report = ResultReport(query=_dump_query(q))
+        if q.kind == "validate":  # propagator-law residuals over the covered interval
+            checks = _validate_checks(scenario)
+            worst = max(checks.values())
+            if worst > active_tolerances().unitary:
+                raise NumericalCheckFailure(
+                    f"propagator law residual {worst:.3e} exceeds tolerance"
                 )
-                value, estimate, truncation = oracle.contour_line_integral(
-                    sched, make_history(points), ORACLE_STEPS
-                )
-                weight = report.delta_psi[result.selected]
-                report.oracle = [value]
-                report.max_deviation = abs(weight - value)
-                report.extra = {
-                    "labels": result.labels,
-                    "selected_index": result.selected,
-                    "selected_measure": float(result.measures[result.selected]),
-                    "oracle_error_estimate": estimate,
-                }
-                # the oracle's truncation, and rounding relative to the weight
-                agreement = active_tolerances().oracle_agreement * max(1.0, abs(weight))
-                return _check_agreement(report, truncation + agreement)
-            t, outcomes = interior[0]
-            if snk is None:
-                (u1,) = oracle.propagators(sched, Branch.FORWARD, (src.t, t))
-                report.oracle = oracle.born_rule(u1, src.state, outcomes)
-            else:
-                u1, u2 = oracle.propagators(sched, Branch.FORWARD, (src.t, t, snk.t))
-                report.oracle = oracle.abl_rule(u1, u2, src.state, outcomes, snk.state)
-            report.max_deviation = max(abs(m - r) for m, r in zip(report.measures, report.oracle))
-            bound = active_tolerances().oracle_agreement
-            if snk is None:  # the Born oracle does not normalize a preparation state_norm let through
-                bound += abs(1.0 - math.fsum(report.oracle))
-            return _check_agreement(report, bound)
+            report.extra = {"checks": checks}
+            return report
+        slots = [(t, scenario.resolve_basis(name)) for t, name in q.slots]
+        bound = active_tolerances().oracle_agreement
         if q.kind == "network":
-            layer_bases = [scenario.resolve_basis(n) for n in q.layer_bases]
-            net = build_network(q.times, layer_bases)
+            net = build_network([t for t, _ in slots], [basis for _, basis in slots])
             pairs = []
             expected = []
             deviations = []
@@ -801,27 +752,54 @@ def run(scenario: Scenario) -> ResultReport:
                 expected.append(float(2 * n1 * n2))
                 deviations.append(abs(edges - 2 * n1 * n2))
                 deviations.append(abs(channels - n1 * n2))
-            report = ResultReport(
-                query=echo,
-                oracle=expected,
-                max_deviation=float(max(deviations)),
-                extra={
-                    "layers": [
-                        {"time": float(l.t), "size": l.size} for l in net.layers
-                    ],
-                    "edge_count": len(net.edges),
-                    "adjacent_pairs": pairs,
-                },
+            report.oracle = expected
+            report.max_deviation = float(max(deviations))
+            report.extra = {
+                "layers": [{"time": float(l.t), "size": l.size} for l in net.layers],
+                "edge_count": len(net.edges),
+                "adjacent_pairs": pairs,
+            }
+            return _check_agreement(report, bound)
+        # born: source and one slot; abl: source, one slot, sink; chain:
+        # source, any slots, sink
+        src, snk = (*scenario.fixed_points, None)[:2]
+        selection = q.selection if q.kind == "chain" else None
+        result = measure.chain_measure(sched, (src, snk), slots, selection)
+        report.delta_psi = result.delta_psi.tolist()
+        report.normalizer = float(result.normalizer)
+        report.measures = result.measures.tolist()
+        if q.kind == "chain":
+            points = (
+                src,
+                *(FixedPoint(t, basis.rows[k]) for (t, basis), k in zip(slots, selection)),
+                snk,
             )
-            return _check_agreement(report, active_tolerances().oracle_agreement)
-        # validate: propagator-law residuals over the covered interval
-        checks = _validate_checks(scenario)
-        worst = max(checks.values())
-        if worst > active_tolerances().unitary:
-            raise NumericalCheckFailure(
-                f"propagator law residual {worst:.3e} exceeds tolerance"
+            value, estimate, truncation = oracle.contour_line_integral(
+                sched, make_history(points), ORACLE_STEPS
             )
-        return ResultReport(query=echo, extra={"checks": checks})
+            weight = report.delta_psi[result.selected]
+            report.oracle = [value]
+            report.max_deviation = abs(weight - value)
+            report.extra = {
+                "labels": result.labels,
+                "selected_index": result.selected,
+                "selected_measure": float(result.measures[result.selected]),
+                "oracle_error_estimate": estimate,
+            }
+            # the oracle's truncation, and rounding relative to the weight
+            bound = truncation + bound * max(1.0, abs(weight))
+        else:
+            ((t, outcomes),) = slots
+            if snk is None:
+                (u1,) = oracle.propagators(sched, Branch.FORWARD, (src.t, t))
+                report.oracle = oracle.born_rule(u1, src.state, outcomes)
+                # the Born oracle does not normalize a preparation state_norm let through
+                bound += abs(1.0 - math.fsum(report.oracle))
+            else:
+                u1, u2 = oracle.propagators(sched, Branch.FORWARD, (src.t, t, snk.t))
+                report.oracle = oracle.abl_rule(u1, u2, src.state, outcomes, snk.state)
+            report.max_deviation = max(abs(m - r) for m, r in zip(report.measures, report.oracle))
+        return _check_agreement(report, bound)
 
 
 def _check_agreement(report: ResultReport, bound: float) -> ResultReport:

@@ -155,17 +155,19 @@ def test_criterion_7_realness_and_positivity(born_runs, abl_runs):
     worst_neg = 0.0
     for scenario in born_runs[0]:
         prep = scenario.fixed_points[0]
-        for phi in scenario.resolve_basis(scenario.query.outcomes).rows:
+        ((t, outcomes),) = scenario.query.slots
+        for phi in scenario.resolve_basis(outcomes).rows:
             raw = chain_delta_psi(
-                scenario.schedule, (prep, FixedPoint(scenario.query.time, phi))
+                scenario.schedule, (prep, FixedPoint(t, phi))
             )
             worst_imag = max(worst_imag, abs(raw.imag))
             worst_neg = max(worst_neg, -raw.real)
     for scenario in abl_runs[0]:
         pre, post = scenario.fixed_points
-        for a in scenario.resolve_basis(scenario.query.outcomes).rows:
+        ((t, outcomes),) = scenario.query.slots
+        for a in scenario.resolve_basis(outcomes).rows:
             raw = chain_delta_psi(
-                scenario.schedule, (pre, FixedPoint(scenario.query.time, a), post)
+                scenario.schedule, (pre, FixedPoint(t, a), post)
             )
             worst_imag = max(worst_imag, abs(raw.imag))
             worst_neg = max(worst_neg, -raw.real)

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -331,6 +332,19 @@ class TestStructuralExtremes:
         assert doc["labels"] == [[0] * slots]
         assert doc["measures"] == [1.0] and doc["delta_psi"] == [pytest.approx(1.0, abs=1e-12)]
 
+    @pytest.mark.parametrize("slots", [16, 17])
+    def test_joints_are_capped_at_65536(self, capsys, tmp_path, slots):
+        # 2**slots joint outcomes: 16 slots reach the cap, 17 pass it
+        code, out, err = run_cli(capsys, "run", _write(tmp_path, _chain_doc(2, slots, "z")))
+        if slots == 16:
+            assert (code, err) == (0, "")
+            doc = json.loads(out)
+            assert len(doc["labels"]) == 65_536
+            assert math.fsum(doc["measures"]) == pytest.approx(1.0, abs=1e-12)
+        else:
+            assert (code, out) == (2, "")
+            assert err == "INSTANCE_TOO_LARGE: 131072 joint outcomes exceed the limit of 65536\n"
+
     @pytest.mark.parametrize("layers, want", [(2, 0), (5, 2)])
     def test_network_edges_are_capped_before_they_are_built(self, capsys, tmp_path, layers, want):
         # one 100-element basis per layer in a dim-1 scenario: 20,000 lines per layer pair
@@ -533,6 +547,23 @@ def test_query_and_schedule_lines(capsys, tmp_path, change, message):
     change(doc)
     code, out, err = run_cli(capsys, "run", _write(tmp_path, doc))
     assert (code, out, err) == (2, "", f"VALIDATION_ERROR: {message}\n")
+
+
+def test_an_empty_basis_name_names_outcomes(capsys, tmp_path):
+    """A basis named "" serves as an outcome basis, as it serves a state or
+    a network layer; with no such basis the query names an unknown one."""
+    doc = json.loads((SCENARIOS / "born_sx_quarter.json").read_text())
+    identity = [[[float(i == j), 0.0] for j in range(2)] for i in range(2)]
+    measures = []
+    for name in ("", "m"):
+        doc["bases"], doc["query"]["outcomes"] = {name: identity}, name
+        code, out, err = run_cli(capsys, "run", _write(tmp_path, doc))
+        assert (code, err) == (0, "")
+        measures.append(json.loads(out)["measures"])
+    assert measures[0] == measures[1]
+    doc["bases"], doc["query"]["outcomes"] = {}, ""
+    code, out, err = run_cli(capsys, "run", _write(tmp_path, doc))
+    assert (code, out, err) == (2, "", "VALIDATION_ERROR: query references unknown basis ''\n")
 
 
 class TestInputRobustness:

@@ -529,6 +529,11 @@ class TestMeasureResultChecks:
         return dict(delta_psi=[0.5, 0.5], normalizer=1.0 + eps, measures=[0.5, 0.5],
                     labels=((0,), (1,)))
 
+    def test_labels_one_short_are_refused(self):
+        fields = dict(self.off_by(0.0), labels=((0,),))
+        with pytest.raises(NumericalCheckFailure, match="^result arrays and labels disagree in length$"):
+            MeasureResult(**fields)
+
     def test_wrong_normalizer_is_refused(self):
         with pytest.raises(NumericalCheckFailure, match="normalizer is not the sum"):
             MeasureResult(**self.off_by(1e-6))

@@ -76,7 +76,7 @@ def test_chain_of_1024_joints():
     interior = tuple(
         (t0 + (t1 - t0) * (k + 1) / (len(names) + 1), name) for k, name in enumerate(names)
     )
-    s = replace(s, query=Query(kind="chain", interior=interior, selection=(0, 1, 2, 3, 0)))
+    s = replace(s, query=Query(kind="chain", slots=interior, selection=(0, 1, 2, 3, 0)))
     report = run(s)
     assert len(report.extra["labels"]) == 4**5
     assert report.to_json() == reference(report.to_dict())
@@ -96,7 +96,7 @@ def chain_of(dim, slots):
     names = ["z" if dim == 1 else f"a{k % 2}" for k in range(slots)]
     interior = tuple((t0 + (t1 - t0) * (k + 1) / (slots + 1), name) for k, name in enumerate(names))
     selection = tuple((3 * k + 1) % dim for k in range(slots))
-    return replace(s, query=Query(kind="chain", interior=interior, selection=selection))
+    return replace(s, query=Query(kind="chain", slots=interior, selection=selection))
 
 
 @pytest.mark.parametrize("dim, slots", [(2, 0), (3, 1), (8, 2), (4, 5), (2, 8), (1, 63)])

@@ -193,7 +193,7 @@ class TestRunReports:
 
     def test_unknown_basis_of_a_built_scenario(self):
         s = random_scenario(8, 2, 1, "born")
-        built = Scenario(s.dim, s.schedule, s.fixed_points, s.bases, Query("born", s.schedule.t_end, "nope"))
+        built = Scenario(s.dim, s.schedule, s.fixed_points, s.bases, Query("born", ((s.schedule.t_end, "nope"),)))
         with pytest.raises(ValidationError, match="^query references unknown basis 'nope'$"):
             run(built)
 

@@ -14,7 +14,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def run_script(name, *args, code=0):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
@@ -26,7 +26,7 @@ def run_script(name, *args):
         env=env,
         timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     return proc.stdout
 
 
@@ -355,9 +355,10 @@ def test_byte_sweep_names_the_commands_that_differ(tmp_path, monkeypatch):
 
 
 def test_unreached_lists_the_raises_a_test_file_never_runs(tmp_path):
+    # pytest passes but leaves raises unrun: exit 1
     out = tmp_path / "unreached.json"
     stdout = run_script("unreached.py", "--out", str(out), "-q", "-p", "no:cacheprovider",
-                        str(ROOT / "tests" / "test_contour.py"))
+                        str(ROOT / "tests" / "test_contour.py"), code=1)
     doc = json.loads(out.read_text())
     assert doc["pytest_exit_code"] == 0
     files = {row["file"] for row in doc["unreached"]}
@@ -367,3 +368,12 @@ def test_unreached_lists_the_raises_a_test_file_never_runs(tmp_path):
     assert stdout.splitlines()[-len(doc["unreached"]) - 1].startswith(
         f"{len(doc['unreached'])} of {doc['raises']} raise statements"
     )
+
+
+def test_unreached_exits_with_a_failing_pytest_code_first(tmp_path):
+    # no test selected: pytest exits 5, which outranks the unrun raises
+    out = tmp_path / "unreached.json"
+    run_script("unreached.py", "--out", str(out), "-q", "-p", "no:cacheprovider",
+               "-k", "no_such_test", str(ROOT / "tests" / "test_contour.py"), code=5)
+    doc = json.loads(out.read_text())
+    assert doc["pytest_exit_code"] == 5 and doc["unreached"]
