@@ -2,8 +2,8 @@
 
 The contour runs along the forward branch in increasing real time, then
 along the backward branch in decreasing real time. A path over a set of
-times covers every interval between consecutive times once per branch,
-which realizes contour order for the engine and the oracles.
+times covers every interval between consecutive times once per branch.
+Only the RK4 oracle walks it (`oracle._contour_plan`); the engine does not.
 """
 
 from __future__ import annotations

@@ -406,6 +406,30 @@ def test_import_runs_15_dataclass_decorations():
     assert "fpf.oracle.DensityMatrix" not in decorated
 
 
+# imports each fpf.<name> of argv alone, with no fpf module loaded before it
+IMPORT_EACH_ALONE = """
+import importlib, sys
+for name in sys.argv[1:]:
+    for loaded in [key for key in sys.modules if key.partition(".")[0] == "fpf"]:
+        del sys.modules[loaded]
+    importlib.import_module(f"fpf.{name}")
+    print(name)
+"""
+
+
+def test_each_module_imports_alone():
+    # the package root imports nothing, so no fixed import order hides a cycle
+    package = Path(fpf.cli.__file__).resolve().parent
+    modules = sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__")
+    assert "cli" in modules and "scenario" in modules
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (str(package.parent), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_EACH_ALONE, *modules], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == modules
+
+
 # finite rows whose Gram product overflows to NaN
 NAN_GRAM_BASIS = [[[1e200, 1e200], [1e200, -1e200]], [[1e200, 0.0], [-1e200, 0.0]]]
 

@@ -308,6 +308,19 @@ class TestRealness:
             pair_weight(sched, src, snk)
 
 
+def seeded_chain(rng, n_slots, sink):
+    """A chain of dim 2-6 over 1-4 pieces: the source at the schedule's
+    start, n_slots random bases at sorted uniform times, and a sink at its
+    end when asked for."""
+    dim = int(rng.integers(2, 7))
+    sched = random_schedule(rng, dim, int(rng.integers(1, 5)))
+    t0, t1 = sched.t_start, sched.t_end
+    interior = [(float(t), random_basis(rng, dim)) for t in np.sort(rng.uniform(t0, t1, n_slots))]
+    src = FixedPoint(t0, random_state(rng, dim))
+    snk = FixedPoint(t1, random_state(rng, dim)) if sink else None
+    return sched, (src, snk), interior
+
+
 class TestMeasureSymmetries:
     @pytest.mark.parametrize("seed", range(10))
     def test_phase_invariance(self, seed):
@@ -338,6 +351,73 @@ class TestMeasureSymmetries:
         shuffled = Basis(outcomes.rows[perm])
         res_p = born_measure(sched, prep, sched.t_end, shuffled)
         np.testing.assert_allclose(res_p.measures, res.measures[perm], atol=1e-14)
+
+    @staticmethod
+    def symmetry_cases():
+        """Chains `seed` + 4000 for seeds 0-299: 0-3 slots, with a sink when
+        there is no slot and otherwise by a coin; each comes with its rng for
+        the symmetry's own draws and its measure."""
+        for seed in range(300):
+            rng = np.random.default_rng(seed + 4000)
+            n_slots = int(rng.integers(0, 4))
+            sched, endpoints, interior = seeded_chain(rng, n_slots, n_slots == 0 or bool(rng.integers(2)))
+            yield seed, rng, sched, endpoints, interior, chain_measure(sched, endpoints, interior, None)
+
+    def test_energy_shift_changes_no_weight(self):
+        # H -> H + cI gives U_F a phase that the conjugate U_B cancels; worst gap 2.6e-15
+        for seed, rng, sched, endpoints, interior, base in self.symmetry_cases():
+            shift = rng.uniform(-5, 5) * np.eye(sched.dim)
+            shifted = HamiltonianSchedule(tuple(
+                SchedulePiece(p.t_start, p.t_end, HermitianOperator(p.hamiltonian.mat + shift))
+                for p in sched.pieces
+            ))
+            res = chain_measure(shifted, endpoints, interior, None)
+            gap = float(np.abs(res.delta_psi - base.delta_psi).max())
+            assert gap <= 1e-12, f"seed {seed}: weights moved by {gap:.3e}"
+
+    def test_unit_phases_change_no_weight(self):
+        # a phase on the source, the sink or a basis row enters each weight
+        # with its conjugate; worst gap 5.6e-16
+        for seed, rng, sched, (src, snk), interior, base in self.symmetry_cases():
+            src = FixedPoint(src.t, np.exp(2j * np.pi * rng.uniform()) * src.state)
+            if snk is not None:
+                snk = FixedPoint(snk.t, np.exp(2j * np.pi * rng.uniform()) * snk.state)
+            interior = [
+                (t, Basis(basis.rows * np.exp(2j * np.pi * rng.uniform(size=(len(basis), 1)))))
+                for t, basis in interior
+            ]
+            res = chain_measure(sched, (src, snk), interior, None)
+            gap = float(np.abs(res.delta_psi - base.delta_psi).max())
+            assert gap <= 1e-12, f"seed {seed}: weights moved by {gap:.3e}"
+
+
+class TestCausality:
+    """Chain `seed` + 5000, seeds 0-199, has 2-4 slots and keeps its first
+    k, 1 <= k < slots. Summed over its later slots, the open chain's measure
+    is the measure of the chain cut after slot k: a later slot does not
+    reach back. With a sink the sum differs, because post-selection does
+    (worst open gap 6.7e-16, smallest gap with a sink 3.7e-4)."""
+
+    @staticmethod
+    def gaps(sink):
+        for seed in range(200):
+            rng = np.random.default_rng(seed + 5000)
+            n_slots = int(rng.integers(2, 5))
+            k = int(rng.integers(1, n_slots))
+            sched, (src, snk), interior = seeded_chain(rng, n_slots, True)
+            full = chain_measure(sched, (src, snk if sink else None), interior, None)
+            sizes = [len(basis) for _, basis in interior]
+            marginal = full.measures.reshape(sizes).sum(axis=tuple(range(k, n_slots))).ravel()
+            cut = chain_measure(sched, (src, None), interior[:k], None).measures
+            yield seed, float(np.abs(marginal - cut).max())
+
+    def test_open_chain_marginal_is_the_cut_chain(self):
+        for seed, gap in self.gaps(sink=False):
+            assert gap <= 1e-12, f"seed {seed}: marginal off by {gap:.3e}"
+
+    def test_a_sink_reaches_back(self):
+        for seed, gap in self.gaps(sink=True):
+            assert gap > 1e-8, f"seed {seed}: marginal within {gap:.3e} of the cut chain"
 
 
 class TestLineIntegralAgreement:
