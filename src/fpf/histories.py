@@ -4,18 +4,17 @@ A fixed point pins equal forward and backward temporal parts to one state
 at one time; a history is a strictly increasing sequence of at least two
 of them. The network view expands each time layer into a complete basis
 of candidate fixed points and connects adjacent layers with one forward
-and one backward line per node pair.
+and one backward line per node pair; those lines are counted from the
+layer sizes, never built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .contour import Branch
 from .errors import (
     DimensionMismatch,
     InstanceTooLarge,
@@ -26,7 +25,9 @@ from .errors import (
 )
 from .statespace import Basis, _flat_norm, _frozen_array, is_unit
 
-MAX_EDGES = 1 << 16  # branch lines one network may build, as many as a chain's joints
+# branch lines one network may count, as many as a chain's joints: it keeps
+# over-cap files refused and bounds any later per-line work on a network
+MAX_EDGES = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,57 +75,11 @@ def make_history(points: Sequence[FixedPoint]) -> QuantumHistory:
     return QuantumHistory(tuple(points))
 
 
-@dataclass(frozen=True)
-class NetworkLayer:
-    t: float
-    nodes: Basis
-
-    @property
-    def size(self) -> int:
-        return len(self.nodes)
-
-
-@dataclass(frozen=True)
-class NetworkEdge:
-    """Directed branch line; source and target are (layer, node) index pairs."""
-
-    branch: Branch
-    source: tuple[int, int]
-    target: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class FixedPointNetwork:
-    layers: tuple[NetworkLayer, ...]
-    edges: tuple[NetworkEdge, ...]
-
-    @cached_property
-    def _pairs(self) -> dict[int, list[NetworkEdge]]:
-        """Edges between adjacent layers, grouped once by the earlier layer."""
-        pairs: dict[int, list[NetworkEdge]] = {}
-        for e in self.edges:
-            if abs(e.source[0] - e.target[0]) == 1:
-                pairs.setdefault(min(e.source[0], e.target[0]), []).append(e)
-        return pairs
-
-    def edges_between(self, i: int) -> tuple[NetworkEdge, ...]:
-        """All branch lines between layers i and i+1."""
-        return tuple(self._pairs.get(i, ()))
-
-    def channels_between(self, i: int) -> tuple[tuple[int, int], ...]:
-        """Two-way channels (node pairs) between layers i and i+1."""
-        seen: dict[tuple[int, int], None] = {}
-        for e in self.edges_between(i):
-            a, b = sorted((e.source, e.target))
-            seen[(a[1], b[1])] = None
-        return tuple(seen)
-
-
-def build_network(times: Sequence[float], bases: Sequence[Basis]) -> FixedPointNetwork:
-    """Full bipartite forward/backward line sets between adjacent layers:
-    one forward line earlier-to-later and one backward line later-to-earlier
-    per node pair, 2*N1*N2 lines in total per adjacent pair, counted before
-    any is built: more than MAX_EDGES raise InstanceTooLarge."""
+def build_network(times: Sequence[float], bases: Sequence[Basis]) -> tuple[int, ...]:
+    """Each layer's node count, once the layers are checked: strictly
+    increasing times and one forward and one backward line per node pair
+    of adjacent layers, 2*N1*N2 lines per pair, more than MAX_EDGES in all
+    raise InstanceTooLarge."""
     ts = [float(t) for t in times]
     if len(ts) != len(bases):
         raise ValidationError(f"{len(ts)} times but {len(bases)} layer bases")
@@ -132,14 +87,8 @@ def build_network(times: Sequence[float], bases: Sequence[Basis]) -> FixedPointN
         raise TooFewPoints("a network needs at least two layers")
     if any(not a < b for a, b in zip(ts, ts[1:])):
         raise NonMonotoneTimes("layer times must be strictly increasing")
-    count = sum(2 * len(a) * len(b) for a, b in zip(bases, bases[1:]))
+    sizes = tuple(len(b) for b in bases)
+    count = sum(2 * a * b for a, b in zip(sizes, sizes[1:]))
     if count > MAX_EDGES:
         raise InstanceTooLarge(f"{count} network branch lines exceed the limit of {MAX_EDGES}")
-    layers = tuple(NetworkLayer(t, basis) for t, basis in zip(ts, bases))
-    edges: list[NetworkEdge] = []
-    for i in range(len(layers) - 1):
-        for a in range(layers[i].size):
-            for b in range(layers[i + 1].size):
-                edges.append(NetworkEdge(Branch.FORWARD, (i, a), (i + 1, b)))
-                edges.append(NetworkEdge(Branch.BACKWARD, (i + 1, b), (i, a)))
-    return FixedPointNetwork(layers, tuple(edges))
+    return sizes

@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 from fpf.cli import main
-from fpf.histories import FixedPoint, build_network, make_history
+from fpf.histories import FixedPoint, make_history
 from fpf.measure import born_measure, chain_delta_psi
 from fpf.oracle import contour_line_integral
 from fpf.scenario import (
+    Query,
+    Scenario,
     _validate_checks,
     random_basis,
     random_scenario,
@@ -141,12 +143,16 @@ def test_criterion_5_tensor_sink_equivalence():
 
 
 def test_criterion_6_network_counting():
+    sched = random_schedule(np.random.default_rng(0), 2, 1)
+    layers = Query("network", ((sched.t_start, "a"), (sched.t_end, "b")))
     ok = True
     for n1 in range(1, 6):
         for n2 in range(1, 6):
-            net = build_network([0.0, 1.0], [standard_basis(n1), standard_basis(n2)])
-            ok = ok and len(net.edges_between(0)) == 2 * n1 * n2
-            ok = ok and len(net.channels_between(0)) == n1 * n2
+            bases = {"a": standard_basis(n1), "b": standard_basis(n2)}
+            report = run(Scenario(2, sched, (), bases, layers))
+            (pair,) = report.extra["adjacent_pairs"]
+            ok = ok and pair["edges"] == report.extra["edge_count"] == 2 * n1 * n2
+            ok = ok and pair["channels"] == n1 * n2
     _verdict(6, "network counting", ok, "exact edge/channel counts for all (N1,N2) in [1,5]^2")
 
 

@@ -393,7 +393,7 @@ print("\\n".join(decorated))
 """
 
 
-def test_import_runs_15_dataclass_decorations():
+def test_import_runs_12_dataclass_decorations():
     # each decoration costs start-up time in every `fpf` process
     src = str(Path(fpf.cli.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -402,7 +402,7 @@ def test_import_runs_15_dataclass_decorations():
     )
     assert proc.returncode == 0, proc.stderr
     decorated = proc.stdout.split()
-    assert len(decorated) == 15, decorated
+    assert len(decorated) == 12, decorated
     assert "fpf.oracle.DensityMatrix" not in decorated
 
 

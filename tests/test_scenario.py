@@ -180,12 +180,31 @@ class TestRunReports:
         for key in ("measures", "delta_psi", "normalizer", "oracle", "max_deviation", "errors"):
             assert key in doc
 
-    def test_network_report_counts(self):
-        report = run(random_scenario(11, 2, 1, "network"))
+    @given(st.lists(st.integers(1, 5), min_size=2, max_size=5))
+    @settings(max_examples=40, deadline=None)
+    def test_network_report_counts(self, sizes):
+        # layer k holds the identity basis of size sizes[k], at time k
+        identity = {n: [[[float(i == j), 0.0] for j in range(n)] for i in range(n)] for n in set(sizes)}
+        doc = minimal_born(
+            bases={f"id{n}": rows for n, rows in identity.items()},
+            hamiltonian={"pieces": [{"t_start": 0.0, "t_end": float(len(sizes)), "matrix": ZERO2}]},
+            fixed_points=[],
+            query={
+                "kind": "network",
+                "times": [float(k) for k in range(len(sizes))],
+                "bases": [f"id{n}" for n in sizes],
+            },
+        )
+        report = run(parse_scenario(doc))
+        pairs = report.extra["adjacent_pairs"]
+        assert len(pairs) == len(sizes) - 1
+        for i, (pair, n1, n2) in enumerate(zip(pairs, sizes, sizes[1:])):
+            assert pair["layers"] == [i, i + 1]
+            assert pair["edges"] == pair["expected_edges"] == 2 * n1 * n2
+            assert pair["channels"] == pair["expected_channels"] == n1 * n2
+        assert report.oracle == [float(2 * n1 * n2) for n1, n2 in zip(sizes, sizes[1:])]
+        assert report.extra["edge_count"] == sum(2 * n1 * n2 for n1, n2 in zip(sizes, sizes[1:]))
         assert report.max_deviation == 0.0
-        for pair in report.extra["adjacent_pairs"]:
-            assert pair["edges"] == pair["expected_edges"]
-            assert pair["channels"] == pair["expected_channels"]
 
     def test_validate_report_residuals(self):
         report = run(random_scenario(13, 4, 3, "validate"))
