@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from fpf.histories import MAX_EDGES, FixedPoint, build_network, make_history
 from fpf.statespace import standard_basis
 
 E0, E1 = standard_basis(2).rows
+_standard_basis = functools.cache(standard_basis)
 
 
 class TestMakeHistory:
@@ -74,6 +77,19 @@ class TestNetwork:
     def test_returns_the_layer_sizes(self, sizes):
         times = [float(i) for i in range(len(sizes))]
         assert build_network(times, [standard_basis(n) for n in sizes]) == tuple(sizes)
+
+    @given(st.lists(st.integers(1, 256), min_size=2, max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_counting_rules(self, sizes):
+        # 2*N1*N2 lines per adjacent pair, summed over the pairs, decide the cap
+        times = [float(i) for i in range(len(sizes))]
+        bases = [_standard_basis(n) for n in sizes]
+        count = sum(2 * n1 * n2 for n1, n2 in zip(sizes, sizes[1:]))
+        if count <= MAX_EDGES:
+            assert build_network(times, bases) == tuple(sizes)
+        else:
+            with pytest.raises(InstanceTooLarge, match=f"^{count} network branch lines exceed the limit of {MAX_EDGES}$"):
+                build_network(times, bases)
 
 
 class TestEdgeCap:
