@@ -40,18 +40,6 @@ class DimensionMismatch(ValidationError):
     code = "DIMENSION_MISMATCH"
 
 
-class TooFewPoints(ValidationError):
-    code = "TOO_FEW_POINTS"
-
-
-class NonMonotoneTimes(ValidationError):
-    code = "NON_MONOTONE_TIMES"
-
-
-class NotNormalized(ValidationError):
-    code = "NOT_NORMALIZED"
-
-
 class CoverageError(ValidationError):
     """Requested time lies outside the schedule's covered interval."""
 

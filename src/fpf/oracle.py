@@ -26,7 +26,7 @@ import numpy as np
 from .contour import Branch, build_path
 from .dynamics import HamiltonianSchedule
 from .errors import DimensionMismatch, InstanceTooLarge, ValidationError, ZeroDenominator
-from .histories import QuantumHistory
+from .histories import FixedPoint
 from .statespace import Basis, UnitaryMatrix, unitaries
 from .tolerances import active_tolerances
 
@@ -200,7 +200,7 @@ RK4_STEP_NORM_BOUND = 1.0
 
 
 def _contour_plan(
-    sched: HamiltonianSchedule, history: QuantumHistory
+    sched: HamiltonianSchedule, history: tuple[FixedPoint, ...]
 ) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray, range]]]:
     """The line integral's work, independent of the resolution: the
     generators (S, d, d) and signed durations (S,) of every
@@ -208,18 +208,19 @@ def _contour_plan(
     segment its start state, its end state and the indices of its spans.
     Backward segments list their spans latest first, with negative
     durations."""
-    sched.require_coverage(*history.times)
-    state_at = {p.t: p.state for p in history.points}
+    times = [p.t for p in history]
+    sched.require_coverage(*times)
+    state_at = {p.t: p.state for p in history}
     generators, durations, segments = [], [], []
-    for seg in build_path(history.times):
-        spans = _spans_of(sched.pieces_for(seg.branch), *seg.interval)
-        if seg.t_to < seg.t_from:
+    for branch, t_from, t_to in build_path(times):
+        spans = _spans_of(sched.pieces_for(branch), min(t_from, t_to), max(t_from, t_to))
+        if t_to < t_from:
             spans = [(h, b, a) for h, a, b in reversed(spans)]
         first = len(generators)
         for h, a, b in spans:
             generators.append(h)
             durations.append(b - a)
-        segments.append((state_at[seg.t_from], state_at[seg.t_to], range(first, len(generators))))
+        segments.append((state_at[t_from], state_at[t_to], range(first, len(generators))))
     return np.array(generators), np.array(durations), segments
 
 
@@ -237,7 +238,7 @@ def _path_weight(maps: np.ndarray, segments: list[tuple[np.ndarray, np.ndarray, 
 
 
 def contour_line_integral(
-    sched: HamiltonianSchedule, history: QuantumHistory, steps_per_segment: int
+    sched: HamiltonianSchedule, history: tuple[FixedPoint, ...], steps_per_segment: int
 ) -> tuple[float, float, float]:
     """History weight from the stepped line integral, a Richardson error
     estimate obtained by comparing against a half-resolution run, and an

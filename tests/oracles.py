@@ -18,7 +18,7 @@ import numpy as np
 from fpf.contour import Branch
 from fpf.dynamics import HamiltonianSchedule
 from fpf.errors import DimensionMismatch, InstanceTooLarge, NumericalCheckFailure, ValidationError
-from fpf.histories import QuantumHistory
+from fpf.histories import FixedPoint
 from fpf.oracle import _rk4_maps, propagator
 from fpf.statespace import HermitianOperator
 
@@ -84,7 +84,7 @@ def _rk4_segment(h: np.ndarray, psi: np.ndarray, t_from: float, t_to: float, ste
     return psi + _rk4_maps(a[np.newaxis], steps)[0] @ psi
 
 
-def tensor_sink_delta_psi(sched: HamiltonianSchedule, history: QuantumHistory) -> float:
+def tensor_sink_delta_psi(sched: HamiltonianSchedule, history: tuple[FixedPoint, ...]) -> float:
     """Brute-force history weight: build the full stack of time-labeled
     temporal parts, propagate each part with per-slot series exponentials,
     subtract the unpropagated term, and project on the explicit sink state.
@@ -93,12 +93,12 @@ def tensor_sink_delta_psi(sched: HamiltonianSchedule, history: QuantumHistory) -
     labels are exactly orthogonal and the unpropagated term's overlap is
     exactly zero (asserted, not approximated). Guarded to tiny instances.
     """
-    n, d = len(history.points), len(history.points[0].state)
+    n, d = len(history), len(history[0].state)
     if n > 3 or d > 2:
         raise InstanceTooLarge("tensor/sink evaluation is limited to n<=3 fixed points, dim<=2")
     m = n * d  # each slot: time-label block index (x) state index
-    states = [p.state for p in history.points]
-    times = history.times
+    states = [p.state for p in history]
+    times = [p.t for p in history]
 
     def labeled(idx: int, amp: np.ndarray) -> np.ndarray:
         vec = np.zeros(m, dtype=np.complex128)

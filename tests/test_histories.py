@@ -5,15 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpf.errors import (
-    DimensionMismatch,
-    InstanceTooLarge,
-    NonMonotoneTimes,
-    NotNormalized,
-    TooFewPoints,
-    ValidationError,
-)
+from fpf.errors import DimensionMismatch, InstanceTooLarge, ValidationError
 from fpf.histories import MAX_EDGES, FixedPoint, build_network, make_history
+from fpf.measure import chain_delta_psi
+from fpf.oracle import contour_line_integral
+from fpf.scenario import random_schedule, random_state
 from fpf.statespace import standard_basis
 
 E0, E1 = standard_basis(2).rows
@@ -22,30 +18,41 @@ _standard_basis = functools.cache(standard_basis)
 
 class TestMakeHistory:
     def test_minimal_pair(self):
-        h = make_history([FixedPoint(0.0, E0), FixedPoint(1.0, E1)])
-        assert len(h.points) == 2
-        assert h.times == (0.0, 1.0)
+        pts = [FixedPoint(0.0, E0), FixedPoint(1.0, E1)]
+        assert make_history(pts) == tuple(pts)
 
     def test_single_point_rejected(self):
-        with pytest.raises(TooFewPoints):
+        with pytest.raises(ValidationError, match="^a history needs at least two fixed points$"):
             make_history([FixedPoint(0.0, E0)])
 
     def test_non_monotone_rejected(self):
-        with pytest.raises(NonMonotoneTimes):
+        with pytest.raises(ValidationError, match="^history times must be strictly increasing$"):
             make_history([FixedPoint(1.0, E0), FixedPoint(0.0, E1)])
 
     def test_nan_time_rejected(self):
-        with pytest.raises(NonMonotoneTimes):
+        with pytest.raises(ValidationError, match="^history times must be strictly increasing$"):
             make_history([FixedPoint(float("nan"), E0), FixedPoint(1.0, E1)])
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             make_history([FixedPoint(0.0, E0), FixedPoint(1.0, standard_basis(3).rows[0])])
 
-    def test_unnormalized_rejected(self):
-        crooked = np.array([0.5, 0.5])
-        with pytest.raises(NotNormalized):
-            make_history([FixedPoint(0.0, E0), FixedPoint(1.0, crooked)])
+    def test_oracle_holds_on_non_unit_histories(self):
+        # a history does not check norms: the line integral's truncation
+        # bound scales with the product of the state norms, so the chain
+        # gate's bound holds on states scaled by 0.5-2
+        rng = np.random.default_rng(38)
+        worst = 0.0
+        for _ in range(200):
+            dim, pieces, slots = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(0, 4))
+            sched = random_schedule(rng, dim, pieces)
+            times = [sched.t_start, *sorted(rng.uniform(sched.t_start, sched.t_end, slots)), sched.t_end]
+            pts = [FixedPoint(float(t), rng.uniform(0.5, 2.0) * random_state(rng, dim)) for t in times]
+            weight = chain_delta_psi(sched, pts).real
+            value, _, truncation = contour_line_integral(sched, make_history(pts), 512)
+            worst = max(worst, abs(value - weight) / (truncation + 1e-12 * max(1.0, abs(weight))))
+        print(f"worst |oracle - engine| over the chain gate's bound: {worst:.3f}")
+        assert worst <= 1.0, worst
 
 
 class TestNetwork:
@@ -60,16 +67,16 @@ class TestNetwork:
             build_network([0.0, 1.0], [standard_basis(2)])
 
     def test_non_monotone_layers(self):
-        with pytest.raises(NonMonotoneTimes):
+        with pytest.raises(ValidationError, match="^layer times must be strictly increasing$"):
             build_network([1.0, 0.0], [standard_basis(2), standard_basis(2)])
 
     def test_single_layer(self):
-        with pytest.raises(TooFewPoints):
+        with pytest.raises(ValidationError, match="^a network needs at least two layers$"):
             build_network([0.0], [standard_basis(2)])
 
     @pytest.mark.parametrize("times", [[float("nan"), 1.0], [0.0, float("nan")]])
     def test_nan_layer_time(self, times):
-        with pytest.raises(NonMonotoneTimes):
+        with pytest.raises(ValidationError, match="^layer times must be strictly increasing$"):
             build_network(times, [standard_basis(2), standard_basis(2)])
 
     @given(st.lists(st.integers(1, 5), min_size=2, max_size=5))

@@ -118,7 +118,7 @@ class TestLineIntegral:
     def test_observed_order_at_least_3_5(self):
         sched = constant(SX, 0.0, QUARTER)
         h = make_history([FixedPoint(0.0, E0), FixedPoint(QUARTER, E1)])
-        closed = chain_delta_psi(sched, h.points).real
+        closed = chain_delta_psi(sched, h).real
         errors = []
         for steps in (8, 16, 32):
             value, _, _ = contour_line_integral(sched, h, steps)
@@ -179,16 +179,16 @@ def _per_span_line_integral(sched, history, steps):
     _rk4_segment, at steps and steps // 2, with the same estimate."""
 
     def weight(n):
-        state_at = {p.t: p.state for p in history.points}
+        state_at = {p.t: p.state for p in history}
         value = complex(1.0)
-        for seg in build_path(history.times):
-            psi = state_at[seg.t_from]
-            spans = _constant_spans(sched, seg.branch, *seg.interval)
-            if seg.t_to < seg.t_from:
+        for branch, t_from, t_to in build_path([p.t for p in history]):
+            psi = state_at[t_from]
+            spans = _constant_spans(sched, branch, min(t_from, t_to), max(t_from, t_to))
+            if t_to < t_from:
                 spans = [(h, b, a) for h, a, b in reversed(spans)]
             for h, a, b in spans:
                 psi = _rk4_segment(h, psi, a, b, n)
-            value *= complex(np.vdot(state_at[seg.t_to], psi))
+            value *= complex(np.vdot(state_at[t_to], psi))
         return value
 
     fine, coarse = weight(steps), weight(steps // 2)
@@ -232,7 +232,8 @@ class TestStackedLineIntegral:
     @pytest.mark.parametrize("slots, pieces", [(0, 1), (1, 4), (3, 2), (8, 3)])
     def test_one_stacked_power_for_both_resolutions(self, monkeypatch, slots, pieces):
         sched, history = random_chain(np.random.default_rng(slots), slots, pieces, 3)
-        n_spans = sum(len(_constant_spans(sched, s.branch, *s.interval)) for s in build_path(history.times))
+        path = build_path([p.t for p in history])
+        n_spans = sum(len(_constant_spans(sched, branch, min(a, b), max(a, b))) for branch, a, b in path)
         calls = []
         maps = fpf.oracle._rk4_maps
 

@@ -74,7 +74,7 @@ class TestTensorSink:
         got = tensor_sink_delta_psi(sched, h)
         assert got == pytest.approx(0.5, abs=1e-13)
         assert got == pytest.approx(
-            chain_delta_psi(sched, h.points).real, abs=1e-12
+            chain_delta_psi(sched, h).real, abs=1e-12
         )
 
     @pytest.mark.parametrize("seed", range(8))
