@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .contour import Branch
-from .errors import CoverageError, DimensionMismatch, ValidationError
+from .errors import ValidationError
 from .statespace import HermitianOperator, UnitaryMatrix, expm_hermitian, unitaries
 from .tolerances import active_tolerances
 
@@ -40,7 +40,7 @@ def _validate_pieces(pieces: Sequence[SchedulePiece], gap_tol: float) -> None:
     dim = pieces[0].hamiltonian.dim
     for p in pieces:
         if p.hamiltonian.dim != dim:
-            raise DimensionMismatch("schedule pieces have differing dimensions")
+            raise ValidationError("schedule pieces have differing dimensions")
     for prev, nxt in zip(pieces, pieces[1:]):
         if abs(nxt.t_start - prev.t_end) > gap_tol:
             raise ValidationError(
@@ -67,7 +67,7 @@ class HamiltonianSchedule:
             override = tuple(self.branch_override)
             _validate_pieces(override, tols.schedule_gap)
             if override[0].hamiltonian.dim != pieces[0].hamiltonian.dim:
-                raise DimensionMismatch("branch override has a different dimension")
+                raise ValidationError("branch override has a different dimension")
             same_cover = (
                 abs(override[0].t_start - pieces[0].t_start) <= tols.schedule_gap
                 and abs(override[-1].t_end - pieces[-1].t_end) <= tols.schedule_gap
@@ -109,7 +109,7 @@ class HamiltonianSchedule:
     def require_coverage(self, *times: float) -> None:
         for t in times:
             if not self.covers(t):
-                raise CoverageError(
+                raise ValidationError(
                     f"time {t} outside schedule coverage [{self.t_start}, {self.t_end}]"
                 )
 

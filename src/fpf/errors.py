@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the engine.
 
-Three families matter for the CLI exit protocol, and each carries its exit
-status as `exit_code`: validation errors (bad input, exit 2), domain
-errors (well-formed input whose query has no answer, exit 3), and
+Every concrete class is a code that `fpf` can print, as `CODE: message`
+on stderr, and carries its exit status as `exit_code`. `FpfError` and
+`DomainError` name the families: validation errors (bad input, exit 2),
+domain errors (well-formed input whose query has no answer, exit 3), and
 internal numerical check failures (exit 4).
 """
 
@@ -36,16 +37,6 @@ class SchemaError(ValidationError):
     code = "SCHEMA_ERROR"
 
 
-class DimensionMismatch(ValidationError):
-    code = "DIMENSION_MISMATCH"
-
-
-class CoverageError(ValidationError):
-    """Requested time lies outside the schedule's covered interval."""
-
-    code = "COVERAGE_ERROR"
-
-
 class InstanceTooLarge(ValidationError):
     """Brute-force oracle guard: instance exceeds its size limits."""
 
@@ -75,12 +66,6 @@ class DegenerateNormalizer(DomainError):
     """Outcome weights sum to (numerically) zero; basis cannot be complete."""
 
     code = "DEGENERATE_NORMALIZER"
-
-
-class ZeroDenominator(DomainError):
-    """Textbook pre/post-selection rule denominator vanishes."""
-
-    code = "ZERO_DENOMINATOR"
 
 
 # -- internal checks (exit 4) ------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InstanceTooLarge, ValidationError
+from .errors import InstanceTooLarge, ValidationError
 from .statespace import Basis, _frozen_array
 
 # branch lines one network may count, as many as a chain's joints: it keeps
@@ -51,7 +51,7 @@ def make_history(points: Sequence[FixedPoint]) -> tuple[FixedPoint, ...]:
     if any(not a.t < b.t for a, b in zip(pts, pts[1:])):
         raise ValidationError("history times must be strictly increasing")
     if any(len(p.state) != len(pts[0].state) for p in pts):
-        raise DimensionMismatch("history states have differing dimensions")
+        raise ValidationError("history states have differing dimensions")
     return pts
 
 

@@ -27,7 +27,6 @@ from .contour import Branch
 from .dynamics import HamiltonianSchedule, propagators
 from .errors import (
     DegenerateNormalizer,
-    DimensionMismatch,
     ImpossiblePostSelection,
     InstanceTooLarge,
     NumericalCheckFailure,
@@ -100,7 +99,7 @@ def _segment_amplitudes(
     backward = a* U_B(t_b -> t_a) b^T, indexed as in the module docstring:
     one stacked propagator pass, and a second under a branch override."""
     if any(states.shape[1] != sched.dim for _, states in slots):
-        raise DimensionMismatch(f"slot states must have the schedule's dim {sched.dim}")
+        raise ValidationError(f"slot states must have the schedule's dim {sched.dim}")
     times = [t for t, _ in slots]
     forward_us = propagators(sched, Branch.FORWARD, times)
     backward_us = propagators(sched, Branch.BACKWARD, times) if sched.branch_override else forward_us

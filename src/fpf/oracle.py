@@ -25,10 +25,9 @@ import numpy as np
 
 from .contour import Branch, build_path
 from .dynamics import HamiltonianSchedule
-from .errors import DimensionMismatch, InstanceTooLarge, ValidationError, ZeroDenominator
+from .errors import ImpossiblePostSelection, InstanceTooLarge, ValidationError
 from .histories import FixedPoint
 from .statespace import Basis, UnitaryMatrix, unitaries
-from .tolerances import active_tolerances
 
 
 def _squarings(s: float) -> int:
@@ -127,14 +126,14 @@ def propagator(
 def standard_born(u: UnitaryMatrix, psi: np.ndarray, phi: np.ndarray) -> float:
     """Textbook transition probability |<phi| u |psi>|^2."""
     if not u.dim == len(psi) == len(phi):
-        raise DimensionMismatch("standard_born arguments disagree in dimension")
+        raise ValidationError("standard_born arguments disagree in dimension")
     return float(abs(np.vdot(phi, u.mat @ psi)) ** 2)
 
 
 def born_rule(u: UnitaryMatrix, psi: np.ndarray, outcomes: Basis) -> list[float]:
     """`standard_born` for every element of a basis, u psi formed once."""
     if not u.dim == len(psi) == outcomes.dim:
-        raise DimensionMismatch("born_rule arguments disagree in dimension")
+        raise ValidationError("born_rule arguments disagree in dimension")
     fwd = u.mat @ psi
     return [float(abs(np.vdot(a, fwd)) ** 2) for a in outcomes.rows]
 
@@ -149,13 +148,13 @@ def abl_rule(
     """Textbook pre/post-selected outcome probabilities:
     |<phi|u2|a_i><a_i|u1|psi>|^2, normalized over the basis."""
     if not u1.dim == u2.dim == len(psi) == len(phi) == outcomes.dim:
-        raise DimensionMismatch("abl_rule arguments disagree in dimension")
+        raise ValidationError("abl_rule arguments disagree in dimension")
     fwd = u1.mat @ psi
     back = u2.mat.conj().T @ phi
     numerators = [float(abs(np.vdot(back, a) * np.vdot(a, fwd)) ** 2) for a in outcomes.rows]
     denominator = sum(numerators)
-    if denominator <= active_tolerances().degenerate_normalizer:
-        raise ZeroDenominator("all pre/post-selection numerators vanish")
+    if denominator == 0.0:
+        raise ImpossiblePostSelection("all pre/post-selection numerators vanish")
     return [n / denominator for n in numerators]
 
 

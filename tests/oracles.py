@@ -17,7 +17,7 @@ import numpy as np
 
 from fpf.contour import Branch
 from fpf.dynamics import HamiltonianSchedule
-from fpf.errors import DimensionMismatch, InstanceTooLarge, NumericalCheckFailure, ValidationError
+from fpf.errors import InstanceTooLarge, NumericalCheckFailure, ValidationError
 from fpf.histories import FixedPoint
 from fpf.oracle import _rk4_maps, propagator
 from fpf.statespace import HermitianOperator
@@ -65,7 +65,7 @@ def expectation(
 ) -> float:
     """Tr[rho U(t1,t2) obs U(t2,t1)] with the series propagator."""
     if not rho.dim == sched.dim == obs.dim:
-        raise DimensionMismatch("expectation arguments disagree in dimension")
+        raise ValidationError("expectation arguments disagree in dimension")
     u = propagator(sched, Branch.FORWARD, t1, t2).mat
     value = complex(np.trace(rho.mat @ u.conj().T @ obs.mat @ u))
     if abs(value.imag) > EXPECTATION_IMAG:

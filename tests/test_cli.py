@@ -2,6 +2,8 @@ import argparse
 import json
 import math
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 import threading
@@ -15,9 +17,12 @@ import pytest
 
 import fpf.cli
 import fpf.errors
+import fpf.oracle
 import fpf.scenario
 from fpf.cli import main
+from fpf.contour import Branch
 from fpf.errors import DomainError, FpfError, ValidationError
+from fpf.measure import chain_measure
 from fpf.scenario import parse_scenario, random_scenario, run, serialize_scenario
 from fpf.tolerances import Tolerances, active_tolerances, tolerance_overrides
 
@@ -52,6 +57,32 @@ class TestRun:
         line = err.strip().splitlines()
         assert len(line) == 1
         assert line[0].startswith("IMPOSSIBLE_POST_SELECTION:")
+
+    def test_only_the_engine_refuses_a_post_selection(self, capsys, tmp_path):
+        # a degenerate_normalizer between the oracle's ABL sum and the
+        # engine's normalizer is the engine's call alone: the engine accepts
+        # the normalizer, so the oracle must answer and the gate compare
+        for seed in range(40):
+            text = serialize_scenario(random_scenario(seed, 2 + seed % 5, 1 + seed % 3, "abl"))
+            scenario = parse_scenario(text)
+            src, snk = scenario.fixed_points
+            ((t, name),) = scenario.query.slots
+            outcomes = scenario.resolve_basis(name)
+            u1, u2 = fpf.oracle.propagators(scenario.schedule, Branch.FORWARD, (src.t, t, snk.t))
+            fwd, back = u1.mat @ src.state, u2.mat.conj().T @ snk.state
+            oracle_sum = sum(float(abs(np.vdot(back, a) * np.vdot(a, fwd)) ** 2) for a in outcomes.rows)
+            normalizer = chain_measure(scenario.schedule, (src, snk), [(t, outcomes)], None).normalizer
+            if oracle_sum < normalizer:
+                break
+        else:
+            pytest.fail("no seed below 40 has an oracle sum below the engine's normalizer")
+        doc = json.loads(text)
+        doc["tolerances"] = {"degenerate_normalizer": oracle_sum}
+        path = _write(tmp_path, doc)
+        code, out, err = run_cli(capsys, "run", path)
+        assert (code, err) == (0, "") and out
+        report = run(parse_scenario(Path(path).read_bytes()))
+        assert report.max_deviation <= report.oracle_bound
 
     def test_branch_inconsistent_schedule_exit_code(self, capsys, tmp_path):
         # forward sigma_x vs free backward branch: weights over the x basis
@@ -239,6 +270,16 @@ class TestValidate:
         code, out, err = run_cli(capsys, "run", path)
         assert (code, out) == (4, "")
         assert err.startswith("NUMERICAL_CHECK_FAILURE: propagator law residual ")
+
+    def test_a_tight_unitary_tolerance_is_refused_before_the_checks(self, capsys, tmp_path):
+        # the engine's propagator check holds U(t0 -> t1) to `unitary` first,
+        # so a unitarity residual above it is a validation error, never exit 4
+        _, doc, _ = run_cli(capsys, "random", "--seed", "0", "--dim", "4", "--pieces", "3", "--query", "validate")
+        path = _write(tmp_path, json.loads(doc))
+        code, out, err = run_cli(capsys, "run", path, "--tol-override", "unitary=1e-15")
+        assert (code, out) == (2, "")
+        _one_error_line(err, "VALIDATION_ERROR")
+        assert err.startswith("VALIDATION_ERROR: matrix is not unitary: ||U^H U - I||_F = ")
 
 
 class TestNetwork:
@@ -850,7 +891,7 @@ class TestExitCodes:
             cls for cls in vars(fpf.errors).values()
             if isinstance(cls, type) and issubclass(cls, FpfError)
         ]
-        assert len(families) == 13
+        assert len(families) == 10
         for cls in families:
             if issubclass(cls, ValidationError):
                 assert cls.exit_code == 2, cls
@@ -866,6 +907,27 @@ class TestExitCodes:
         monkeypatch.setattr(fpf.cli, "run", fail)
         code, out, err = run_cli(capsys, "run", str(SCENARIOS / "born_sx_quarter.json"))
         assert (code, out, err) == (4, "", "FPF_ERROR: unexpected state\n")
+
+
+class TestReadme:
+    TEXT = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+    def test_every_printable_code_is_listed(self):
+        # DomainError names a family; no code raises it bare
+        codes = {
+            cls.code for cls in vars(fpf.errors).values()
+            if isinstance(cls, type) and issubclass(cls, FpfError) and cls is not DomainError
+        }
+        assert {code for code in codes if f"`{code}`" not in self.TEXT} == set()
+
+    def test_every_dotted_name_resolves(self):
+        unresolved = set()
+        for name in set(re.findall(r"(?<![\w/.])fpf(?:\.\w+)+", self.TEXT)):
+            try:
+                pkgutil.resolve_name(name)
+            except (ImportError, AttributeError):
+                unresolved.add(name)
+        assert unresolved == set()
 
 
 class TestParserFuzz:

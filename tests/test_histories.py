@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpf.errors import DimensionMismatch, InstanceTooLarge, ValidationError
+from fpf.errors import InstanceTooLarge, ValidationError
 from fpf.histories import MAX_EDGES, FixedPoint, build_network, make_history
 from fpf.measure import chain_delta_psi
 from fpf.oracle import contour_line_integral
@@ -34,7 +34,7 @@ class TestMakeHistory:
             make_history([FixedPoint(float("nan"), E0), FixedPoint(1.0, E1)])
 
     def test_dim_mismatch_rejected(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match="^history states have differing dimensions$"):
             make_history([FixedPoint(0.0, E0), FixedPoint(1.0, standard_basis(3).rows[0])])
 
     def test_oracle_holds_on_non_unit_histories(self):

@@ -11,7 +11,6 @@ from fpf.contour import Branch
 from fpf.dynamics import HamiltonianSchedule, SchedulePiece, propagate, propagators
 from fpf.errors import (
     DegenerateNormalizer,
-    DimensionMismatch,
     ImpossiblePostSelection,
     InstanceTooLarge,
     NumericalCheckFailure,
@@ -256,15 +255,15 @@ class TestChainMeasure:
             chain_measure(FREE, (pre, post), [(0.5, standard_basis(2))], [])
 
     @pytest.mark.parametrize(
-        "endpoints, interior, error",
+        "endpoints, interior, message",
         [
-            ((FixedPoint(0.0, E0), None), [(0.5, standard_basis(3))], DimensionMismatch),
-            ((FixedPoint(0.0, E0), None), [], ValidationError),
+            ((FixedPoint(0.0, E0), None), [(0.5, standard_basis(3))], "slot states must have the schedule's dim 2"),
+            ((FixedPoint(0.0, E0), None), [], "a history weight needs at least two fixed points"),
         ],
         ids=["slot-dim", "one-point"],
     )
-    def test_malformed_slots_rejected(self, endpoints, interior, error):
-        with pytest.raises(error):
+    def test_malformed_slots_rejected(self, endpoints, interior, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
             chain_measure(FREE, endpoints, interior, None)
 
 
@@ -525,7 +524,7 @@ def one_loop_joint_weights(sched, slots):
     if joints > MAX_JOINTS:
         raise InstanceTooLarge(f"{joints} joint outcomes exceed the limit of {MAX_JOINTS}")
     if any(states.shape[1] != sched.dim for _, states in slots):
-        raise DimensionMismatch(f"slot states must have the schedule's dim {sched.dim}")
+        raise ValidationError(f"slot states must have the schedule's dim {sched.dim}")
     times = [t for t, _ in slots]
     forward_us = propagators(sched, Branch.FORWARD, times)
     backward_us = propagators(sched, Branch.BACKWARD, times) if sched.branch_override else forward_us
