@@ -75,7 +75,8 @@ def near_bound_scenario(seed: int) -> tuple[float, Scenario]:
     src = FixedPoint(t0, random_state(rng, dim))
     bases = {f"a{i}": random_basis(rng, dim) for i in range(n_slots)}
     snk = FixedPoint(t1, random_state(rng, dim))
-    query = Query(kind="chain", slots=tuple(zip(times, bases)), selection=(0,) * n_slots)
+    slots = tuple((t, *item) for t, item in zip(times, bases.items()))
+    query = Query(kind="chain", slots=slots, selection=(0,) * n_slots)
     return norm, Scenario(dim=dim, schedule=sched, fixed_points=(src, snk), bases=bases, query=query)
 
 

@@ -4,20 +4,22 @@ Time dependence is modeled as contiguous constant pieces, so the
 time-ordered exponential collapses to an exact finite product of spectral
 exponentials: latest factor leftmost when evolving toward larger times,
 and the adjoint of that product when evolving toward smaller times.
-A schedule diagonalizes each branch's generators together, once, and
-`propagators` builds all the propagators of a query in one stacked pass.
+`propagators` diagonalizes a branch's generators in one stacked eigh per
+call, and builds all the propagators of a query from it in one pass, as
+`propagator_laws` builds the law residuals: a schedule caches no spectrum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
 from .contour import Branch
 from .errors import ValidationError
-from .statespace import HermitianOperator, UnitaryMatrix, expm_hermitian, unitaries
+from .statespace import HermitianOperator, UnitaryMatrix, _flat_norm, expm_hermitian, unitaries, unitarity_defect
 from .tolerances import active_tolerances
 
 
@@ -56,7 +58,6 @@ class HamiltonianSchedule:
 
     pieces: tuple[SchedulePiece, ...]
     branch_override: tuple[SchedulePiece, ...] | None = None
-    _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tols = active_tolerances()
@@ -93,15 +94,6 @@ class HamiltonianSchedule:
             return self.branch_override
         return self.pieces
 
-    def _spectrum(self, branch: Branch) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (P, d) and eigenvectors (P, d, d) of the branch's P
-        generators, from one stacked eigh on first use."""
-        own = branch is Branch.BACKWARD and self.branch_override is not None
-        if own not in self._spectra:
-            mats = [p.hamiltonian.mat for p in self.pieces_for(branch)]
-            self._spectra[own] = np.linalg.eigh(np.array(mats))
-        return self._spectra[own]
-
     def covers(self, t: float) -> bool:
         slack = active_tolerances().schedule_gap
         return self.t_start - slack <= t <= self.t_end + slack
@@ -114,14 +106,17 @@ class HamiltonianSchedule:
                 )
 
 
-def propagators(
-    sched: HamiltonianSchedule, branch: Branch, times: Sequence[float]
-) -> tuple[UnitaryMatrix, ...]:
-    """U(t_k -> t_k+1) on the branch for consecutive times in one pass: all
-    span exponentials at once, each segment the product of its factors,
-    latest leftmost (adjoint going back in time), one unitarity check."""
-    sched.require_coverage(*times)
-    pieces = sched.pieces_for(branch)
+def _spectrum(pieces: Sequence[SchedulePiece]) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (P, d) and eigenvectors (P, d, d) of P pieces' generators: one stacked eigh."""
+    return np.linalg.eigh(np.array([p.hamiltonian.mat for p in pieces]))
+
+
+def _products(
+    pieces: Sequence[SchedulePiece], w: np.ndarray, v: np.ndarray, times: Sequence[float]
+) -> list[np.ndarray]:
+    """U(t_k -> t_k+1) for consecutive times from the pieces' spectrum (w, v):
+    all span exponentials at once, each segment the product of its factors,
+    latest leftmost (adjoint going back in time). Plain arrays."""
     which, durations, ends = [], [], []
     for lo, hi in map(sorted, zip(times, times[1:])):
         for k, piece in enumerate(pieces):
@@ -130,15 +125,41 @@ def propagators(
                 which.append(k)
                 durations.append(b - a)
         ends.append(len(which))
-    w, v = sched._spectrum(branch)
     factors = expm_hermitian(w[which], v[which], np.array(durations))
     out = []
     for t_a, t_b, start, end in zip(times, times[1:], [0, *ends], ends):
-        u = factors[start] if end > start else np.eye(sched.dim, dtype=np.complex128)
+        u = factors[start] if end > start else np.eye(v.shape[-1], dtype=np.complex128)
         for factor in factors[start + 1 : end]:
             u = factor @ u
         out.append(u.conj().T if t_b < t_a else u)
-    return unitaries(out)
+    return out
+
+
+def propagators(
+    sched: HamiltonianSchedule, branch: Branch, times: Sequence[float]
+) -> tuple[UnitaryMatrix, ...]:
+    """U(t_k -> t_k+1) on the branch for consecutive times in one pass: one
+    stacked eigh of its generators, `_products`, one unitarity check."""
+    sched.require_coverage(*times)
+    pieces = sched.pieces_for(branch)
+    return unitaries(_products(pieces, *_spectrum(pieces), times))
+
+
+def propagator_laws(sched: HamiltonianSchedule) -> dict[str, float]:
+    """The forward propagator's law residuals over the covered [t0, t1], from
+    one eigh: unitarity of U(t0 -> t1), composition through the midpoint,
+    and reversal, U(t1 -> t0) against the pieces undone one by one."""
+    pieces, t0, t1 = sched.pieces, sched.t_start, sched.t_end
+    w, v = _spectrum(pieces)
+    u, back, early, late = unitaries(_products(pieces, w, v, (t0, t1, t0, 0.5 * (t0 + t1), t1)))
+    # U(t1 -> t0) built apart from `_products`, which forms it as the adjoint
+    # of u: exp(+i d_k h_k) per piece, earliest leftmost, so the latest is undone first
+    undo = reduce(np.matmul, expm_hermitian(w, v, np.array([p.t_start - p.t_end for p in pieces])))
+    return {
+        "unitarity": unitarity_defect(u.mat),
+        "composition": float(_flat_norm(u.mat - late.mat @ early.mat)),
+        "reversal": float(_flat_norm(back.mat - undo)),
+    }
 
 
 def propagate(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import partial
 from itertools import chain, product
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable, Sequence
@@ -22,18 +22,16 @@ import orjson
 
 from . import measure, oracle
 from .contour import Branch
-from .dynamics import HamiltonianSchedule, SchedulePiece, propagators
+from .dynamics import HamiltonianSchedule, SchedulePiece, propagator_laws
 from .errors import NumericalCheckFailure, ScenarioSyntaxError, SchemaError, ValidationError
 from .histories import FixedPoint, build_network, make_history
 from .statespace import (
     Basis,
     HermitianOperator,
     _flat_norm,
-    expm_hermitian,
     hermitians,
     is_unit,
     standard_basis,
-    unitarity_defect,
 )
 from .tolerances import active_tolerances, block_overrides, tolerance_overrides
 
@@ -48,9 +46,10 @@ _X_ALIASES = {"+": 0, "-": 1}
 @dataclass(frozen=True)
 class Query:
     kind: str
-    # (time, basis name) pairs: a born or abl query's one outcome slot, a
-    # chain's interior slots, a network's layers
-    slots: tuple[tuple[float, str], ...] = ()
+    # (time, basis name, basis) triples: a born or abl query's one outcome
+    # slot, a chain's interior slots, a network's layers; the name is kept
+    # for the report's query echo and for serialize_scenario
+    slots: tuple[tuple[float, str, Basis], ...] = ()
     selection: tuple[int, ...] = ()  # a chain's selected outcome per slot
 
 
@@ -62,22 +61,14 @@ class Scenario:
     bases: dict[str, Basis]
     query: Query
     tolerance_overrides: dict[str, float] = field(default_factory=dict)
-    # built-in bases resolved so far, so each is built and checked once
-    builtins: dict[str, Basis | None] = field(default_factory=dict, repr=False, compare=False)
-
-    def resolve_basis(self, name: str) -> Basis:
-        found = resolve_basis(name, self.dim, self.bases, self.builtins)
-        if found is None:
-            raise ValidationError(f"query references unknown basis {name!r}")
-        return found
 
 
 def resolve_basis(
     name: str, dim: int, bases: dict[str, Basis], builtins: dict[str, Basis | None]
 ) -> Basis | None:
     """The scenario's own basis `name`, else the built-in one ("z" in any
-    dim, "x" in dim 2), which is built on first lookup and kept in
-    `builtins`; None where there is neither."""
+    dim, "x" in dim 2), built on first lookup and kept in `builtins`, which
+    lives as long as one parse; None where there is neither."""
     if name in bases:
         return bases[name]
     if name not in builtins:
@@ -279,8 +270,7 @@ def _parse_query(
             raise ValidationError("query.time must follow the preparation time")
         if kind == "abl" and not fixed_points[0].t < t < fixed_points[1].t:
             raise ValidationError("query.time must lie strictly between the selections")
-        _outcome_basis(outcomes, schedule.dim, lookup)
-        return Query(kind, ((t, outcomes),))
+        return Query(kind, ((t, outcomes, _outcome_basis(outcomes, schedule.dim, lookup)),))
     if kind == "chain":
         interior_raw = _want(raw, "interior", path)
         if not isinstance(interior_raw, list):
@@ -298,13 +288,13 @@ def _parse_query(
         if any(not a < b for a, b in zip(times, times[1:])):
             raise ValidationError("interior times must increase strictly between the endpoints")
         # the slots lie strictly between covered endpoints, so they are covered
-        slot_bases = [_outcome_basis(name, schedule.dim, lookup) for _, name in interior]
+        slots = tuple((t, name, _outcome_basis(name, schedule.dim, lookup)) for t, name in interior)
         if len(selection) != len(interior):
             raise ValidationError("selection length must match the number of interior slots")
-        for i, (idx, basis) in enumerate(zip(selection, slot_bases)):
+        for i, (idx, (_, _, basis)) in enumerate(zip(selection, slots)):
             if not 0 <= idx < len(basis):
                 raise ValidationError(f"{path}.selection[{i}]: index {idx} out of range")
-        return Query(kind, interior, tuple(selection))
+        return Query(kind, slots, tuple(selection))
     if kind == "network":
         times_raw = _want(raw, "times", path)
         if not isinstance(times_raw, list):
@@ -319,10 +309,11 @@ def _parse_query(
             raise ValidationError("network layer times must be strictly increasing")
         for i, t in enumerate(times):
             _check_covered(schedule, t, f"{path}.times[{i}]")
-        for name in layer_bases:
-            if lookup(name) is None:
+        layers = tuple((t, name, lookup(name)) for t, name in zip(times, layer_bases))
+        for _, name, basis in layers:
+            if basis is None:
                 raise ValidationError(f"{path}.bases: unknown basis {name!r}")
-        return Query(kind, tuple(zip(times, layer_bases)))
+        return Query(kind, layers)
     return Query(kind)
 
 
@@ -453,7 +444,6 @@ def parse_scenario(source: Any, overrides: dict[str, float] | None = None) -> Sc
             bases=bases,
             query=query,
             tolerance_overrides=overrides,
-            builtins=builtins,
         )
 
 
@@ -531,19 +521,19 @@ def _dump_pieces(pieces: Sequence[SchedulePiece]) -> list[dict]:
 
 def _dump_query(q: Query) -> dict:
     if q.kind in ("born", "abl"):
-        ((t, name),) = q.slots
+        ((t, name, _),) = q.slots
         return {"kind": q.kind, "time": float(t), "outcomes": name}
     if q.kind == "chain":
         return {
             "kind": "chain",
-            "interior": [{"time": float(t), "outcomes": name} for t, name in q.slots],
+            "interior": [{"time": float(t), "outcomes": name} for t, name, _ in q.slots],
             "selection": [int(i) for i in q.selection],
         }
     if q.kind == "network":
         return {
             "kind": "network",
-            "times": [float(t) for t, _ in q.slots],
-            "bases": [name for _, name in q.slots],
+            "times": [float(t) for t, _, _ in q.slots],
+            "bases": [name for _, name, _ in q.slots],
         }
     return {"kind": "validate"}
 
@@ -620,7 +610,7 @@ def random_scenario(seed: int, dim: int, n_pieces: int, kind: str) -> Scenario:
     if kind == "born":
         fixed_points = (FixedPoint(t0, random_state(rng, dim)),)
         bases["m"] = random_basis(rng, dim)
-        query = Query("born", ((t1, "m"),))
+        query = Query("born", ((t1, "m", bases["m"]),))
     elif kind == "abl":
         fixed_points = (
             FixedPoint(t0, random_state(rng, dim)),
@@ -628,7 +618,7 @@ def random_scenario(seed: int, dim: int, n_pieces: int, kind: str) -> Scenario:
         )
         bases["a"] = random_basis(rng, dim)
         t_mid = t0 + (t1 - t0) * float(rng.uniform(0.25, 0.75))
-        query = Query("abl", ((t_mid, "a"),))
+        query = Query("abl", ((t_mid, "a", bases["a"]),))
     elif kind == "chain":
         fixed_points = (
             FixedPoint(t0, random_state(rng, dim)),
@@ -636,14 +626,14 @@ def random_scenario(seed: int, dim: int, n_pieces: int, kind: str) -> Scenario:
         )
         fractions = (float(rng.uniform(0.15, 0.45)), float(rng.uniform(0.55, 0.85)))
         bases.update((f"a{i}", random_basis(rng, dim)) for i in range(len(fractions)))
-        slots = tuple((t0 + (t1 - t0) * frac, name) for frac, name in zip(fractions, bases))
+        slots = tuple((t0 + (t1 - t0) * frac, *item) for frac, item in zip(fractions, bases.items()))
         selection = tuple(int(k) for k in rng.integers(0, dim, size=len(slots)))
         query = Query("chain", slots, selection)
     elif kind == "network":
         sizes = [int(n) for n in rng.integers(1, 6, size=3)]
         bases.update((f"n{i}", random_basis(rng, size)) for i, size in enumerate(sizes))
         times = [float(t) for t in np.linspace(t0, t1, len(sizes))]
-        query = Query("network", tuple(zip(times, bases)))
+        query = Query("network", tuple((t, *item) for t, item in zip(times, bases.items())))
     else:
         fixed_points = (FixedPoint(t0, random_state(rng, dim)),)
         query = Query("validate")
@@ -721,7 +711,7 @@ def run(scenario: Scenario) -> ResultReport:
         q, sched = scenario.query, scenario.schedule
         report = ResultReport(query=_dump_query(q))
         if q.kind == "validate":  # propagator-law residuals over the covered interval
-            checks = _validate_checks(scenario)
+            checks = propagator_laws(sched)
             worst = max(checks.values())
             if worst > active_tolerances().unitary:
                 raise NumericalCheckFailure(
@@ -729,7 +719,7 @@ def run(scenario: Scenario) -> ResultReport:
                 )
             report.extra = {"checks": checks}
             return report
-        slots = [(t, scenario.resolve_basis(name)) for t, name in q.slots]
+        slots = [(t, basis) for t, _, basis in q.slots]
         bound = active_tolerances().oracle_agreement
         if q.kind == "network":
             sizes = build_network([t for t, _ in slots], [basis for _, basis in slots])
@@ -803,18 +793,3 @@ def _check_agreement(report: ResultReport, bound: float) -> ResultReport:
             f"above {bound:.1e} ({report.query['kind']})"
         )
     return report
-
-
-def _validate_checks(scenario: Scenario) -> dict[str, float]:
-    sched = scenario.schedule
-    t0, t1 = sched.t_start, sched.t_end
-    u, back, early, late = propagators(sched, Branch.FORWARD, (t0, t1, t0, 0.5 * (t0 + t1), t1))
-    # U(t1 -> t0) built apart from `propagators`, which forms it as the adjoint
-    # of u: exp(+i d_k h_k) per piece, earliest leftmost, so the latest is undone first
-    w, v = sched._spectrum(Branch.FORWARD)
-    undo = reduce(np.matmul, expm_hermitian(w, v, np.array([p.t_start - p.t_end for p in sched.pieces])))
-    return {
-        "unitarity": unitarity_defect(u.mat),
-        "composition": float(_flat_norm(u.mat - late.mat @ early.mat)),
-        "reversal": float(_flat_norm(back.mat - undo)),
-    }

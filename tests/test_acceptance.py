@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 from fpf.cli import main
+from fpf.dynamics import propagator_laws
 from fpf.histories import FixedPoint, make_history
 from fpf.measure import born_measure, chain_delta_psi
 from fpf.oracle import contour_line_integral
 from fpf.scenario import (
     Query,
     Scenario,
-    _validate_checks,
     random_basis,
     random_scenario,
     random_schedule,
@@ -144,11 +144,11 @@ def test_criterion_5_tensor_sink_equivalence():
 
 def test_criterion_6_network_counting():
     sched = random_schedule(np.random.default_rng(0), 2, 1)
-    layers = Query("network", ((sched.t_start, "a"), (sched.t_end, "b")))
     ok = True
     for n1 in range(1, 6):
         for n2 in range(1, 6):
             bases = {"a": standard_basis(n1), "b": standard_basis(n2)}
+            layers = Query("network", ((sched.t_start, "a", bases["a"]), (sched.t_end, "b", bases["b"])))
             report = run(Scenario(2, sched, (), bases, layers))
             (pair,) = report.extra["adjacent_pairs"]
             ok = ok and pair["edges"] == report.extra["edge_count"] == 2 * n1 * n2
@@ -161,8 +161,8 @@ def test_criterion_7_realness_and_positivity(born_runs, abl_runs):
     worst_neg = 0.0
     for scenario in born_runs[0]:
         prep = scenario.fixed_points[0]
-        ((t, outcomes),) = scenario.query.slots
-        for phi in scenario.resolve_basis(outcomes).rows:
+        ((t, _, outcomes),) = scenario.query.slots
+        for phi in outcomes.rows:
             raw = chain_delta_psi(
                 scenario.schedule, (prep, FixedPoint(t, phi))
             )
@@ -170,8 +170,8 @@ def test_criterion_7_realness_and_positivity(born_runs, abl_runs):
             worst_neg = max(worst_neg, -raw.real)
     for scenario in abl_runs[0]:
         pre, post = scenario.fixed_points
-        ((t, outcomes),) = scenario.query.slots
-        for a in scenario.resolve_basis(outcomes).rows:
+        ((t, _, outcomes),) = scenario.query.slots
+        for a in outcomes.rows:
             raw = chain_delta_psi(
                 scenario.schedule, (pre, FixedPoint(t, a), post)
             )
@@ -190,7 +190,7 @@ def test_criterion_8_propagator_laws():
     # the residuals a validate report prints, on the born ensemble's
     # schedules: random_scenario draws the schedule before anything that
     # depends on the query kind
-    checks = [_validate_checks(scenario) for scenario in _ensemble("validate")]
+    checks = [propagator_laws(scenario.schedule) for scenario in _ensemble("validate")]
     worst = {name: max(c[name] for c in checks) for name in ("unitarity", "composition", "reversal")}
     ok = max(worst.values()) <= 1e-10
     _verdict(

