@@ -24,8 +24,11 @@ exit 1.
 
 Per workload it writes every process's per-round time ratios (change over
 parent, so below 1 is faster), each process's median, the median of all
-rounds, a bootstrap 95% interval of that median, each side's median round
-time and each file's median ratio. Where a process places each tree's code
+rounds and of the even and of the odd rounds (numbered from 0 in each
+process: `chain-wide`'s ratios still alternate with round parity, so a
+claim is read against that split), a bootstrap 95% interval of the median
+of all rounds, each side's median round time and each file's median
+ratio. Where a process places each tree's code
 and data can favour one side by about half a percent for the whole
 process, so the bootstrap resamples processes first and then the rounds of
 each, and the interval holds that spread too. Both trees share one process
@@ -168,6 +171,8 @@ def run_workload(checkouts: dict, files: list[str]) -> dict:
         "ratios": ratios.tolist(),
         "process_median_ratio": np.median(ratios, axis=1).tolist(),
         "median_ratio": float(np.median(ratios)),
+        "even_round_median_ratio": float(np.median(ratios[:, 0::2])),
+        "odd_round_median_ratio": float(np.median(ratios[:, 1::2])),
         "ci95": bootstrap_median(ratios),
         "round_s_median": {side: float(np.median(round_s[side])) for side in SIDES},
         "file_median_ratio": {name: statistics.median(r) for name, r in file_ratios.items()},
@@ -201,6 +206,7 @@ def main(argv: list[str] | None = None) -> int:
             result["workloads"][workload] = row
             lo, hi = row["ci95"]
             print(f"{workload}: change/parent round time {row['median_ratio']:.3f} [{lo:.3f}, {hi:.3f}] "
+                  f"(even rounds {row['even_round_median_ratio']:.3f}, odd {row['odd_round_median_ratio']:.3f}) "
                   f"over {PROCESSES} processes x {ROUNDS} rounds of {len(files)} files")
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc[args.key] = result

@@ -4,12 +4,13 @@ A process loads the `src/fpf` of a parent and of a change checkout as two
 packages, `fpf_parent` and `fpf_change`, as `bench_ab.py` does, and runs
 `fpf run`, `fpf run --format table` and `fpf validate` on every document
 below on both sides. Every command must give the same exit code, stdout
-and stderr on both.
+and stderr on both. So must `fpf random` for seeds 0-19 (`--random-seeds`),
+every query kind and (dim, pieces) of (2, 1), (5, 3) and (8, 4): the class
+`random`.
 
 Base documents:
 - `scenarios/*.json` and `scenarios/gallery/*.json` of the change checkout;
-- `fpf random` documents of the parent for seeds 0-19 (`--random-seeds`),
-  every query kind and (dim, pieces) of (2, 1), (5, 3) and (8, 4);
+- the parent's `fpf random` documents of the `random` class;
 - the benchmark's workload files of seeds 1 and 90001 (`--bench-seeds`),
   written by the change checkout's `perfbench/workloads.py`, which is
   only read.
@@ -225,20 +226,12 @@ def root_deep(depth: int, kind: str) -> bytes:
     return b'{"a":' * depth + b"1" + b"}" * depth
 
 
-def base_documents(checkouts: dict, clis: dict, random_seeds: int, bench_seeds: list[int]) -> list:
+def base_documents(checkouts: dict, random_docs: list, bench_seeds: list[int]) -> list:
     """(name, text) of every base document."""
     root = checkouts["change"]
     bases = [(p.name, p.read_text()) for p in sorted((root / "scenarios").glob("*.json"))]
     bases += [(p.name, p.read_text()) for p in sorted((root / "scenarios" / "gallery").glob("*.json"))]
-    for seed in range(random_seeds):
-        for kind in KINDS:
-            for dim, pieces in RANDOM_SHAPES:
-                argv = ("random", "--seed", str(seed), "--dim", str(dim), "--pieces", str(pieces),
-                        "--query", kind)
-                code, out, err = call(clis["parent"], *argv)
-                if code != 0:
-                    raise SystemExit(f"{' '.join(argv)} exited {code}: {err.strip()}")
-                bases.append((f"random-{seed}-{kind}-d{dim}-p{pieces}", out))
+    bases += random_docs
     workloads = load_module(root / "perfbench" / "workloads.py", "byte_sweep_workloads")
     for workload in WORKLOADS:
         for seed in bench_seeds:
@@ -305,6 +298,25 @@ class Tally:
         }
 
 
+def random_documents(clis: dict, random_seeds: int, tally: Tally) -> list:
+    """(name, text) of the parent's `fpf random` document for each seed, query
+    kind and (dim, pieces) of RANDOM_SHAPES; each command runs on both sides
+    and is tallied as class `random`."""
+    docs = []
+    for seed in range(random_seeds):
+        for kind in KINDS:
+            for dim, pieces in RANDOM_SHAPES:
+                argv = ("random", "--seed", str(seed), "--dim", str(dim), "--pieces", str(pieces),
+                        "--query", kind)
+                results = [call(clis[side], *argv) for side in SIDES]
+                tally.add("random", "fpf random", argv, results)
+                code, out, err = results[0]
+                if code != 0:
+                    raise SystemExit(f"{' '.join(argv)} exited {code}: {err.strip()}")
+                docs.append((f"random-{seed}-{kind}-d{dim}-p{pieces}", out))
+    return docs
+
+
 def sweep(checkouts: dict, random_seeds: int, bench_seeds: list[int], root_depths: tuple) -> dict:
     clis = {side: load_cli(checkouts[side], side) for side in SIDES}
     tally = Tally()
@@ -321,7 +333,7 @@ def sweep(checkouts: dict, random_seeds: int, bench_seeds: list[int], root_depth
             for argv, *results in zip(commands, *per_side):
                 tally.add(cls, source, argv, results)
 
-        bases = base_documents(checkouts, clis, random_seeds, bench_seeds)
+        bases = base_documents(checkouts, random_documents(clis, random_seeds, tally), bench_seeds)
         for index, (name, text) in enumerate(bases):
             each_command("base", name, text.encode())
             for cls, data in chain(fault_copies(text, index), query_copies(text)):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, product
@@ -490,17 +491,41 @@ def _float_text(x: float) -> str:
 
 def _write_items(seq: list | tuple, nl: str) -> str:
     """The items of a nonempty list, one per line at indent nl; lists of
-    exact floats are joined whole, and JointLabels spelt from their sizes."""
+    exact floats are written whole, and JointLabels spelt from their sizes."""
     sep = "," + nl
     if type(seq) is measure.JointLabels:  # a chain without slots has one row, []
         inner, sizes = nl + "  ", seq.sizes
         rows = map(("," + inner).join, product(*[list(map(str, range(n))) for n in sizes]))
         return "[" + inner + (nl + "]" + sep + "[" + inner).join(rows) + nl + "]" if sizes else "[]"
     if set(map(type, seq)) == {float}:
-        text = sep.join(map(float.__repr__, seq))
-        if "n" not in text:  # no nan or inf, which json spells NaN and Infinity
-            return text
+        text = orjson.dumps(seq).decode()
+        if "null" not in text:  # no nan or inf, which json spells NaN and Infinity
+            return _repr_spelling(text).replace(",", sep)
     return sep.join([_write(v, nl) for v in seq])
+
+
+_UNSIGNED_EXPONENT = re.compile(r"e(?=\d)")
+_ONE_DIGIT_EXPONENT = re.compile(r"e-(?=\d(?!\d))")
+
+
+def _repr_spelling(text: str) -> str:
+    """The entries of orjson's text for a list of finite floats, joined by
+    commas without brackets, each as float.__repr__ spells it. Both write
+    the shortest digits that read back to the float (Ryu); orjson places
+    them otherwise in three cases only: 1e16 for 1e+16, 1.5e-7 for 1.5e-07,
+    and positionally where 1e-5 <= |x| < 1e-4 (0.0000999 for 9.99e-05)."""
+    if "e" in text:
+        text = _ONE_DIGIT_EXPONENT.sub("e-0", _UNSIGNED_EXPONENT.sub("e+", text))
+    if "0.0000" not in text:
+        return text[1:-1]
+    text = "," + text[1:-1] + ","  # every entry between two commas
+    for sign in ("", "-"):  # 0.0000ddd is d.dde-05
+        head, *band = text.split(f",{sign}0.0000")
+        for i, entry in enumerate(band):
+            digits, comma, rest = entry.partition(",")
+            band[i] = f"{digits[0]}.{digits[1:]}e-05{comma}{rest}"
+        text = f",{sign}".join([head, *band])
+    return text[1:-1].replace(".e", "e")  # one digit: 1e-05, not 1.e-05
 
 
 def _dump_array(a: np.ndarray) -> list:

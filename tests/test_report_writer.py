@@ -1,7 +1,8 @@
 """The report writer against json.dumps(indent=2, sort_keys=True), byte for
 byte: reports of every query kind, random scenarios (a chain of 1024
 joints among them), `fpf random` documents, edge values, label rows and
-lists that nearly are, and random JSON-like trees."""
+lists that nearly are, float lists of every magnitude (written through
+orjson and respelt as repr spells them), and random JSON-like trees."""
 
 import contextlib
 import copy
@@ -10,6 +11,7 @@ import io
 import itertools
 import json
 import math
+import struct
 from dataclasses import replace
 from pathlib import Path
 
@@ -259,4 +261,81 @@ TREES = st.recursive(
 @given(TREES)
 @settings(max_examples=300, deadline=None)
 def test_json_like_trees(value):
+    assert_same(value)
+
+
+# Float lists go through orjson, whose spelling is converted to repr's; if a
+# new orjson spells a float otherwise, these are the tests that fail.
+
+
+def _neighbours(x: float) -> list[float]:
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+SPELLING_EDGES = [
+    *(sign * v for sign in (1.0, -1.0) for x in (1e-5, 1e-4, 1e16) for v in _neighbours(x)),
+    0.0,
+    -0.0,
+    *(sign * v for sign in (1.0, -1.0) for x in (5e-324, 2.2250738585072014e-308) for v in _neighbours(x)),
+    *(sign * x for sign in (1.0, -1.0) for x in (2.0**53, 1e15, 1e16, 1e22)),
+    1.5e-7, 1e-9, 1e-10, 9.99e-5, 1.7976931348623157e308, 0.1, 1.0, 123456789.0,
+]
+
+
+@pytest.mark.parametrize("x", SPELLING_EDGES, ids=repr)
+def test_float_edges_in_every_list_position(x):
+    for value in ([x], [x, x], [x, 0.5], [0.5, x], [0.5, x, 0.5], [x, 2e-5, x, -3e-5, x], (x, 1e-5)):
+        assert_same(value)
+
+
+def test_seeded_floats_of_every_binary_exponent():
+    # four random significands per biased exponent (0 is the subnormals), both signs
+    rng = np.random.default_rng(41)
+    bits = [
+        (sign << 63) | (exponent << 52) | int(significand)
+        for exponent in range(2047)
+        for significand in rng.integers(0, 2**52, size=4)
+        for sign in (0, 1)
+    ]
+    floats = list(struct.unpack(f"<{len(bits)}d", struct.pack(f"<{len(bits)}Q", *bits)))
+    assert len(floats) == 16376 and all(map(math.isfinite, floats))
+    assert_same(floats)
+    for start in range(0, len(floats), 7):
+        assert_same(floats[start:start + 7])
+
+
+def test_seeded_short_decimals_of_every_decade():
+    # one to seventeen significant digits per decade, so both one-digit and
+    # long spellings meet each exponent form
+    rng = np.random.default_rng(41)
+    floats = []
+    for exponent in range(-324, 309):
+        for digits in (1, 2, 3, 9, 17):
+            mantissa = "".join(map(str, rng.integers(1, 10, size=digits)))
+            x = float(f"{mantissa[0]}.{mantissa[1:]}e{exponent}")
+            if math.isfinite(x):
+                floats.append(x if rng.integers(2) else -x)
+    assert len(floats) > 3000
+    assert_same(floats)
+    for start in range(0, len(floats), 5):
+        assert_same(floats[start:start + 5])
+
+
+@pytest.mark.parametrize("value", [
+    [1e-5, math.nan],
+    [math.inf, 2e-5, 1e16],
+    [1.5e-7, -math.inf, -9.99e-5],
+    [9.99e-5, math.nan, 1e22, math.inf, -1e-5],
+], ids=repr)
+def test_non_finite_entries_in_float_lists(value):
+    assert_same(value)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NEAR_THE_EDGES = st.sampled_from(SPELLING_EDGES) | st.floats(-2e-4, 2e-4) | st.floats(1e15, 1e17)
+
+
+@given(st.lists(FINITE | NEAR_THE_EDGES, min_size=1, max_size=40))
+@settings(max_examples=500, deadline=None)
+def test_finite_float_lists(value):
     assert_same(value)

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import os
 import shutil
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -269,6 +270,10 @@ def test_bench_ab_aa_run_writes_ratios_beside_other_keys(tmp_path, monkeypatch, 
     assert [len(r) for r in row["ratios"]] == [3, 3] and len(row["process_median_ratio"]) == 2
     lo, hi = row["ci95"]
     assert lo <= row["median_ratio"] <= hi
+    # rounds 0 and 2 are even, round 1 odd
+    assert row["even_round_median_ratio"] == statistics.median(r for run in row["ratios"] for r in run[0::2])
+    assert row["odd_round_median_ratio"] == statistics.median(run[1] for run in row["ratios"])
+    assert "(even rounds " in text and ", odd " in text
     assert len(row["file_median_ratio"]) == 28
 
 
@@ -318,22 +323,26 @@ SMALL_SWEEP = ["--random-seeds", "0", "--bench-seeds", "--out"]
 
 def test_byte_sweep_aa_run_finds_no_difference(tmp_path, monkeypatch):
     byte_sweep = _byte_sweep(monkeypatch)
+    monkeypatch.setattr(byte_sweep, "RANDOM_SHAPES", ((2, 1),))  # five random documents, one per kind
     out = tmp_path / "sweep.json"
     out.write_text('{"runs": []}')
-    argv = ["--parent", str(ROOT), "--change", str(ROOT), "--root-depths", "10", *SMALL_SWEEP, str(out)]
+    argv = ["--parent", str(ROOT), "--change", str(ROOT), "--root-depths", "10", "--random-seeds", "1",
+            "--bench-seeds", "--out", str(out)]
     assert byte_sweep.main(argv) == 0
     doc = json.loads(out.read_text())
     row = doc["byte_sweep"]
-    assert doc["runs"] == [] and row["aa"] and row["bases"] == 7
+    files = len(list((ROOT / "scenarios").glob("*.json")) + list((ROOT / "scenarios" / "gallery").glob("*.json")))
+    randoms = len(byte_sweep.KINDS) * len(byte_sweep.RANDOM_SHAPES)  # one seed
+    assert doc["runs"] == [] and row["aa"] and row["bases"] == files + randoms
     assert row["differences"] == 0 and row["first_differences"] == []
     classes = {name.split(":")[0] for name in row["classes"]}
-    assert classes == {"base", "big-int", "non-finite", "surrogate", "bom", "invalid-utf8", "trailing",
-                       "duplicate-key", "deep-ignored", "query", "roots", "root-deep"}
+    assert classes == {"random", "base", "big-int", "non-finite", "surrogate", "bom", "invalid-utf8",
+                       "trailing", "duplicate-key", "deep-ignored", "query", "roots", "root-deep"}
     assert row["commands"] == sum(c["commands"] for c in row["classes"].values()) > 500
+    assert row["classes"]["random"] == {"commands": randoms, "differences": 0, "exit_codes": {"0": randoms}}
     assert row["classes"]["root-deep"]["exit_codes"] == {"2": 6}
     query = {name.split(":")[1]: c for name, c in row["classes"].items() if name.startswith("query:")}
-    # every fault but "unordered", as no chain among these files has two slots
-    assert set(query) == set(byte_sweep.QUERY_FAULTS) - {"unordered"} | {"pairs"}
+    assert set(query) == set(byte_sweep.QUERY_FAULTS) | {"pairs"}
     assert all(c["exit_codes"] == {"2": c["commands"]} for c in query.values())
 
 
