@@ -77,7 +77,7 @@ def near_bound_scenario(seed: int) -> tuple[float, Scenario]:
     snk = FixedPoint(t1, random_state(rng, dim))
     slots = tuple((t, *item) for t, item in zip(times, bases.items()))
     query = Query(kind="chain", slots=slots, selection=(0,) * n_slots)
-    return norm, Scenario(dim=dim, schedule=sched, fixed_points=(src, snk), bases=bases, query=query)
+    return norm, Scenario(schedule=sched, fixed_points=(src, snk), query=query)
 
 
 def near_bound(n_chains: int) -> None:

@@ -13,10 +13,9 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import chain, product
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 import orjson
@@ -56,30 +55,10 @@ class Query:
 
 @dataclass(frozen=True)
 class Scenario:
-    dim: int
     schedule: HamiltonianSchedule
     fixed_points: tuple[FixedPoint, ...]
-    bases: dict[str, Basis]
     query: Query
     tolerance_overrides: dict[str, float] = field(default_factory=dict)
-
-
-def resolve_basis(
-    name: str, dim: int, bases: dict[str, Basis], builtins: dict[str, Basis | None]
-) -> Basis | None:
-    """The scenario's own basis `name`, else the built-in one ("z" in any
-    dim, "x" in dim 2), built on first lookup and kept in `builtins`, which
-    lives as long as one parse; None where there is neither."""
-    if name in bases:
-        return bases[name]
-    if name not in builtins:
-        basis = None
-        if name == "z":
-            basis = standard_basis(dim)
-        elif name == "x" and dim == 2:
-            basis = Basis(np.array([[1.0, 1.0], [1.0, -1.0]]) / _SQRT2)
-        builtins[name] = basis
-    return builtins[name]
 
 
 # -- parsing -----------------------------------------------------------------
@@ -185,8 +164,22 @@ def _check_covered(schedule: HamiltonianSchedule, t: float, path: str) -> None:
         )
 
 
+def _basis(bases: dict[str, Basis], name: str, dim: int) -> Basis | None:
+    """The parse's basis `name`: the file's own, else the built-in one ("z"
+    in any dim, "x" in dim 2), which joins bases the first time it is
+    named; None where there is neither."""
+    if name not in bases:
+        if name == "z":
+            bases[name] = standard_basis(dim)
+        elif name == "x" and dim == 2:
+            bases[name] = Basis(np.array([[1.0, 1.0], [1.0, -1.0]]) / _SQRT2)
+        else:
+            return None
+    return bases[name]
+
+
 def _parse_point(
-    item: Any, schedule: HamiltonianSchedule, lookup: Callable[[str], Basis | None], path: str
+    item: Any, schedule: HamiltonianSchedule, bases: dict[str, Basis], path: str
 ) -> FixedPoint:
     if not isinstance(item, dict):
         raise SchemaError(f"{path}: expected an object")
@@ -197,7 +190,7 @@ def _parse_point(
         name, _, key = value.partition(":")
         if not key:
             raise SchemaError(f"{path}: state names look like 'basis:element'")
-        basis = lookup(name)
+        basis = _basis(bases, name, dim)
         if basis is None:
             raise ValidationError(f"{path}: unknown basis {name!r}")
         if basis.dim != dim:
@@ -235,8 +228,8 @@ def _parse_slot(raw: Any, path: str) -> tuple[float, str]:
     return t, outcomes
 
 
-def _outcome_basis(name: str, dim: int, lookup: Callable[[str], Basis | None]) -> Basis:
-    basis = lookup(name)
+def _outcome_basis(bases: dict[str, Basis], name: str, dim: int) -> Basis:
+    basis = _basis(bases, name, dim)
     if basis is None:
         raise ValidationError(f"query references unknown basis {name!r}")
     if basis.dim != dim:
@@ -250,11 +243,11 @@ def _parse_query(
     raw: Any,
     schedule: HamiltonianSchedule,
     fixed_points: Sequence[FixedPoint],
-    lookup: Callable[[str], Basis | None],
+    bases: dict[str, Basis],
     path: str,
 ) -> Query:
     """The query at path, read and then checked against the schedule, the
-    fixed points and the bases that lookup finds."""
+    fixed points and the parse's bases."""
     if not isinstance(raw, dict):
         raise SchemaError(f"{path}: expected an object")
     kind = _want(raw, "kind", path)
@@ -271,7 +264,7 @@ def _parse_query(
             raise ValidationError("query.time must follow the preparation time")
         if kind == "abl" and not fixed_points[0].t < t < fixed_points[1].t:
             raise ValidationError("query.time must lie strictly between the selections")
-        return Query(kind, ((t, outcomes, _outcome_basis(outcomes, schedule.dim, lookup)),))
+        return Query(kind, ((t, outcomes, _outcome_basis(bases, outcomes, schedule.dim)),))
     if kind == "chain":
         interior_raw = _want(raw, "interior", path)
         if not isinstance(interior_raw, list):
@@ -289,7 +282,7 @@ def _parse_query(
         if any(not a < b for a, b in zip(times, times[1:])):
             raise ValidationError("interior times must increase strictly between the endpoints")
         # the slots lie strictly between covered endpoints, so they are covered
-        slots = tuple((t, name, _outcome_basis(name, schedule.dim, lookup)) for t, name in interior)
+        slots = tuple((t, name, _outcome_basis(bases, name, schedule.dim)) for t, name in interior)
         if len(selection) != len(interior):
             raise ValidationError("selection length must match the number of interior slots")
         for i, (idx, (_, _, basis)) in enumerate(zip(selection, slots)):
@@ -310,7 +303,9 @@ def _parse_query(
             raise ValidationError("network layer times must be strictly increasing")
         for i, t in enumerate(times):
             _check_covered(schedule, t, f"{path}.times[{i}]")
-        layers = tuple((t, name, lookup(name)) for t, name in zip(times, layer_bases))
+        layers = tuple(
+            (t, name, _basis(bases, name, schedule.dim)) for t, name in zip(times, layer_bases)
+        )
         for _, name, basis in layers:
             if basis is None:
                 raise ValidationError(f"{path}.bases: unknown basis {name!r}")
@@ -432,20 +427,11 @@ def parse_scenario(source: Any, overrides: dict[str, float] | None = None) -> Sc
         fps_raw = [] if raw.get("fixed_points") is None else raw["fixed_points"]
         if not isinstance(fps_raw, list):
             raise SchemaError("scenario.fixed_points: expected a list")
-        builtins: dict[str, Basis | None] = {}
-        lookup = partial(resolve_basis, dim=dim, bases=bases, builtins=builtins)
         fixed_points = tuple(
-            _parse_point(item, schedule, lookup, f"fixed_points[{i}]") for i, item in enumerate(fps_raw)
+            _parse_point(item, schedule, bases, f"fixed_points[{i}]") for i, item in enumerate(fps_raw)
         )
-        query = _parse_query(_want(raw, "query", "scenario"), schedule, fixed_points, lookup, "query")
-        return Scenario(
-            dim=dim,
-            schedule=schedule,
-            fixed_points=fixed_points,
-            bases=bases,
-            query=query,
-            tolerance_overrides=overrides,
-        )
+        query = _parse_query(_want(raw, "query", "scenario"), schedule, fixed_points, bases, "query")
+        return Scenario(schedule, fixed_points, query, overrides)
 
 
 # -- serialization -----------------------------------------------------------
@@ -564,9 +550,14 @@ def _dump_query(q: Query) -> dict:
 
 
 def serialize_scenario(s: Scenario) -> str:
+    """s as a scenario file that parses to a scenario running to the same
+    report: fixed points are written as vectors, and the bases are those
+    the query's slots hold, but for the built-ins, which a file may not
+    define."""
+    bases = {name: basis for _, name, basis in s.query.slots if name not in ("z", "x")}
     doc = {
         "schema": SCHEMA_VERSION,
-        "dim": s.dim,
+        "dim": s.schedule.dim,
         "hamiltonian": {
             "pieces": _dump_pieces(s.schedule.pieces),
             "branch_override": (
@@ -576,7 +567,7 @@ def serialize_scenario(s: Scenario) -> str:
             ),
         },
         "fixed_points": [{"time": float(p.t), "state": _dump_array(p.state)} for p in s.fixed_points],
-        "bases": {name: _dump_array(basis.rows) for name, basis in sorted(s.bases.items())},
+        "bases": {name: _dump_array(basis.rows) for name, basis in sorted(bases.items())},
         "query": _dump_query(s.query),
         "tolerances": dict(sorted(s.tolerance_overrides.items())),
     }
@@ -630,46 +621,39 @@ def random_scenario(seed: int, dim: int, n_pieces: int, kind: str) -> Scenario:
     schedule = random_schedule(rng, dim, n_pieces)
     t0, t1 = schedule.t_start, schedule.t_end
 
-    bases: dict[str, Basis] = {}
     fixed_points: tuple[FixedPoint, ...] = ()
     if kind == "born":
         fixed_points = (FixedPoint(t0, random_state(rng, dim)),)
-        bases["m"] = random_basis(rng, dim)
-        query = Query("born", ((t1, "m", bases["m"]),))
+        query = Query("born", ((t1, "m", random_basis(rng, dim)),))
     elif kind == "abl":
         fixed_points = (
             FixedPoint(t0, random_state(rng, dim)),
             FixedPoint(t1, random_state(rng, dim)),
         )
-        bases["a"] = random_basis(rng, dim)
+        basis = random_basis(rng, dim)
         t_mid = t0 + (t1 - t0) * float(rng.uniform(0.25, 0.75))
-        query = Query("abl", ((t_mid, "a", bases["a"]),))
+        query = Query("abl", ((t_mid, "a", basis),))
     elif kind == "chain":
         fixed_points = (
             FixedPoint(t0, random_state(rng, dim)),
             FixedPoint(t1, random_state(rng, dim)),
         )
         fractions = (float(rng.uniform(0.15, 0.45)), float(rng.uniform(0.55, 0.85)))
-        bases.update((f"a{i}", random_basis(rng, dim)) for i in range(len(fractions)))
-        slots = tuple((t0 + (t1 - t0) * frac, *item) for frac, item in zip(fractions, bases.items()))
+        slots = tuple(
+            (t0 + (t1 - t0) * f, f"a{i}", random_basis(rng, dim)) for i, f in enumerate(fractions)
+        )
         selection = tuple(int(k) for k in rng.integers(0, dim, size=len(slots)))
         query = Query("chain", slots, selection)
     elif kind == "network":
         sizes = [int(n) for n in rng.integers(1, 6, size=3)]
-        bases.update((f"n{i}", random_basis(rng, size)) for i, size in enumerate(sizes))
         times = [float(t) for t in np.linspace(t0, t1, len(sizes))]
-        query = Query("network", tuple((t, *item) for t, item in zip(times, bases.items())))
+        layers = tuple((t, f"n{i}", random_basis(rng, n)) for i, (t, n) in enumerate(zip(times, sizes)))
+        query = Query("network", layers)
     else:
         fixed_points = (FixedPoint(t0, random_state(rng, dim)),)
         query = Query("validate")
 
-    return Scenario(
-        dim=dim,
-        schedule=schedule,
-        fixed_points=fixed_points,
-        bases=bases,
-        query=query,
-    )
+    return Scenario(schedule, fixed_points, query)
 
 
 # -- running -----------------------------------------------------------------

@@ -147,9 +147,9 @@ def test_criterion_6_network_counting():
     ok = True
     for n1 in range(1, 6):
         for n2 in range(1, 6):
-            bases = {"a": standard_basis(n1), "b": standard_basis(n2)}
-            layers = Query("network", ((sched.t_start, "a", bases["a"]), (sched.t_end, "b", bases["b"])))
-            report = run(Scenario(2, sched, (), bases, layers))
+            a, b = standard_basis(n1), standard_basis(n2)
+            layers = Query("network", ((sched.t_start, "a", a), (sched.t_end, "b", b)))
+            report = run(Scenario(sched, (), layers))
             (pair,) = report.extra["adjacent_pairs"]
             ok = ok and pair["edges"] == report.extra["edge_count"] == 2 * n1 * n2
             ok = ok and pair["channels"] == n1 * n2

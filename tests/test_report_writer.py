@@ -76,8 +76,9 @@ def test_chain_of_1024_joints():
     s = random_scenario(7, 4, 2, "chain")
     t0, t1 = s.schedule.t_start, s.schedule.t_end
     names = ("a0", "a1", "a0", "a1", "a0")
+    bases = {name: basis for _, name, basis in s.query.slots}
     interior = tuple(
-        (t0 + (t1 - t0) * (k + 1) / (len(names) + 1), name, s.bases[name]) for k, name in enumerate(names)
+        (t0 + (t1 - t0) * (k + 1) / (len(names) + 1), name, bases[name]) for k, name in enumerate(names)
     )
     s = replace(s, query=Query(kind="chain", slots=interior, selection=(0, 1, 2, 3, 0)))
     report = run(s)
@@ -97,7 +98,7 @@ def chain_of(dim, slots):
     }))
     t0, t1 = s.schedule.t_start, s.schedule.t_end
     names = ["z" if dim == 1 else f"a{k % 2}" for k in range(slots)]
-    bases = s.bases if dim > 1 else {"z": standard_basis(1)}
+    bases = {name: basis for _, name, basis in s.query.slots} if dim > 1 else {"z": standard_basis(1)}
     interior = tuple((t0 + (t1 - t0) * (k + 1) / (slots + 1), name, bases[name]) for k, name in enumerate(names))
     selection = tuple((3 * k + 1) % dim for k in range(slots))
     return replace(s, query=Query(kind="chain", slots=interior, selection=selection))

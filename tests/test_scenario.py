@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,10 +10,11 @@ from hypothesis import strategies as st
 
 from fpf import scenario as scenario_module
 from fpf.cli import main
-from fpf.errors import SchemaError, ScenarioSyntaxError, ValidationError
+from fpf.errors import FpfError, SchemaError, ScenarioSyntaxError, ValidationError
 from fpf.scenario import (
     QUERY_KINDS,
     parse_scenario,
+    random_basis,
     random_scenario,
     run,
     serialize_scenario,
@@ -23,6 +25,7 @@ from fpf.statespace import HermitianOperator
 QUARTER = math.pi / 4
 ZERO2 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
 SX = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def minimal_born(**overrides):
@@ -40,7 +43,7 @@ def minimal_born(**overrides):
 class TestParse:
     def test_minimal_qubit_scenario(self):
         s = parse_scenario(json.dumps(minimal_born()).encode())
-        assert s.dim == 2
+        assert s.schedule.dim == 2
         assert s.query.kind == "born"
         assert len(s.fixed_points) == 1
 
@@ -137,6 +140,29 @@ class TestRoundTrip:
         assert s.schedule.branch_override is not None
         assert parse_scenario(serialize_scenario(s)) == s
 
+    @pytest.mark.parametrize("kind", ["born", "abl", "chain"])
+    def test_serialized_scenario_runs_to_the_same_report(self, kind):
+        # the basis a slot holds is the one written, whatever its name
+        for seed in range(50):
+            s = random_scenario(seed, 2 + seed % 7, 1 + seed % 4, kind)
+            (t, name, basis), *rest = s.query.slots
+            swapped = random_basis(np.random.default_rng(1000 + seed), len(basis))
+            s = replace(s, query=replace(s.query, slots=((t, name, swapped), *rest)))
+            assert run(s).to_json() == run(parse_scenario(serialize_scenario(s))).to_json(), seed
+
+    @pytest.mark.parametrize(
+        "path", sorted(SCENARIOS.glob("*.json")) + sorted(SCENARIOS.glob("gallery/*.json")), ids=lambda p: p.name
+    )
+    def test_scenario_files_survive_a_round_trip(self, path):
+        def outcome(s):
+            try:
+                return run(s).to_json()
+            except FpfError as exc:
+                return exc.code
+
+        s = parse_scenario(path.read_bytes())
+        assert outcome(parse_scenario(serialize_scenario(s))) == outcome(s)
+
 
 class TestRandomScenario:
     def test_identical_seed_identical_bytes(self):
@@ -219,9 +245,6 @@ class TestRunReports:
         ]
 
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
-
-
 class TestBuiltinBases:
     """A built-in basis is built and checked once per parsed scenario."""
 
@@ -262,6 +285,9 @@ class TestBuiltinBases:
         assert main(["run", path, "--tol-override", "basis_orthonormal=0"]) == 2
         assert capsys.readouterr().err.startswith("VALIDATION_ERROR: basis elements are not orthonormal")
         assert main(["run", path]) == 0
+        # a file naming only z never builds x, so nothing fails at 0
+        z_only = str(SCENARIOS / "born_sx_quarter.json")
+        assert main(["run", z_only, "--tol-override", "basis_orthonormal=0"]) == 0
 
 
 class TestBasisRows:
@@ -282,7 +308,8 @@ class TestBasisRows:
 
     def test_network_file_wraps_no_state(self, wrapped):
         s = parse_scenario((SCENARIOS / "network_2x3.json").read_bytes())
-        assert s.bases["triple"].rows.shape == (3, 3)
+        _, name, basis = s.query.slots[1]
+        assert name == "triple" and basis.rows.shape == (3, 3)
         assert wrapped == []
 
     @pytest.mark.parametrize("dim", [2, 5, 8])
@@ -290,7 +317,8 @@ class TestBasisRows:
         text = serialize_scenario(random_scenario(3, dim, 2, "born"))
         wrapped.clear()
         s = parse_scenario(text)
-        assert s.bases["m"].rows.shape == (dim, dim)
+        ((_, _, basis),) = s.query.slots
+        assert basis.rows.shape == (dim, dim)
         assert len(wrapped) == 1
 
     @pytest.mark.parametrize("kind", ["born", "abl"])

@@ -386,3 +386,30 @@ def test_unreached_exits_with_a_failing_pytest_code_first(tmp_path):
                "-k", "no_such_test", str(ROOT / "tests" / "test_contour.py"), code=5)
     doc = json.loads(out.read_text())
     assert doc["pytest_exit_code"] == 5 and doc["unreached"]
+
+
+def test_tree_facts_counts_lines_beside_other_keys(tmp_path):
+    out = tmp_path / "facts.json"
+    out.write_text(json.dumps({"other": 1}))
+    run_script("tree_facts.py", "--parent", str(ROOT), "--change", str(ROOT), "--out", str(out),
+               "--tier1-runs", "0")
+    doc = json.loads(out.read_text())
+    assert doc["other"] == 1 and doc["tree_facts"]["tier1"]["change"] == []
+    lines = doc["tree_facts"]["src_lines"]
+    modules = sorted((ROOT / "src" / "fpf").glob("*.py"))
+    assert {p.name: lines[p.name]["change"] for p in modules} == {
+        p.name: p.read_bytes().count(b"\n") for p in modules
+    }
+    assert lines["src/fpf"]["parent"] == lines["src/fpf"]["change"] == sum(
+        lines[p.name]["change"] for p in modules
+    )
+
+
+def test_tree_facts_reads_pytest_summary_counts():
+    spec = importlib.util.spec_from_file_location("tree_facts", ROOT / "scripts" / "tree_facts.py")
+    tree_facts = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tree_facts)
+    assert tree_facts.summary_counts("1371 passed in 30.25s") == {"passed": 1371}
+    assert tree_facts.summary_counts("2 failed, 5 passed, 1 error in 1.20s") == {
+        "failed": 2, "passed": 5, "errors": 1,
+    }
