@@ -40,8 +40,10 @@ sweep.
         --out BENCH.json --key byte_sweep
 
 Under `--key` of the `--out` JSON file (other keys are kept) it writes
-per class the commands run, the differences found and the change side's
-exit codes, and the first MAX_SHOWN differing commands. It exits 1 on any
+per class the commands run, the differences found, the change side's exit
+codes and, for `fpf run` JSON reports that differ, how many differ in each
+top-level key (so an A/B sweep shows whether a change stays within named
+fields), and the first MAX_SHOWN differing commands. It exits 1 on any
 difference. Standard library and numpy only.
 """
 
@@ -269,20 +271,38 @@ def child_calls(checkout: Path, commands: list[list[str]]) -> list[tuple[int, st
     return [tuple(result) for result in json.loads(proc.stdout)]
 
 
+def differing_keys(parent_out: str, change_out: str) -> list[str]:
+    """The top-level keys whose values differ between two JSON reports, a
+    key missing on one side included; none where either is not a JSON object."""
+    try:
+        parent, change = json.loads(parent_out), json.loads(change_out)
+    except json.JSONDecodeError:
+        return []
+    if not (isinstance(parent, dict) and isinstance(change, dict)):
+        return []
+    return [key for key in sorted(parent.keys() | change.keys())
+            if key not in parent or key not in change or json.dumps(parent[key]) != json.dumps(change[key])]
+
+
 class Tally:
-    """Per class: commands, differences and the change side's exit codes;
-    the first MAX_SHOWN differing commands."""
+    """Per class: commands, differences, the change side's exit codes and the
+    top-level keys in which differing `run` JSON reports differ; the first
+    MAX_SHOWN differing commands."""
 
     def __init__(self):
         self.classes: dict[str, dict] = {}
         self.shown: list[dict] = []
 
     def add(self, cls: str, source: str, argv: tuple, results: list) -> None:
-        row = self.classes.setdefault(cls, {"commands": 0, "differences": 0, "exit_codes": Counter()})
+        row = self.classes.setdefault(
+            cls, {"commands": 0, "differences": 0, "exit_codes": Counter(), "differing_keys": Counter()}
+        )
         row["commands"] += 1
         row["exit_codes"][str(results[1][0])] += 1
         if results[0] != results[1]:
             row["differences"] += 1
+            if argv[0] == "run" and "--format" not in argv:
+                row["differing_keys"].update(differing_keys(results[0][1], results[1][1]))
             if len(self.shown) < MAX_SHOWN:
                 sides = {side: [r[0], r[1][:300], r[2][:300]] for side, r in zip(SIDES, results)}
                 self.shown.append({"class": cls, "source": source, "argv": list(argv), **sides})
@@ -292,7 +312,8 @@ class Tally:
             "commands": sum(row["commands"] for row in self.classes.values()),
             "differences": sum(row["differences"] for row in self.classes.values()),
             "classes": {
-                cls: {**row, "exit_codes": dict(row["exit_codes"])} for cls, row in sorted(self.classes.items())
+                cls: {**row, "exit_codes": dict(row["exit_codes"]), "differing_keys": dict(row["differing_keys"])}
+                for cls, row in sorted(self.classes.items())
             },
             "first_differences": self.shown,
         }
@@ -369,7 +390,9 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{result['commands']} commands over {result['bases']} base documents: "
           f"{result['differences']} differences")
     for cls, row in result["classes"].items():
-        print(f"  {cls}: {row['commands']} commands, {row['differences']} differences")
+        keys = ", ".join(f"{key} ({n})" for key, n in row["differing_keys"].items())
+        print(f"  {cls}: {row['commands']} commands, {row['differences']} differences"
+              + (f"; run reports differ in {keys}" if keys else ""))
     return 1 if result["differences"] else 0
 
 

@@ -3,8 +3,8 @@
 The contour runs along the forward branch in increasing real time, then
 along the backward branch in decreasing real time. A path over a set of
 times covers every interval between consecutive times once per branch,
-each step a `(branch, t_from, t_to)` triple. Only the RK4 oracle walks it
-(`oracle._contour_plan`); the engine does not.
+each step a `(branch, t_from, t_to)` triple. Only the tests walk it (the
+RK4 oracle steps forward legs alone); the benchmark's tracer targets it.
 """
 
 from __future__ import annotations

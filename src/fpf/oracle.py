@@ -9,10 +9,11 @@ matrix and its expectation value) live in tests/oracles.py.
 
 On a constant-generator span the line integral applies RK4's one-step
 map R^n, with R = I + E and E = R - I kept separate through the binary
-powering; that is n classical RK4 steps, to rounding. The spans of a
-whole contour path, at both resolutions, are stacked and powered
-together, so the pair costs O(log n) numpy calls however many spans the
-path has. It uses sums and products of the generator only, never an exact
+powering; that is n classical RK4 steps, to rounding. Each interval
+between history times is stepped forward once per distinct branch
+Hamiltonian, a backward leg being the adjoint of a forward one, and all
+those spans at both resolutions are powered together in O(log n) numpy
+calls. It uses sums and products of the generator only, never an exact
 exponential, so its Richardson error estimate still measures RK4's
 truncation error; spans too long for that estimate to hold are refused.
 """
@@ -23,7 +24,7 @@ import math
 
 import numpy as np
 
-from .contour import Branch, build_path
+from .contour import Branch
 from .dynamics import HamiltonianSchedule
 from .errors import ImpossiblePostSelection, InstanceTooLarge, ValidationError
 from .histories import FixedPoint
@@ -200,40 +201,40 @@ RK4_STEP_NORM_BOUND = 1.0
 
 def _contour_plan(
     sched: HamiltonianSchedule, history: tuple[FixedPoint, ...]
-) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray, range]]]:
+) -> tuple[np.ndarray, np.ndarray, list[list[tuple[np.ndarray, np.ndarray, range]]]]:
     """The line integral's work, independent of the resolution: the
-    generators (S, d, d) and signed durations (S,) of every
-    constant-generator span along the contour path, in path order, and per
-    segment its start state, its end state and the indices of its spans.
-    Backward segments list their spans latest first, with negative
-    durations."""
-    times = [p.t for p in history]
-    sched.require_coverage(*times)
-    state_at = {p.t: p.state for p in history}
-    generators, durations, segments = [], [], []
-    for branch, t_from, t_to in build_path(times):
-        spans = _spans_of(sched.pieces_for(branch), min(t_from, t_to), max(t_from, t_to))
-        if t_to < t_from:
-            spans = [(h, b, a) for h, a, b in reversed(spans)]
-        first = len(generators)
-        for h, a, b in spans:
-            generators.append(h)
-            durations.append(b - a)
-        segments.append((state_at[t_from], state_at[t_to], range(first, len(generators))))
-    return np.array(generators), np.array(durations), segments
+    generators (S, d, d) and durations (S,) of the constant-generator spans
+    of every interval [t_k-1, t_k], stepped forward once per distinct branch
+    Hamiltonian (the forward pieces, then the override's if there is one),
+    and per such branch and interval a_k-1, a_k and the indices of its spans."""
+    sched.require_coverage(*(p.t for p in history))
+    branches = (sched.pieces,) if sched.branch_override is None else (sched.pieces, sched.branch_override)
+    spans, legs = [], []
+    for pieces in branches:
+        intervals = []
+        for start, end in zip(history, history[1:]):
+            first = len(spans)
+            spans += _spans_of(pieces, start.t, end.t)
+            intervals.append((start.state, end.state, range(first, len(spans))))
+        legs.append(intervals)
+    return np.array([h for h, _, _ in spans]), np.array([b - a for _, a, b in spans]), legs
 
 
-def _path_weight(maps: np.ndarray, segments: list[tuple[np.ndarray, np.ndarray, range]]) -> complex:
-    """History weight with every segment evolved by stepping instead of
-    exponentiating: apply each span's RK4 map E_k (psi -> psi + E_k psi) to
-    the state at the segment's start, project on the state waiting at its
-    end, multiply the factors."""
-    value = complex(1.0)
-    for psi, phi, span_ids in segments:
-        for k in span_ids:
-            psi = psi + maps[k] @ psi
-        value *= complex(np.vdot(phi, psi))
-    return value
+def _path_weight(maps: np.ndarray, legs: list[list[tuple[np.ndarray, np.ndarray, range]]]) -> complex:
+    """History weight with every interval stepped, not exponentiated: per
+    branch, each span's RK4 map E_j (psi -> psi + E_j psi) takes a_k-1 to
+    f_k = <a_k| R_k a_k-1>. The backward leg from t_k to t_k-1 is
+    <a_k-1| R_k^H a_k> = conj(f_k) on its own branch's pieces, so the weight
+    is prod f_F,k * conj(prod f_B,k), with f_B = f_F without an override."""
+    amplitudes = []
+    for intervals in legs:
+        value = complex(1.0)
+        for psi, phi, span_ids in intervals:
+            for k in span_ids:
+                psi = psi + maps[k] @ psi
+            value *= complex(np.vdot(phi, psi))
+        amplitudes.append(value)
+    return amplitudes[0] * amplitudes[-1].conjugate()
 
 
 def contour_line_integral(
@@ -241,12 +242,11 @@ def contour_line_integral(
 ) -> tuple[float, float, float]:
     """History weight from the stepped line integral, a Richardson error
     estimate obtained by comparing against a half-resolution run, and an
-    a-priori bound, rounding aside, on the weight's truncation error.
-
-    Each constant-generator span of each segment receives the full step
-    budget, so halving the budget exactly halves the resolution. The
-    contour plan is built once; the RK4 maps of all spans at both
-    resolutions then come from one stacked binary powering (`_rk4_maps`).
+    a-priori bound, rounding aside, on the weight's truncation error. Each
+    constant-generator span of each interval receives the full step
+    budget, so halving the budget exactly halves the resolution. Only
+    forward legs are stepped (R(A)^H = R(-A) for A = -i h dt), and the maps
+    of all planned spans at both resolutions come from one `_rk4_maps`.
 
     A span whose ||h||_1 * |dt| at the coarse resolution exceeds
     RK4_STEP_NORM_BOUND (1) raises InstanceTooLarge. Far past it (a long
@@ -264,17 +264,17 @@ def contour_line_integral(
     lies in [-y, y], so the step map differs from the propagator by at most
     y^5/120 in the 2-norm (exp's Taylor remainder after four terms). Step
     maps (|R(iy)| <= 1 for |y| <= 2.8) and propagators are contractions,
-    so the differences add up over the steps and spans of a segment, and a
-    segment's factor <phi|U psi> is off by at most ||phi|| ||psi|| times
-    its sum. The product of the factors is then off by at most the sum
-    over all spans times the product of all those state norms.
+    so over the steps and spans of a leg the differences add up, and its
+    factor is off by at most ||a_k-1|| ||a_k|| times their sum. The weight
+    is a product of 2k such factors, each at most ||a_k-1|| ||a_k||:
+    swapping them in one at a time telescopes to the sum over both legs of
+    every interval times prod ||a_k-1||^2 ||a_k||^2.
     """
     if steps_per_segment < 2:
         raise ValidationError("steps_per_segment must be at least 2")
     coarse_steps = steps_per_segment // 2
-    generators, durations, segments = _contour_plan(sched, history)
-    # the complex factor first, then the matrix, as tests/oracles.py's _rk4_segment forms it;
-    # the fine spans, then the coarse ones
+    generators, durations, legs = _contour_plan(sched, history)
+    # fine spans, then coarse; the complex factor first, as tests/oracles.py's _rk4_segment has it
     dts = np.concatenate([durations / steps_per_segment, durations / coarse_steps])
     a = (-1j * dts)[:, None, None] * np.concatenate([generators, generators])
     norms = abs(a).sum(axis=1).max(axis=1)  # every span's ||h||_1*|dt| per step
@@ -285,12 +285,12 @@ def contour_line_integral(
             f"{coarse_steps} steps, above the RK4 oracle's bound {RK4_STEP_NORM_BOUND:g}"
         )
     maps = _rk4_maps(a, steps_per_segment, paired=True)
-    fine = _path_weight(maps[: len(durations)], segments)
-    coarse = _path_weight(maps[len(durations) :], segments)
+    fine, coarse = (_path_weight(half, legs) for half in np.split(maps, 2))
     value = fine.real
     # |fine - coarse| estimates the half-resolution error, about 16 times the
     # returned fine value's. Floored at rounding noise.
     estimate = abs(fine - coarse) + 64.0 * np.finfo(float).eps * (1.0 + abs(value))
-    scale = math.prod(float(np.vdot(psi, psi).real * np.vdot(phi, phi).real) for psi, phi, _ in segments)
-    truncation = steps_per_segment * float((norms[: len(durations)] ** 5).sum()) / 120.0 * math.sqrt(scale)
-    return value, float(estimate), truncation
+    # a span stands for both legs of its interval unless the backward leg has its own pieces
+    fifth = float((norms[: len(durations)] ** 5).sum()) * (2 // len(legs))
+    scale = math.prod(float(np.vdot(psi, psi).real * np.vdot(phi, phi).real) for psi, phi, _ in legs[0])
+    return value, float(estimate), steps_per_segment * fifth / 120.0 * scale

@@ -553,8 +553,15 @@ def serialize_scenario(s: Scenario) -> str:
     """s as a scenario file that parses to a scenario running to the same
     report: fixed points are written as vectors, and the bases are those
     the query's slots hold, but for the built-ins, which a file may not
-    define."""
-    bases = {name: basis for _, name, basis in s.query.slots if name not in ("z", "x")}
+    define. A file names one basis per name, so a slot whose basis differs
+    from another slot's of its name, or from the built-in it is named
+    after, raises ValueError."""
+    bases: dict[str, Basis] = {}
+    for _, name, basis in s.query.slots:
+        # the basis the written file names `name`: a built-in, or the first slot's
+        named = _basis({}, name, s.schedule.dim) if name in ("z", "x") else bases.setdefault(name, basis)
+        if named != basis:
+            raise ValueError(f"query slot {name!r} holds another basis than {name!r} names in a file")
     doc = {
         "schema": SCHEMA_VERSION,
         "dim": s.schedule.dim,

@@ -229,11 +229,19 @@ class TestStackedLineIntegral:
         print(f"worst |stacked - per-span| over value and estimate: {worst:.3e}")
         assert worst <= 1e-15, worst
 
+    @pytest.mark.parametrize("override", [False, True])
     @pytest.mark.parametrize("slots, pieces", [(0, 1), (1, 4), (3, 2), (8, 3)])
-    def test_one_stacked_power_for_both_resolutions(self, monkeypatch, slots, pieces):
-        sched, history = random_chain(np.random.default_rng(slots), slots, pieces, 3)
-        path = build_path([p.t for p in history])
-        n_spans = sum(len(_constant_spans(sched, branch, min(a, b), max(a, b))) for branch, a, b in path)
+    def test_one_stacked_power_for_both_resolutions(self, monkeypatch, slots, pieces, override):
+        # every interval is stepped once per distinct branch Hamiltonian: half
+        # the contour path's spans without an override, all of them with one
+        sched, history = random_chain(np.random.default_rng(slots), slots, pieces, 3, override)
+        times = [p.t for p in history]
+        path = build_path(times)
+        n_path = sum(len(_constant_spans(sched, branch, min(a, b), max(a, b))) for branch, a, b in path)
+        branches = [F, Branch.BACKWARD] if override else [F]
+        intervals = list(zip(times, times[1:]))
+        n_spans = sum(len(_constant_spans(sched, branch, a, b)) for branch in branches for a, b in intervals)
+        assert n_spans == (n_path if override else n_path // 2)
         calls = []
         maps = fpf.oracle._rk4_maps
 
@@ -245,11 +253,12 @@ class TestStackedLineIntegral:
         contour_line_integral(sched, history, 512)
         assert calls == [((2 * n_spans, 3, 3), 512, {"paired": True})]
 
+    @pytest.mark.parametrize("override", [False, True])
     @pytest.mark.parametrize("slots, pieces, dim", [(0, 1, 2), (1, 4, 3), (3, 2, 5), (8, 3, 8)])
-    def test_step_norm_guard_reads_numpys_one_norm(self, monkeypatch, slots, pieces, dim):
+    def test_step_norm_guard_reads_numpys_one_norm(self, monkeypatch, slots, pieces, dim, override):
         # the guard accepts at the largest coarse-span np.linalg.norm(a, 1)
-        # and refuses one float below it: so it reads that float
-        sched, history = random_chain(np.random.default_rng(slots + 40), slots, pieces, dim)
+        # over the planned spans and refuses one float below it: so it reads that float
+        sched, history = random_chain(np.random.default_rng(slots + 40), slots, pieces, dim, override)
         generators, durations, _ = fpf.oracle._contour_plan(sched, history)
         coarse = (-1j * (durations / 32))[:, None, None] * generators
         worst = float(np.linalg.norm(coarse, 1, axis=(1, 2)).max())
@@ -258,6 +267,26 @@ class TestStackedLineIntegral:
         monkeypatch.setattr(fpf.oracle, "RK4_STEP_NORM_BOUND", float(np.nextafter(worst, 0.0)))
         with pytest.raises(InstanceTooLarge, match="stepped line integral"):
             contour_line_integral(sched, history, 64)
+
+    @pytest.mark.parametrize("override", [False, True])
+    def test_truncation_bound_counts_both_legs(self, override):
+        # the bound sums y^5 over the fine steps of both legs of every interval,
+        # as a walk of the contour path meets them, times the product of the
+        # state norms of its 2k factors
+        rng = np.random.default_rng(3000 + override)
+        for _ in range(60):
+            slots, pieces, dim = int(rng.integers(0, 9)), int(rng.integers(1, 5)), int(rng.integers(1, 9))
+            sched, history = random_chain(rng, slots, pieces, dim, override)
+            state_at = {p.t: p.state for p in history}
+            for steps in (512, 64):
+                fifth, scale = 0.0, 1.0
+                for branch, t_from, t_to in build_path([p.t for p in history]):
+                    for h, a, b in _constant_spans(sched, branch, min(t_from, t_to), max(t_from, t_to)):
+                        fifth += steps * (np.linalg.norm(h, 1) * (b - a) / steps) ** 5
+                    scale *= np.linalg.norm(state_at[t_from]) ** 2 * np.linalg.norm(state_at[t_to]) ** 2
+                want = fifth / 120.0 * np.sqrt(scale)
+                _, _, got = contour_line_integral(sched, history, steps)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("steps", [512, 64, 33, 3, 2])
     def test_paired_power_matches_one_call_per_resolution(self, steps):

@@ -122,8 +122,8 @@ def test_chain_labels_are_written_from_the_slot_sizes(dim, slots):
 
 # SHA-256 and length of `fpf run --format table` on chain_of(dim, slots)
 CHAIN_TABLES = {
-    (3, 2): ("02053d0e3a18fc51dcbc9cfd0f18fab70ce26b8b989772f2d571727aa5e8e089", 706),
-    (2, 3): ("e66e17e5ccdff2918f3c5729c2c7c13c9c89324287399ce265ac83222c30e746", 654),
+    (3, 2): ("303bff540803b3d9618b1b847ec871f31b4b2076eac2173cdbce90250992b9a5", 706),
+    (2, 3): ("498bd3917b7127385ed9a39d5fb06408d49b65645bb8c537ca71a6c890eca58f", 656),
 }
 
 

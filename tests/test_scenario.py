@@ -20,7 +20,7 @@ from fpf.scenario import (
     serialize_scenario,
 )
 from fpf.histories import FixedPoint
-from fpf.statespace import HermitianOperator
+from fpf.statespace import HermitianOperator, standard_basis
 
 QUARTER = math.pi / 4
 ZERO2 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
@@ -149,6 +149,28 @@ class TestRoundTrip:
             swapped = random_basis(np.random.default_rng(1000 + seed), len(basis))
             s = replace(s, query=replace(s.query, slots=((t, name, swapped), *rest)))
             assert run(s).to_json() == run(parse_scenario(serialize_scenario(s))).to_json(), seed
+
+    def test_one_name_for_two_bases_is_refused(self):
+        # a file names one basis per name: the second slot's would read back as the first's
+        s = random_scenario(3, 3, 2, "chain")
+        (t0, _, b0), (t1, _, b1) = s.query.slots
+        shared = replace(s, query=replace(s.query, slots=((t0, "a0", b0), (t1, "a0", b1))))
+        with pytest.raises(ValueError, match="^query slot 'a0' holds another basis"):
+            serialize_scenario(shared)
+        same = replace(s, query=replace(s.query, slots=((t0, "a0", b0), (t1, "a0", b0))))
+        assert run(parse_scenario(serialize_scenario(same))).to_json() == run(same).to_json()
+
+    @pytest.mark.parametrize("name, dim", [("z", 3), ("x", 2), ("x", 3)])
+    def test_a_built_in_name_for_another_basis_is_refused(self, name, dim):
+        # a file may not define z or x, so a slot of that name reads back as the
+        # built-in (or, for x outside dim 2, as no basis at all)
+        s = random_scenario(3, dim, 2, "chain")
+        (t0, _, b0), rest = s.query.slots
+        renamed = replace(s, query=replace(s.query, slots=((t0, name, b0), rest)))
+        with pytest.raises(ValueError, match=f"^query slot '{name}' holds another basis"):
+            serialize_scenario(renamed)
+        z = replace(s, query=replace(s.query, slots=((t0, "z", standard_basis(dim)), rest)))
+        assert run(parse_scenario(serialize_scenario(z))).to_json() == run(z).to_json()
 
     @pytest.mark.parametrize(
         "path", sorted(SCENARIOS.glob("*.json")) + sorted(SCENARIOS.glob("gallery/*.json")), ids=lambda p: p.name

@@ -339,7 +339,9 @@ def test_byte_sweep_aa_run_finds_no_difference(tmp_path, monkeypatch):
     assert classes == {"random", "base", "big-int", "non-finite", "surrogate", "bom", "invalid-utf8",
                        "trailing", "duplicate-key", "deep-ignored", "query", "roots", "root-deep"}
     assert row["commands"] == sum(c["commands"] for c in row["classes"].values()) > 500
-    assert row["classes"]["random"] == {"commands": randoms, "differences": 0, "exit_codes": {"0": randoms}}
+    assert row["classes"]["random"] == {
+        "commands": randoms, "differences": 0, "exit_codes": {"0": randoms}, "differing_keys": {}
+    }
     assert row["classes"]["root-deep"]["exit_codes"] == {"2": 6}
     query = {name.split(":")[1]: c for name, c in row["classes"].items() if name.startswith("query:")}
     assert set(query) == set(byte_sweep.QUERY_FAULTS) | {"pairs"}
@@ -361,6 +363,37 @@ def test_byte_sweep_names_the_commands_that_differ(tmp_path, monkeypatch):
     row = json.loads(out.read_text())["byte_sweep"]
     assert row["differences"] > 0 and len(row["first_differences"]) == byte_sweep.MAX_SHOWN
     assert {d["class"] for d in row["first_differences"]} <= {f"big-int:{site}" for site in byte_sweep.SITES}
+
+
+def test_byte_sweep_counts_the_report_keys_that_differ(tmp_path, monkeypatch, capsys):
+    # a change tree whose chain oracle floors its estimate at 65 eps, not 64:
+    # chain reports then differ in oracle_error_estimate alone
+    byte_sweep = _byte_sweep(monkeypatch)
+    change = tmp_path / "change"
+    for part in ("src", "perfbench", "scenarios"):
+        shutil.copytree(ROOT / part, change / part, ignore=shutil.ignore_patterns("__pycache__"))
+    oracle = change / "src" / "fpf" / "oracle.py"
+    source = oracle.read_text()
+    assert source.count("64.0 * np.finfo(float).eps") == 1
+    oracle.write_text(source.replace("64.0 * np.finfo(float).eps", "65.0 * np.finfo(float).eps"))
+    out = tmp_path / "sweep.json"
+    assert byte_sweep.main(["--parent", str(ROOT), "--change", str(change), "--root-depths", *SMALL_SWEEP, str(out)]) == 1
+    classes = json.loads(out.read_text())["byte_sweep"]["classes"]
+    base = classes["base"]
+    chains = base["differing_keys"]["oracle_error_estimate"]
+    assert base["differing_keys"] == {"oracle_error_estimate": chains} and chains > 0
+    assert base["differences"] == 2 * chains  # each chain's json and table report
+    assert all(set(row["differing_keys"]) <= {"oracle_error_estimate"} for row in classes.values())
+    assert f"base: {base['commands']} commands, {base['differences']} differences; " \
+           f"run reports differ in oracle_error_estimate ({chains})" in capsys.readouterr().out
+
+
+def test_byte_sweep_reads_no_keys_from_reports_that_are_not_objects(monkeypatch):
+    byte_sweep = _byte_sweep(monkeypatch)
+    parent, change = '{"a": 1, "b": [1.5], "c": 0}', '{"a": 2, "b": [1.5], "d": 0}'
+    assert byte_sweep.differing_keys(parent, change) == ["a", "c", "d"]
+    assert byte_sweep.differing_keys('{"a": NaN}', '{"a": NaN}') == []
+    assert byte_sweep.differing_keys("", '{"a": 1}') == byte_sweep.differing_keys("[1]", "[2]") == []
 
 
 def test_unreached_lists_the_raises_a_test_file_never_runs(tmp_path):
