@@ -19,11 +19,11 @@ import numpy as np
 
 from fpf.dynamics import HamiltonianSchedule, SchedulePiece
 from fpf.errors import InstanceTooLarge, NumericalCheckFailure
-from fpf.histories import FixedPoint, make_history
+from fpf.histories import make_history
 from fpf.measure import chain_delta_psi
 from fpf.oracle import contour_line_integral
 from fpf.scenario import ORACLE_STEPS, Query, Scenario, random_basis, random_schedule, random_state, run
-from fpf.statespace import HermitianOperator
+from fpf.statespace import FixedPoint, HermitianOperator
 
 BANDS = (0.25, 0.5, 0.75, 0.9, 1.0)  # upper ends of the span-norm bands
 

@@ -1,8 +1,11 @@
-"""Source line counts and Tier-1 results of two checkouts, side by side.
+"""Source line counts, start-up decorations and Tier-1 results of two
+checkouts, side by side.
 
 For a parent and a change checkout it counts the newlines of each module
 in `src/fpf` and of the package as a whole, as `perfbench/run.py` counts
-them, and runs the Tier-1 suite
+them, lists the classes that `dataclasses.dataclass` decorates while
+`fpf.cli` imports (a start-up cost that, unlike a timing, does not spread
+between runs), and runs the Tier-1 suite
 
     PYTHONPATH=src python -m pytest -q --continue-on-collection-errors
 
@@ -31,11 +34,39 @@ from pathlib import Path
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 _COUNT = re.compile(r"(\d+) (passed|failed|errors?|skipped|xfailed|xpassed|deselected)\b")
 
+# prints each class that `dataclasses.dataclass` decorates while fpf.cli imports
+COUNT_DATACLASSES = """
+import dataclasses
+real, decorated = dataclasses.dataclass, []
+
+def counting(cls=None, /, **kwargs):
+    if cls is None:
+        return lambda c: counting(c, **kwargs)
+    decorated.append(f"{cls.__module__}.{cls.__qualname__}")
+    return real(cls, **kwargs)
+
+dataclasses.dataclass = counting
+import fpf.cli
+print("\\n".join(decorated))
+"""
+
 
 def src_lines(checkout: Path) -> dict[str, int]:
     """Newlines per module of checkout's src/fpf, and their sum under "src/fpf"."""
     lines = {p.name: p.read_bytes().count(b"\n") for p in sorted((checkout / "src" / "fpf").glob("*.py"))}
     return {"src/fpf": sum(lines.values()), **lines}
+
+
+def dataclass_decorations(src: Path) -> list[str]:
+    """The classes, in order, that `import fpf.cli` decorates with
+    `dataclasses.dataclass` in a fresh interpreter whose fpf is src/fpf."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", COUNT_DATACLASSES], capture_output=True, text=True, env=env, timeout=60
+    )
+    if proc.returncode:
+        raise RuntimeError(f"import fpf.cli failed in {src}:\n{proc.stderr}")
+    return proc.stdout.split()
 
 
 def summary_counts(line: str) -> dict[str, int]:
@@ -73,6 +104,7 @@ def main(argv: list[str] | None = None) -> int:
             name: {side: lines[side].get(name) for side in checkouts}
             for name in dict.fromkeys([*lines["parent"], *lines["change"]])
         },
+        "dataclass_decorations": {side: dataclass_decorations(root / "src") for side, root in checkouts.items()},
         "tier1": {"command": " ".join(["PYTHONPATH=src python", *TIER1]), "parent": [], "change": []},
     }
     for _ in range(args.tier1_runs):
@@ -82,6 +114,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{side}: {run}")
     total = result["src_lines"]["src/fpf"]
     print(f"src/fpf lines: parent {total['parent']}, change {total['change']}")
+    decorations = {side: len(names) for side, names in result["dataclass_decorations"].items()}
+    print(f"dataclass decorations on import fpf.cli: parent {decorations['parent']}, change {decorations['change']}")
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc[args.key] = result
     args.out.write_text(json.dumps(doc, indent=2) + "\n")

@@ -1,10 +1,10 @@
-"""Fixed points, quantum histories, and fixed-point networks.
+"""Quantum histories and fixed-point networks.
 
-A fixed point pins equal forward and backward temporal parts to one state
-at one time; a history is the tuple of at least two of them at strictly
-increasing times. The scenario parser holds every state it reads to a
-norm tolerance (`state_norm` for a vector, `basis_orthonormal` for a
-basis row), so a history does not check norms again. The network view
+A history is the tuple of at least two fixed points (`statespace.FixedPoint`,
+equal forward and backward temporal parts pinned to one state at one time)
+at strictly increasing times. The scenario parser holds every state it
+reads to a norm tolerance (`state_norm` for a vector, `basis_orthonormal`
+for a basis row), so a history does not check norms again. The network view
 expands each time layer into a complete basis of candidate fixed points
 and connects adjacent layers with one forward and one backward line per
 node pair; those lines are counted from the layer sizes, never built.
@@ -12,35 +12,14 @@ node pair; those lines are counted from the layer sizes, never built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import InstanceTooLarge, ValidationError
-from .statespace import Basis, _frozen_array
+from .statespace import Basis, FixedPoint
 
 # branch lines one network may count, as many as a chain's joints: it keeps
 # over-cap files refused and bounds any later per-line work on a network
 MAX_EDGES = 1 << 16
-
-
-@dataclass(frozen=True, eq=False)
-class FixedPoint:
-    """A state at a time. The state is a read-only copy: a nonempty, finite
-    complex128 vector; unit norm is checked where states enter (the
-    scenario parser), not here."""
-
-    t: float
-    state: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "state", _frozen_array(self.state, ndim=1, what="state vector"))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FixedPoint):
-            return NotImplemented
-        return self.t == other.t and np.array_equal(self.state, other.state)
 
 
 def make_history(points: Sequence[FixedPoint]) -> tuple[FixedPoint, ...]:

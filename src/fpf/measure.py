@@ -33,8 +33,7 @@ from .errors import (
     RealnessViolation,
     ValidationError,
 )
-from .histories import FixedPoint
-from .statespace import Basis
+from .statespace import Basis, FixedPoint
 from .tolerances import Tolerances, active_tolerances
 
 MAX_JOINTS = 1 << 16  # joint outcomes one chain may enumerate

@@ -27,8 +27,7 @@ import numpy as np
 from .contour import Branch
 from .dynamics import HamiltonianSchedule
 from .errors import ImpossiblePostSelection, InstanceTooLarge, ValidationError
-from .histories import FixedPoint
-from .statespace import Basis, UnitaryMatrix, unitaries
+from .statespace import Basis, FixedPoint, UnitaryMatrix, unitaries
 
 
 def _squarings(s: float) -> int:
@@ -217,7 +216,8 @@ def _contour_plan(
             spans += _spans_of(pieces, start.t, end.t)
             intervals.append((start.state, end.state, range(first, len(spans))))
         legs.append(intervals)
-    return np.array([h for h, _, _ in spans]), np.array([b - a for _, a, b in spans]), legs
+    generators = np.array([h for h, _, _ in spans]).reshape(len(spans), sched.dim, sched.dim)
+    return generators, np.array([b - a for _, a, b in spans]), legs
 
 
 def _path_weight(maps: np.ndarray, legs: list[list[tuple[np.ndarray, np.ndarray, range]]]) -> complex:
@@ -278,7 +278,7 @@ def contour_line_integral(
     dts = np.concatenate([durations / steps_per_segment, durations / coarse_steps])
     a = (-1j * dts)[:, None, None] * np.concatenate([generators, generators])
     norms = abs(a).sum(axis=1).max(axis=1)  # every span's ||h||_1*|dt| per step
-    worst = float(norms[len(durations) :].max())  # the largest at the coarse resolution
+    worst = float(norms[len(durations) :].max(initial=0.0))  # the largest at the coarse resolution
     if not worst <= RK4_STEP_NORM_BOUND:  # also catches inf and NaN
         raise InstanceTooLarge(
             f"stepped line integral: a span has ||h||_1*|dt| = {worst:.3e} at "

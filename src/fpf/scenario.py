@@ -24,15 +24,8 @@ from . import measure, oracle
 from .contour import Branch
 from .dynamics import HamiltonianSchedule, SchedulePiece, propagator_laws
 from .errors import NumericalCheckFailure, ScenarioSyntaxError, SchemaError, ValidationError
-from .histories import FixedPoint, build_network, make_history
-from .statespace import (
-    Basis,
-    HermitianOperator,
-    _flat_norm,
-    hermitians,
-    is_unit,
-    standard_basis,
-)
+from .histories import build_network, make_history
+from .statespace import Basis, FixedPoint, HermitianOperator, _flat_norm, hermitians, is_unit, standard_basis
 from .tolerances import active_tolerances, block_overrides, tolerance_overrides
 
 SCHEMA_VERSION = 1

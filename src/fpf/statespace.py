@@ -2,12 +2,12 @@
 
 A state is a plain complex128 vector: a fixed point keeps a read-only
 copy, and `is_unit` checks its norm where it must be 1. Orthonormal bases,
-Hermitian generators, and unitaries are thin immutable wrappers around
-complex128 ndarrays whose invariants are enforced at construction; a basis
-is one matrix, one row per element. Matrix exponentials of Hermitian
-generators go through the eigendecomposition, which keeps the result
-unitary to rounding; `expm_hermitian` forms a stack of them at once.
-Hermiticity and unitarity each have one rule; it decides a whole stack
+Hermitian generators, and unitaries are one checked-matrix type, a
+read-only C-contiguous complex128 copy whose invariant is enforced at
+construction; a basis is one matrix, one row per element. Matrix
+exponentials of Hermitian generators go through the eigendecomposition,
+which keeps the result unitary to rounding; `expm_hermitian` forms a stack
+of them at once. Each invariant has one rule; it decides a whole stack
 (`hermitians`, `unitaries`) at once, and one matrix as a stack of one.
 """
 
@@ -21,8 +21,8 @@ from .errors import ValidationError
 from .tolerances import active_tolerances
 
 
-def _frozen_array(data, *, ndim: int, what: str, order: str = "K") -> np.ndarray:
-    arr = np.array(data, dtype=np.complex128, copy=True, order=order)
+def _frozen_array(data, *, ndim: int, what: str) -> np.ndarray:
+    arr = np.array(data, dtype=np.complex128, copy=True, order="C")
     if arr.ndim != ndim or arr.size == 0:
         raise ValidationError(f"{what} must be a nonempty {ndim}-D complex array")
     if not np.isfinite(arr).all():
@@ -62,6 +62,15 @@ def _check_unitary(stack: np.ndarray) -> None:
             return
         residual = unitarity_defect(stack[int(np.argmax(bad))])
     raise ValidationError(f"matrix is not unitary: ||U^H U - I||_F = {residual:.3e} > {tol:.1e}")
+
+
+def _check_orthonormal(stack: np.ndarray) -> None:
+    """Basis's rule for a finite square (K, d, d) stack of row matrices R:
+    every entry of |R* R^T - I| over the stack is within basis_orthonormal."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge defect is inf or NaN
+        defect = float(np.abs(stack.conj() @ stack.swapaxes(1, 2) - np.eye(stack.shape[2])).max())
+    if not defect <= active_tolerances().basis_orthonormal:
+        raise ValidationError("basis elements are not orthonormal within tolerance")
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,38 +121,36 @@ class UnitaryMatrix(_CheckedMatrix):
     _check = staticmethod(_check_unitary)
 
 
-@dataclass(frozen=True, eq=False)
-class Basis:
-    """Complete orthonormal basis held as one read-only (d, d) matrix whose
-    rows are its elements: Gram matrix rows* rows^T = I within the active
-    basis_orthonormal tolerance."""
+class Basis(_CheckedMatrix):
+    """Complete orthonormal basis: its rows are its elements."""
 
-    rows: np.ndarray
-
-    def __post_init__(self):
-        rows = _frozen_array(self.rows, ndim=2, what="basis", order="C")
-        dim = rows.shape[1]
-        if rows.shape[0] != dim:
-            raise ValidationError(
-                f"basis of a {dim}-dimensional space needs {dim} elements, got {rows.shape[0]}"
-            )
-        with np.errstate(over="ignore", invalid="ignore"):  # a huge defect is inf or NaN
-            defect = float(np.abs(rows.conj() @ rows.T - np.eye(dim)).max())
-        if not defect <= active_tolerances().basis_orthonormal:
-            raise ValidationError("basis elements are not orthonormal within tolerance")
-        object.__setattr__(self, "rows", rows)
+    _what = "basis"
+    _check = staticmethod(_check_orthonormal)
 
     @property
-    def dim(self) -> int:
-        return self.rows.shape[0]
+    def rows(self) -> np.ndarray:
+        return self.mat
 
     def __len__(self) -> int:
-        return self.rows.shape[0]
+        return self.mat.shape[0]
+
+
+@dataclass(frozen=True, eq=False)
+class FixedPoint:
+    """A state at a time. The state is a read-only copy: a nonempty, finite
+    complex128 vector; unit norm is checked where states enter (the
+    scenario parser), not here."""
+
+    t: float
+    state: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "state", _frozen_array(self.state, ndim=1, what="state vector"))
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Basis):
+        if not isinstance(other, FixedPoint):
             return NotImplemented
-        return np.array_equal(self.rows, other.rows)
+        return self.t == other.t and np.array_equal(self.state, other.state)
 
 
 def unitaries(stack) -> tuple[UnitaryMatrix, ...]:

@@ -18,9 +18,8 @@ import numpy as np
 from fpf.contour import Branch
 from fpf.dynamics import HamiltonianSchedule
 from fpf.errors import InstanceTooLarge, NumericalCheckFailure, ValidationError
-from fpf.histories import FixedPoint
 from fpf.oracle import _rk4_maps, propagator
-from fpf.statespace import HermitianOperator
+from fpf.statespace import FixedPoint, HermitianOperator
 
 # Fixed bounds of the density-matrix checks: no command builds a density
 # matrix or an expectation value, so no invocation has one to override.

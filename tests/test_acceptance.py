@@ -12,7 +12,7 @@ import pytest
 
 from fpf.cli import main
 from fpf.dynamics import propagator_laws
-from fpf.histories import FixedPoint, make_history
+from fpf.histories import make_history
 from fpf.measure import born_measure, chain_delta_psi
 from fpf.oracle import contour_line_integral
 from fpf.scenario import (
@@ -24,7 +24,7 @@ from fpf.scenario import (
     random_state,
     run,
 )
-from fpf.statespace import HermitianOperator, standard_basis
+from fpf.statespace import FixedPoint, HermitianOperator, standard_basis
 from oracles import DensityMatrix, expectation, tensor_sink_delta_psi
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"

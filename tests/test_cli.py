@@ -1,5 +1,6 @@
 import argparse
 import importlib
+import importlib.util
 import json
 import math
 import os
@@ -432,6 +433,28 @@ class TestStructuralExtremes:
         else:
             assert err == "" and json.loads(out)["edge_count"] == 20_000
 
+    @pytest.mark.parametrize("side", ["before", "after"])
+    @pytest.mark.parametrize("kind", ["born", "abl", "network", "validate", "chain-0", "chain-1"])
+    def test_queries_wholly_in_the_schedule_slack_run(self, capsys, tmp_path, side, kind):
+        # every time lies within schedule_gap (1e-9) outside the one piece on
+        # [0, 1]: no span is left to step, and a chain's oracle runs on
+        # identity propagation, equal to the engine's weight to rounding
+        t0, t1, t2 = {"before": (-5e-10, -3e-10, -1e-10), "after": (1 + 1e-10, 1 + 3e-10, 1 + 5e-10)}[side]
+        pre, post = {"time": t0, "state": "z:0"}, {"time": t2, "state": "x:+"}
+        points, query = {
+            "born": ([pre], {"kind": "born", "time": t2, "outcomes": "x"}),
+            "abl": ([pre, post], {"kind": "abl", "time": t1, "outcomes": "x"}),
+            "network": ([], {"kind": "network", "times": [t0, t1, t2], "bases": ["z", "x", "z"]}),
+            "validate": ([pre], {"kind": "validate"}),
+            "chain-0": ([pre, post], {"kind": "chain", "interior": [], "selection": []}),
+            "chain-1": ([pre, post], {"kind": "chain", "interior": [{"time": t1, "outcomes": "x"}], "selection": [0]}),
+        }[kind]
+        code, out, err = run_cli(capsys, "run", _write(tmp_path, _born_doc(fixed_points=points, query=query)))
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        if kind.startswith("chain"):
+            assert report["oracle"] == [pytest.approx(report["delta_psi"][report["selected_index"]], abs=1e-15)]
+
     def test_closed_stdout_ends_without_a_traceback(self, tmp_path):
         # 1,024 joints give a report larger than a pipe buffer
         path = _write(tmp_path, _chain_doc(2, 10, "x"))
@@ -448,33 +471,14 @@ class TestStructuralExtremes:
         assert err == b""  # no traceback, no "Exception ignored"
 
 
-# counts each class that `dataclasses.dataclass` decorates while fpf.cli imports
-COUNT_DATACLASSES = """
-import dataclasses
-real, decorated = dataclasses.dataclass, []
-
-def counting(cls=None, /, **kwargs):
-    if cls is None:
-        return lambda c: counting(c, **kwargs)
-    decorated.append(f"{cls.__module__}.{cls.__qualname__}")
-    return real(cls, **kwargs)
-
-dataclasses.dataclass = counting
-import fpf.cli
-print("\\n".join(decorated))
-"""
-
-
-def test_import_runs_10_dataclass_decorations():
-    # each decoration costs start-up time in every `fpf` process
-    src = str(Path(fpf.cli.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run(
-        [sys.executable, "-c", COUNT_DATACLASSES], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    decorated = proc.stdout.split()
-    assert len(decorated) == 10, decorated
+def test_import_runs_9_dataclass_decorations():
+    # each decoration costs start-up time in every `fpf` process; the
+    # counter is the one scripts/tree_facts.py records for both sides
+    spec = importlib.util.spec_from_file_location("tree_facts", SCENARIOS.parent / "scripts" / "tree_facts.py")
+    tree_facts = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tree_facts)
+    decorated = tree_facts.dataclass_decorations(Path(fpf.cli.__file__).resolve().parent.parent)
+    assert len(decorated) == 9, decorated
     assert "fpf.oracle.DensityMatrix" not in decorated
 
 

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpf.errors import InstanceTooLarge, ValidationError
-from fpf.histories import MAX_EDGES, FixedPoint, build_network, make_history
+from fpf.histories import MAX_EDGES, build_network, make_history
 from fpf.measure import chain_delta_psi
 from fpf.oracle import contour_line_integral
 from fpf.scenario import random_schedule, random_state
-from fpf.statespace import standard_basis
+from fpf.statespace import FixedPoint, standard_basis
 
 E0, E1 = standard_basis(2).rows
 _standard_basis = functools.cache(standard_basis)

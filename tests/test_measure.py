@@ -17,7 +17,7 @@ from fpf.errors import (
     RealnessViolation,
     ValidationError,
 )
-from fpf.histories import FixedPoint, make_history
+from fpf.histories import make_history
 from fpf.measure import (
     MAX_JOINTS,
     MeasureResult,
@@ -29,6 +29,7 @@ from fpf.measure import (
 from fpf.scenario import random_basis, random_hermitian, random_schedule, random_state
 from fpf.statespace import (
     Basis,
+    FixedPoint,
     HermitianOperator,
     standard_basis,
 )
@@ -133,7 +134,7 @@ class TestBornMeasure:
         # a "basis" that misses the evolved state entirely cannot arise from
         # the Basis type, so feed the measure a crafted incomplete stand-in
         lying = Basis.__new__(Basis)
-        object.__setattr__(lying, "rows", E1[None])
+        object.__setattr__(lying, "mat", E1[None])
         with pytest.raises(DegenerateNormalizer):
             born_measure(FREE, FixedPoint(0.0, E0), 1.0, lying)
 

@@ -8,7 +8,7 @@ import fpf.oracle
 from fpf.contour import Branch, build_path
 from fpf.dynamics import HamiltonianSchedule, SchedulePiece, propagate
 from fpf.errors import ImpossiblePostSelection, InstanceTooLarge, ValidationError
-from fpf.histories import FixedPoint, make_history
+from fpf.histories import make_history
 from fpf.measure import chain_delta_psi
 from fpf.oracle import (
     RK4_STEP_NORM_BOUND,
@@ -26,6 +26,7 @@ from fpf.oracle import (
 from fpf.scenario import random_basis, random_hermitian, random_schedule, random_state
 from oracles import _rk4_segment
 from fpf.statespace import (
+    FixedPoint,
     HermitianOperator,
     UnitaryMatrix,
     expm_hermitian,

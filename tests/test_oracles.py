@@ -7,11 +7,11 @@ import pytest
 from fpf.contour import Branch
 from fpf.dynamics import HamiltonianSchedule, SchedulePiece
 from fpf.errors import InstanceTooLarge, ValidationError
-from fpf.histories import FixedPoint, make_history
+from fpf.histories import make_history
 from fpf.measure import chain_delta_psi
 from fpf.oracle import propagator, standard_born
 from fpf.scenario import random_schedule, random_state
-from fpf.statespace import HermitianOperator, standard_basis
+from fpf.statespace import FixedPoint, HermitianOperator, standard_basis
 from oracles import DensityMatrix, expectation, tensor_sink_delta_psi
 
 QUARTER = float(np.pi / 4)

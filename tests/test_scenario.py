@@ -19,8 +19,7 @@ from fpf.scenario import (
     run,
     serialize_scenario,
 )
-from fpf.histories import FixedPoint
-from fpf.statespace import HermitianOperator, standard_basis
+from fpf.statespace import FixedPoint, HermitianOperator, standard_basis
 
 QUARTER = math.pi / 4
 ZERO2 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]

@@ -428,6 +428,8 @@ def test_tree_facts_counts_lines_beside_other_keys(tmp_path):
                "--tier1-runs", "0")
     doc = json.loads(out.read_text())
     assert doc["other"] == 1 and doc["tree_facts"]["tier1"]["change"] == []
+    decorations = doc["tree_facts"]["dataclass_decorations"]
+    assert decorations["parent"] == decorations["change"] != []
     lines = doc["tree_facts"]["src_lines"]
     modules = sorted((ROOT / "src" / "fpf").glob("*.py"))
     assert {p.name: lines[p.name]["change"] for p in modules} == {

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpf.errors import ValidationError
-from fpf.histories import FixedPoint
 from fpf.statespace import (
     Basis,
+    FixedPoint,
     HermitianOperator,
     UnitaryMatrix,
     _flat_norm,
@@ -67,7 +67,7 @@ class TestCheckBasis:
             basis[0]
 
     def test_incomplete_set(self):
-        with pytest.raises(ValidationError, match="needs 3 elements, got 2"):
+        with pytest.raises(ValidationError, match="^basis must be square$"):
             Basis(np.eye(3)[:2])
 
     def test_basis_type_raises_on_bad_input(self):
@@ -277,14 +277,16 @@ class TestUnitaries:
 
 
 class TestCheckedMatrices:
-    """HermitianOperator and UnitaryMatrix share construction, dim and
+    """HermitianOperator, UnitaryMatrix and Basis share construction, dim and
     equality; only their name and their rule differ."""
 
-    @pytest.mark.parametrize("cls, what", [(HermitianOperator, "Hermitian operator"), (UnitaryMatrix, "unitary matrix")])
+    @pytest.mark.parametrize(
+        "cls, what", [(HermitianOperator, "Hermitian operator"), (UnitaryMatrix, "unitary matrix"), (Basis, "basis")]
+    )
     def test_shape_errors_name_the_type(self, cls, what):
         assert message(cls, np.ones((2, 3))) == f"{what} must be square"
         assert message(cls, np.ones(2)) == f"{what} must be a nonempty 2-D complex array"
-        stack = hermitians if cls is HermitianOperator else unitaries
+        stack = {HermitianOperator: hermitians, UnitaryMatrix: unitaries, Basis: Basis._stack}[cls]
         assert message(stack, np.ones((2, 2, 3))) == f"{what} must be square"
         assert message(stack, np.eye(2)) == f"{what} must be a nonempty 3-D complex array"
 
@@ -292,6 +294,7 @@ class TestCheckedMatrices:
         assert HermitianOperator(SX) == HermitianOperator(SX.real)
         assert HermitianOperator(SX) != HermitianOperator(SZ)
         assert HermitianOperator(SX) != UnitaryMatrix(SX)
+        assert Basis(np.eye(2)) != UnitaryMatrix(np.eye(2))
         assert UnitaryMatrix(SX).dim == HermitianOperator(np.eye(3)).dim - 1
 
 
@@ -357,6 +360,26 @@ class TestNormsAsNumpyFormsThem:
             unitaries(stack)
         with tolerance_overrides(unitary=below(defects.max())):
             assert message(unitaries, stack).startswith("matrix is not unitary")
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 8])
+    def test_orthonormality_defects(self, dim):
+        # as for unitarity: the entrywise Gram defect numpy gives is the
+        # stacked check's, per matrix and over a stack
+        stack = np.swapaxes(random_unitaries(dim, 6, dim), 1, 2)
+        noise = np.random.default_rng(dim).normal(size=stack.shape)
+        stack = stack + noise * np.array([0.0, 1e-15, 1e-12, 1e-10, 1e-6, 1e-2])[:, None, None]
+        defects = [np.abs(rows.conj() @ rows.T - np.eye(dim)).max() for rows in stack]
+        refused = "basis elements are not orthonormal within tolerance"
+        for rows, defect in zip(stack, defects):
+            with tolerance_overrides(basis_orthonormal=float(defect)):
+                Basis(rows)
+            if defect > 0:
+                with tolerance_overrides(basis_orthonormal=below(defect)):
+                    assert message(Basis, rows) == refused
+        with tolerance_overrides(basis_orthonormal=float(max(defects))):
+            Basis._stack(stack)
+        with tolerance_overrides(basis_orthonormal=below(max(defects))):
+            assert message(Basis._stack, stack) == refused
 
     @pytest.mark.parametrize("dim", [1, 2, 5, 8])
     def test_is_unit_at_the_edge(self, dim):
