@@ -18,9 +18,11 @@ and 1.034 on `chain-wide`). Each round starts with a full garbage
 collection and runs with the collector off, so that no collection, which
 the same sequence of allocations triggers on the same call in every
 process, lands inside a timed call. Each call is `cli.main(["run", file])` with stdout and
-stderr captured, and the two sides must print the same stdout and stderr
-and return the same exit code on every call, or the script stops with
-exit 1.
+stderr captured. The two sides must return the same exit code and print
+the same stderr, and the same stdout or JSON objects that differ in some
+top-level keys (`differing_keys`), as a change confined to a few report
+fields does; each side must print the same on every call of a file. On
+any other difference the script stops with exit 1.
 
 Per workload it writes every process's per-round time ratios (change over
 parent, so below 1 is faster), each process's median, the median of all
@@ -28,7 +30,8 @@ rounds and of the even and of the odd rounds (numbered from 0 in each
 process: `chain-wide`'s ratios still alternate with round parity, so a
 claim is read against that split), a bootstrap 95% interval of the median
 of all rounds, each side's median round time and each file's median
-ratio. Where a process places each tree's code
+ratio, and per file whose two sides differ the top-level keys they differ
+in. Where a process places each tree's code
 and data can favour one side by about half a percent for the whole
 process, so the bootstrap resamples processes first and then the rounds of
 each, and the interval holds that spread too. Both trees share one process
@@ -108,18 +111,35 @@ def call(cli, *argv: str) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def differing_keys(parent_out: str, change_out: str) -> list[str]:
+    """The top-level keys whose values differ between two JSON reports, a
+    key missing on one side included; none where either is not a JSON object."""
+    try:
+        parent, change = json.loads(parent_out), json.loads(change_out)
+    except json.JSONDecodeError:
+        return []
+    if not (isinstance(parent, dict) and isinstance(change, dict)):
+        return []
+    return [key for key in sorted(parent.keys() | change.keys())
+            if key not in parent or key not in change or json.dumps(parent[key]) != json.dumps(change[key])]
+
+
 def measure(checkouts: dict, order: tuple, files: list[str], rounds: int) -> dict:
     """In a process of its own: the trees loaded in `order`, then per side
-    and file the times of `rounds` calls, or the first output mismatch."""
+    and file the times of `rounds` calls and per file the report keys the
+    sides differ in, or the first output difference that is not one."""
     clis = {side: load_cli(checkouts[side], side) for side in order}
-    expected = {}
-    for path in files:  # untimed warm-up, and the outputs both sides must print
+    expected, keys = {}, {}
+    for path in files:  # untimed warm-up, and the output each side must print
         outputs = [call(clis[side], "run", path) for side in SIDES]
         if outputs[0] != outputs[1]:
-            same = ", ".join(f"{what} {'same' if a == b else 'differs'}"
-                             for what, a, b in zip(("exit code", "stdout", "stderr"), *outputs))
-            return {"error": f"outputs differ on {path}: {same}"}
-        expected[path] = outputs[0]
+            (parent_code, parent_out, parent_err), (change_code, change_out, change_err) = outputs
+            keys[path] = differing_keys(parent_out, change_out)
+            if parent_code != change_code or parent_err != change_err or not keys[path]:
+                same = ", ".join(f"{what} {'same' if a == b else 'differs'}"
+                                 for what, a, b in zip(("exit code", "stdout", "stderr"), *outputs))
+                return {"error": f"outputs differ on {path}: {same}"}
+        expected[path] = dict(zip(SIDES, outputs))
     times = {side: {path: [] for path in files} for side in SIDES}
     for r in range(rounds):
         gc.collect()  # each round starts without garbage and collects none
@@ -130,11 +150,11 @@ def measure(checkouts: dict, order: tuple, files: list[str], rounds: int) -> dic
                     start = perf_counter()
                     got = call(clis[side], "run", path)
                     times[side][path].append(perf_counter() - start)
-                    if got != expected[path]:
+                    if got != expected[path][side]:
                         return {"error": f"{side} output changed on {path} in round {r}"}
         finally:
             gc.enable()
-    return {"times": times}
+    return {"times": times, "differing_keys": keys}
 
 
 def bootstrap_median(ratios: np.ndarray) -> list[float]:
@@ -150,13 +170,14 @@ def bootstrap_median(ratios: np.ndarray) -> list[float]:
 
 def run_workload(checkouts: dict, files: list[str]) -> dict:
     spawn = multiprocessing.get_context("spawn")
-    runs = []
+    runs, keys = [], {}
     for p in range(PROCESSES):
         with spawn.Pool(1) as pool:
             got = pool.apply(measure, (checkouts, SIDES if p % 2 == 0 else SIDES[::-1], files, ROUNDS))
         if "error" in got:
             raise SystemExit(got["error"])
         runs.append(got["times"])
+        keys.update((Path(path).name, names) for path, names in got["differing_keys"].items())
     # per side, process and round: the time of one pass over every file
     round_s = {side: np.array([[sum(t) for t in zip(*run[side].values())] for run in runs]) for side in SIDES}
     ratios = round_s["change"] / round_s["parent"]
@@ -176,6 +197,7 @@ def run_workload(checkouts: dict, files: list[str]) -> dict:
         "ci95": bootstrap_median(ratios),
         "round_s_median": {side: float(np.median(round_s[side])) for side in SIDES},
         "file_median_ratio": {name: statistics.median(r) for name, r in file_ratios.items()},
+        "differing_keys": keys,
     }
 
 
@@ -208,6 +230,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{workload}: change/parent round time {row['median_ratio']:.3f} [{lo:.3f}, {hi:.3f}] "
                   f"(even rounds {row['even_round_median_ratio']:.3f}, odd {row['odd_round_median_ratio']:.3f}) "
                   f"over {PROCESSES} processes x {ROUNDS} rounds of {len(files)} files")
+            if row["differing_keys"]:
+                names = sorted(set().union(*row["differing_keys"].values()))
+                print(f"{workload}: {len(row['differing_keys'])} files' reports differ in {', '.join(names)}")
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc[args.key] = result
     args.out.write_text(json.dumps(doc, indent=2) + "\n")

@@ -62,7 +62,7 @@ from typing import Iterator
 
 sys.dont_write_bytecode = True  # leave no byte-code in either checkout
 
-from bench_ab import SIDES, call, load_cli, load_module  # noqa: E402
+from bench_ab import SIDES, call, differing_keys, load_cli, load_module  # noqa: E402
 
 COMMANDS = (("run",), ("run", "--format", "table"), ("validate",))
 KINDS = ("born", "abl", "chain", "network", "validate")
@@ -269,19 +269,6 @@ def child_calls(checkout: Path, commands: list[list[str]]) -> list[tuple[int, st
     if proc.returncode != 0:
         return [(proc.returncode, "", proc.stderr[-300:])] * len(commands)
     return [tuple(result) for result in json.loads(proc.stdout)]
-
-
-def differing_keys(parent_out: str, change_out: str) -> list[str]:
-    """The top-level keys whose values differ between two JSON reports, a
-    key missing on one side included; none where either is not a JSON object."""
-    try:
-        parent, change = json.loads(parent_out), json.loads(change_out)
-    except json.JSONDecodeError:
-        return []
-    if not (isinstance(parent, dict) and isinstance(change, dict)):
-        return []
-    return [key for key in sorted(parent.keys() | change.keys())
-            if key not in parent or key not in change or json.dumps(parent[key]) != json.dumps(change[key])]
 
 
 class Tally:

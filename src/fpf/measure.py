@@ -39,29 +39,12 @@ from .tolerances import Tolerances, active_tolerances
 MAX_JOINTS = 1 << 16  # joint outcomes one chain may enumerate
 
 
-class JointLabels(tuple):
-    """The joint outcomes of slots of the given sizes (each at least 1),
-    as tuples of basis indices in row-major order: an immutable odometer."""
-
-    __slots__ = ()
-
-    def __new__(cls, sizes: Sequence[int]) -> JointLabels:
-        return super().__new__(cls, itertools.product(*map(range, sizes)))
-
-    def __getnewargs__(self) -> tuple:  # copy and pickle rebuild it from its sizes
-        return (self.sizes,)
-
-    @property
-    def sizes(self) -> tuple[int, ...]:  # the last row's indices, plus one
-        return tuple(i + 1 for i in self[-1])
-
-
 @dataclass(frozen=True, eq=False)
 class MeasureResult:
     """Unnormalized weights and normalized measures over an outcome set.
 
     labels identifies each joint outcome by its tuple of basis indices,
-    one per outcome slot (JointLabels from chain_measure); selected marks
+    one per outcome slot, in row-major (odometer) order; selected marks
     the queried outcome when the caller asked about a single one.
     """
 
@@ -209,6 +192,6 @@ def chain_measure(
         delta_psi=delta,
         normalizer=normalizer,
         measures=delta / normalizer,
-        labels=JointLabels([len(basis) for _, basis in interior]),
+        labels=tuple(itertools.product(*[range(len(basis)) for _, basis in interior])),
         selected=selected,
     )

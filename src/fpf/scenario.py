@@ -13,8 +13,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from itertools import chain, product
-from json.encoder import encode_basestring_ascii as _quote
+from itertools import chain
 from typing import Any, Sequence
 
 import numpy as np
@@ -430,57 +429,46 @@ def parse_scenario(source: Any, overrides: dict[str, float] | None = None) -> Sc
 # -- serialization -----------------------------------------------------------
 
 
-def _write(value: Any, nl: str = "\n") -> str:
+_JSON_OPTIONS = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS
+
+
+def _write(value: Any) -> str:
     """value spelt as json.dumps(value, indent=2, sort_keys=True) spells it,
-    for str-keyed dicts, lists, tuples, str, int, float, bool and None; nl
-    is a newline plus the indent of the line value starts on. Any other key
-    or value raises TypeError."""
-    if isinstance(value, str):
-        return _quote(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
+    for str-keyed dicts, lists, tuples, str, int, float, bool and None; any
+    other key or value raises TypeError. orjson writes that layout, and its
+    floats are respelt as repr spells them. json.dumps writes what orjson
+    spells otherwise: subclasses of float and tuple, ints past 64 bits,
+    text that is not ASCII or holds an escape or DEL, NaN and the
+    infinities (which orjson writes as null)."""
+    try:
+        text = orjson.dumps(value, option=_JSON_OPTIONS).decode()
+    except TypeError:
+        _non_finite(value)  # raises at a non-str key, which json.dumps would make a str
+    else:
+        if text.isascii() and "\\" not in text and "\x7f" not in text:
+            # With no backslash there is no escaped quote, so the even pieces
+            # lie outside string literals, where only null holds an n. A
+            # leading space puts one before every number.
+            pieces = (" " + text).split('"')
+            outside = pieces[::2]
+            if not any("n" in piece for piece in outside) or not _non_finite(value):
+                pieces[::2] = map(_repr_spelling, outside)
+                return '"'.join(pieces)[1:]
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+def _non_finite(value: Any) -> bool:
+    """Whether value holds a NaN or an infinity, looking at every item; a
+    dict key that is not a str raises TypeError."""
     if isinstance(value, float):
-        return _float_text(value)
-    inner = nl + "  "
-    if isinstance(value, (list, tuple)):
-        return "[" + inner + _write_items(value, inner) + nl + "]" if value else "[]"
+        return not math.isfinite(value)
     if isinstance(value, dict):
         if not all(isinstance(key, str) for key in value):
             raise TypeError("dict keys must be str")
-        items = [_quote(key) + ": " + _write(value[key], inner) for key in sorted(value)]
-        return "{" + inner + ("," + inner).join(items) + nl + "}" if items else "{}"
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
-
-
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _write_items(seq: list | tuple, nl: str) -> str:
-    """The items of a nonempty list, one per line at indent nl; lists of
-    exact floats are written whole, and JointLabels spelt from their sizes."""
-    sep = "," + nl
-    if type(seq) is measure.JointLabels:  # a chain without slots has one row, []
-        inner, sizes = nl + "  ", seq.sizes
-        rows = map(("," + inner).join, product(*[list(map(str, range(n))) for n in sizes]))
-        return "[" + inner + (nl + "]" + sep + "[" + inner).join(rows) + nl + "]" if sizes else "[]"
-    if set(map(type, seq)) == {float}:
-        text = orjson.dumps(seq).decode()
-        if "null" not in text:  # no nan or inf, which json spells NaN and Infinity
-            return _repr_spelling(text).replace(",", sep)
-    return sep.join([_write(v, nl) for v in seq])
+        value = value.values()
+    elif not isinstance(value, (list, tuple)):
+        return False
+    return any([_non_finite(v) for v in value])
 
 
 _UNSIGNED_EXPONENT = re.compile(r"e(?=\d)")
@@ -488,23 +476,25 @@ _ONE_DIGIT_EXPONENT = re.compile(r"e-(?=\d(?!\d))")
 
 
 def _repr_spelling(text: str) -> str:
-    """The entries of orjson's text for a list of finite floats, joined by
-    commas without brackets, each as float.__repr__ spells it. Both write
-    the shortest digits that read back to the float (Ryu); orjson places
-    them otherwise in three cases only: 1e16 for 1e+16, 1.5e-7 for 1.5e-07,
-    and positionally where 1e-5 <= |x| < 1e-4 (0.0000999 for 9.99e-05)."""
+    """orjson's text outside string literals, each number after a space,
+    with its floats as float.__repr__ spells them. Both write the shortest
+    digits that read back to the float (Ryu); orjson places them otherwise
+    in three cases only: 1e16 for 1e+16, 1.5e-7 for 1.5e-07, and
+    positionally where 1e-5 <= |x| < 1e-4 (0.0000999 for 9.99e-05)."""
     if "e" in text:
         text = _ONE_DIGIT_EXPONENT.sub("e-0", _UNSIGNED_EXPONENT.sub("e+", text))
     if "0.0000" not in text:
-        return text[1:-1]
-    text = "," + text[1:-1] + ","  # every entry between two commas
-    for sign in ("", "-"):  # 0.0000ddd is d.dde-05
-        head, *band = text.split(f",{sign}0.0000")
-        for i, entry in enumerate(band):
-            digits, comma, rest = entry.partition(",")
-            band[i] = f"{digits[0]}.{digits[1:]}e-05{comma}{rest}"
-        text = f",{sign}".join([head, *band])
-    return text[1:-1].replace(".e", "e")  # one digit: 1e-05, not 1.e-05
+        return text
+    parts = text.split("0.0000")
+    for i in range(1, len(parts)):
+        entry = parts[i]
+        if not parts[i - 1].endswith((" ", " -")):  # inside a number, as in 10.00001
+            parts[i] = "0.0000" + entry
+            continue
+        end = len(entry) - len(entry.lstrip("0123456789"))  # at a comma or a line end
+        dot = "." if end > 1 else ""  # 0.0000ddd is d.dde-05, and 0.00001 is 1e-05
+        parts[i] = f"{entry[0]}{dot}{entry[1:end]}e-05{entry[end:]}"
+    return "".join(parts)
 
 
 def _dump_array(a: np.ndarray) -> list:
@@ -690,8 +680,8 @@ class ResultReport:
         lines = [f"query: {self.query.get('kind', '?')}"]
         if self.measures is not None:
             labels = self.extra.get("labels")
-            if type(labels) is measure.JointLabels:
-                labels = [list(row) for row in labels]  # rows print as lists, [0, 1]
+            if type(labels) is tuple:  # chain_measure's rows print as lists, [0, 1]
+                labels = [list(row) for row in labels]
             # born and abl oracles are per outcome; a chain's is its selected weight
             oracle_vals = self.oracle if self.query.get("kind") in ("born", "abl") else None
             header = f"{'outcome':<12} {'delta_psi':>18} {'measure':>18}"

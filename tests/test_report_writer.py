@@ -2,10 +2,11 @@
 byte: reports of every query kind, random scenarios (a chain of 1024
 joints among them), `fpf random` documents, edge values, label rows and
 lists that nearly are, float lists of every magnitude (written through
-orjson and respelt as repr spells them), and random JSON-like trees."""
+orjson and respelt as repr spells them), text that reads like orjson's
+floats, values orjson spells otherwise, and random JSON-like trees."""
 
+import collections
 import contextlib
-import copy
 import hashlib
 import io
 import itertools
@@ -21,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpf.cli import main
-from fpf.measure import JointLabels
 from fpf.scenario import (
     QUERY_KINDS,
     Query,
@@ -148,10 +148,16 @@ SIZES = st.lists(st.integers(1, 8), max_size=8).filter(lambda sizes: math.prod(s
 @given(SIZES)
 @settings(max_examples=60, deadline=None)
 def test_joint_labels_are_the_odometer_and_write_as_json_does(sizes):
-    labels = JointLabels(sizes)
-    assert labels == tuple(itertools.product(*map(range, sizes)))
-    assert labels.sizes == tuple(sizes)
-    assert copy.deepcopy(labels) == labels and type(copy.deepcopy(labels)) is JointLabels
+    # chain_measure's labels: a plain tuple of index rows, the last index turning fastest
+    labels = tuple(itertools.product(*map(range, sizes)))
+    row, odometer = [0] * len(sizes), []
+    for _ in range(math.prod(sizes)):
+        odometer.append(tuple(row))
+        for k in reversed(range(len(sizes))):
+            row[k] = (row[k] + 1) % sizes[k]
+            if row[k]:
+                break
+    assert labels == tuple(odometer)
     report = ResultReport(query={"kind": "chain"}, extra={"labels": labels})
     assert report.to_json() == reference(report.to_dict())
 
@@ -211,6 +217,8 @@ EDGE_VALUES = [
     "ünïcödé ∮ 𝄞",
     "tab\tnewline\nquote\"backslash\\nul\x00bell\x07del\x7f",
     {"é": 1, "\n": 2, "a": 3, "B": 4},
+    "del\x7f",  # the one ASCII character json escapes and orjson does not
+    {"key\x7f": [2e-05]},
     np.float64(0.1),
     [np.float64(1.5), np.float64(-0.0), 2.0],
     {"x": np.float64(math.nan), "y": [np.float64(math.inf)]},
@@ -220,6 +228,27 @@ EDGE_VALUES = [
     0,
     -7,
     {"z": None, "a": [True, False, None], "m": {"deep": [[0.25]]}},
+    # floats orjson places otherwise, alone and as dict values
+    *(v for x in (2e-05, -9.99e-05, 1.5e-07, 1e+16) for v in (x, {"normalizer": x})),
+    # text that reads like those floats, as keys and values beside float lists
+    *(
+        v
+        for text in ("0.00001", " 0.0000123", "e-5", "base1e7")
+        for v in ({text: [2e-05, 1e+16], "measures": [text, -9.99e-05, 1.5e-07]}, [text, 1e-05, text])
+    ),
+    [10.00001, -100.00001, 1.0000012, {"x": 20.00003}],  # 0.0000 inside a number, not a band float
+    [None, math.nan],
+    {"oracle": None, "max_deviation": math.inf},
+    {"oracle": None, "measures": [2e-05, -9.99e-05, 1.5e-07, 1e+16]},
+    [None, 2e-05, None, 1e+16],
+    # ints at the edges of orjson's 64-bit range, and past them
+    -(2**63) - 1,
+    -(2**63),
+    2**64 - 1,
+    2**64,
+    [-(2**63) - 1, -(2**63), 2**64 - 1, 2**64, 2e-05],
+    collections.namedtuple("Pair", "re im")(0.5, 2e-05),
+    {"pair": collections.namedtuple("Pair", "re im")(1e+16, -0.0)},
 ]
 
 
@@ -228,7 +257,7 @@ def test_edge_values(value):
     assert_same(value)
 
 
-@pytest.mark.parametrize("value", [{1: 2}, {"a": {None: 1}}, [{(1,): 0}]], ids=repr)
+@pytest.mark.parametrize("value", [{1: 2}, {"a": {None: 1}}, [{(1,): 0}], {1: "é"}], ids=repr)
 def test_non_str_key_raises(value):
     with pytest.raises(TypeError):
         _write(value)

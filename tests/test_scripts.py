@@ -291,26 +291,72 @@ def test_bench_ab_collects_garbage_between_rounds_only(monkeypatch):
 
     monkeypatch.setattr(bench_ab, "load_cli", lambda checkout, side: FakeCli)
     got = bench_ab.measure(dict.fromkeys(bench_ab.SIDES), bench_ab.SIDES, ["a.json", "b.json"], 2)
-    assert set(got) == {"times"} and gc.isenabled()
+    assert set(got) == {"times", "differing_keys"} and got["differing_keys"] == {} and gc.isenabled()
     warm_up, timed = events[:4], events[4:]
     assert warm_up == [True] * 4
     assert timed == ["collect", False, False, False, False] * 2
 
 
-def test_bench_ab_stops_when_the_outputs_differ(tmp_path, monkeypatch):
-    # a change tree whose chain reports integrate the oracle at another resolution
-    bench_ab = _bench_ab(monkeypatch, 1, 1)
+def _change_tree(tmp_path, path, old, new):
+    """A copy of this checkout's src and perfbench with `old` replaced by
+    `new`, once, in the source file at `path` under src/fpf."""
     change = tmp_path / "change"
-    shutil.copytree(ROOT / "src", change / "src", ignore=shutil.ignore_patterns("__pycache__"))
-    shutil.copytree(ROOT / "perfbench", change / "perfbench", ignore=shutil.ignore_patterns("__pycache__"))
-    scenario = change / "src" / "fpf" / "scenario.py"
-    source = scenario.read_text()
-    assert "ORACLE_STEPS = 512" in source
-    scenario.write_text(source.replace("ORACLE_STEPS = 512", "ORACLE_STEPS = 256"))
+    for part in ("src", "perfbench"):
+        shutil.copytree(ROOT / part, change / part, ignore=shutil.ignore_patterns("__pycache__"))
+    source_file = change / "src" / "fpf" / path
+    source = source_file.read_text()
+    assert source.count(old) == 1
+    source_file.write_text(source.replace(old, new))
+    return change
+
+
+@pytest.mark.parametrize("path, old, new", [
+    # every chain refused: another exit code and stderr
+    ("measure.py", "MAX_JOINTS = 1 << 16", "MAX_JOINTS = 1"),
+    # the same JSON objects spelt otherwise: no key differs
+    ("scenario.py", "return _write(self.to_dict())", 'return _write(self.to_dict()) + " "'),
+], ids=["exit-code", "layout"])
+def test_bench_ab_stops_when_the_outputs_differ(tmp_path, monkeypatch, path, old, new):
+    bench_ab = _bench_ab(monkeypatch, 1, 1)
+    change = _change_tree(tmp_path, path, old, new)
     with pytest.raises(SystemExit, match="outputs differ on"):
         bench_ab.main(["--parent", str(ROOT), "--change", str(change), "--workload", "chain-oracle",
                        "--out", str(tmp_path / "ab.json")])
     assert not (tmp_path / "ab.json").exists()
+
+
+def test_bench_ab_times_reports_that_differ_in_some_keys(tmp_path, monkeypatch, capsys):
+    # a change tree whose chain oracle floors its estimate at 65 eps, not 64:
+    # chain reports then differ in oracle_error_estimate alone
+    bench_ab = _bench_ab(monkeypatch, 2, 2)
+    change = _change_tree(tmp_path, "oracle.py", "64.0 * np.finfo(float).eps", "65.0 * np.finfo(float).eps")
+    out = tmp_path / "ab.json"
+    assert bench_ab.main(["--parent", str(ROOT), "--change", str(change), "--workload", "chain-oracle",
+                          "--out", str(out)]) == 0
+    row = json.loads(out.read_text())["bench_ab"]["workloads"]["chain-oracle"]
+    assert [len(r) for r in row["ratios"]] == [2, 2] and len(row["file_median_ratio"]) == 28
+    keys = row["differing_keys"]
+    assert keys and all(names == ["oracle_error_estimate"] for names in keys.values())
+    assert f"chain-oracle: {len(keys)} files' reports differ in oracle_error_estimate" in capsys.readouterr().out
+
+
+def test_bench_ab_stops_when_a_side_changes_its_output(monkeypatch):
+    bench_ab = _bench_ab(monkeypatch, 1, 2)
+    calls = {side: 0 for side in bench_ab.SIDES}
+
+    def fake_cli(side):
+        class FakeCli:
+            @staticmethod
+            def main(argv):
+                calls[side] += 1
+                b = calls[side] if side == "change" else 0  # the change side's "b" grows each call
+                print(json.dumps({"a": 1, "b": b}))
+                return 0
+        return FakeCli
+
+    monkeypatch.setattr(bench_ab, "load_cli", lambda checkout, side: fake_cli(side))
+    got = bench_ab.measure(dict.fromkeys(bench_ab.SIDES), bench_ab.SIDES, ["a.json"], 2)
+    assert got == {"error": "change output changed on a.json in round 0"}
 
 
 def _byte_sweep(monkeypatch):
